@@ -52,6 +52,7 @@ from .dynrep import (
     verify_rll,
 )
 from .scalars import (
+    AvoidExhausted,
     NonGenericLambda,
     QParam,
     RatFunc,
@@ -82,10 +83,19 @@ def parse_q(text: str) -> QParam:
         raise ConfigError(f"bad q value {text!r}: {exc}") from exc
 
 
+def parse_max_spin(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad --max-spin {text!r}: {exc}") from exc
+
+
 def build_reps(algebra: str, qp: QParam, reps: list):
     if algebra == "sl2":
-        spins = [Fraction(r) for r in (reps or ["1/2", "1/2"])]
-        return [irrep_sl2(s, qp) for s in spins]
+        try:
+            return [irrep_sl2(Fraction(r), qp) for r in (reps or ["1/2", "1/2"])]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"bad --reps: {exc}") from exc
     n = int(algebra[2:])
     if reps and any(r != "vector" for r in reps):
         raise ConfigError(f"{algebra} supports the vector representation only")
@@ -109,19 +119,6 @@ def matrix_json(M, basis) -> dict:
             out.append(x.to_json() if isinstance(x, RatFunc) else scalar_to_str(x))
         ent.append(out)
     return {"rows": len(M), "cols": len(M[0]) if M else 0, "basis": basis, "entries": ent}
-
-
-def pretty_matrix(M) -> str:
-    lines = []
-    for row in M:
-        cells = []
-        for x in row:
-            if isinstance(x, RatFunc):
-                cells.append("ratfunc" if not x.is_zero() else "0")
-            else:
-                cells.append(scalar_to_str(x))
-        lines.append("  [" + ", ".join(cells) + "]")
-    return "\n".join(lines)
 
 
 def _emit(args, payload: dict, csv_rows=None):
@@ -164,7 +161,7 @@ def cmd_compute(args) -> int:
     if args.object == "sixj-table":
         if spec.kind != "sl2":
             raise ConfigError("sixj-table needs --algebra sl2")
-        tab = sixj_table(qp, Fraction(args.max_spin))
+        tab = sixj_table(qp, parse_max_spin(args.max_spin))
         rows = [("a", "b", "n", "c", "k", "j", "value")]
         jrows = []
         for (a, b, n, c, k, j, v) in tab.rows():
@@ -277,14 +274,15 @@ def _suite_runners(args, qp, reps, lams):
     def suite_sixj():
         if spec.kind != "sl2":
             raise ConfigError("sixj suite needs sl2")
+        max_spin = parse_max_spin(args.max_spin)
         rep = Report("sixj", {"max_spin": str(args.max_spin)})
-        tf = sixj_table(qp, Fraction(args.max_spin), "fusion")
-        to = sixj_table(qp, Fraction(args.max_spin), "oracle")
+        tf = sixj_table(qp, max_spin, "fusion")
+        to = sixj_table(qp, max_spin, "oracle")
         for key in sorted(set(tf.values) | set(to.values)):
             if tf.get(*key) != to.get(*key):
                 rep.fail(key=[str(x) for x in key], fusion=str(tf.get(*key)),
                          oracle=str(to.get(*key)))
-        for bad in pentagon_residuals(qp, Fraction(args.max_spin)):
+        for bad in pentagon_residuals(qp, max_spin):
             rep.fail(pentagon=[str(x) for x in bad[0]])
         return [rep]
 
@@ -378,7 +376,11 @@ def cmd_verify(args) -> int:
     for s in suites:
         if s not in ALL_SUITES:
             raise ConfigError(f"unknown suite {s!r}")
-    workers = int(os.environ.get("DYNRX_THREADS", "1"))
+    threads = os.environ.get("DYNRX_THREADS", "1")
+    try:
+        workers = int(threads)
+    except ValueError as exc:
+        raise ConfigError(f"DYNRX_THREADS must be an integer, not {threads!r}") from exc
     runners = _suite_runners(args, qp, reps, lams)
     reports = []
     all_pass = True
@@ -437,7 +439,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NonGenericLambda as exc:
+    except (NonGenericLambda, AvoidExhausted) as exc:
         print(f"non-generic lambda: {exc}", file=sys.stderr)
         return 3
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import linalg
+from . import linalg, memo
 from .liealg import (
     AlgebraSpec,
     FinRep,
@@ -34,6 +34,7 @@ from .scalars import NonGenericLambda, QParam, RatFunc, SamplePoint
 
 
 def rep_fingerprint(V: FinRep):
+    """Structural content of V; `FinRep.key` interns it once per rep."""
     return (
         V.spec,
         V.dim,
@@ -44,22 +45,26 @@ def rep_fingerprint(V: FinRep):
     )
 
 
-_fusion_cache: dict = {}
+# Memo tables.  The fusion method is part of every J, J^-1, R and K key, so
+# the Verma and ABRR routes never serve each other's results.
+_fusion = memo.table("fusion")
+_fusion_inverse = memo.table("fusion_inverse")
+_exchange = memo.table("exchange")
+_kmat = memo.table("kmat")
+_kprime = memo.table("kprime")
 
 
 def fusion_matrix(W: FinRep, V: FinRep, lam: LambdaHandle, method: str = "verma"):
     """J_{W,V}(lambda) on W (x) V (W is the first slot)."""
-    key = (rep_fingerprint(W), rep_fingerprint(V), lam.key(), method)
-    if key in _fusion_cache:
-        return _fusion_cache[key]
+    return _fusion.get((W.key, V.key, lam.key(), method), _fusion_impl, W, V, lam, method)
+
+
+def _fusion_impl(W: FinRep, V: FinRep, lam: LambdaHandle, method: str):
     if method == "verma":
-        J = _fusion_verma(W, V, lam)
-    elif method == "abrr":
-        J = fusion_matrix_abrr(W, V, lam)
-    else:
-        raise ValueError(f"unknown fusion method {method!r}")
-    _fusion_cache[key] = J
-    return J
+        return _fusion_verma(W, V, lam)
+    if method == "abrr":
+        return fusion_matrix_abrr(W, V, lam)
+    raise ValueError(f"unknown fusion method {method!r}")
 
 
 def _fusion_verma(W: FinRep, V: FinRep, lam: LambdaHandle):
@@ -174,28 +179,20 @@ def invert_unipotent(J, W: FinRep, V: FinRep):
     return out
 
 
-_exchange_cache: dict = {}
-_fusion_inv_cache: dict = {}
-_kmat_cache: dict = {}
-
-
 def fusion_inverse(W: FinRep, V: FinRep, lam: LambdaHandle, method: str = "verma"):
     """Cached J_{W,V}(lambda)^{-1} (Neumann series of the unipotent part)."""
-    key = (rep_fingerprint(W), rep_fingerprint(V), lam.key(), method)
-    if key not in _fusion_inv_cache:
-        J = fusion_matrix(W, V, lam, method)
-        _fusion_inv_cache[key] = invert_unipotent(J, W, V)
-    return _fusion_inv_cache[key]
+    return _fusion_inverse.get((W.key, V.key, lam.key(), method), _fusion_inverse_impl,
+                               W, V, lam, method)
+
+
+def _fusion_inverse_impl(W: FinRep, V: FinRep, lam: LambdaHandle, method: str):
+    return invert_unipotent(fusion_matrix(W, V, lam, method), W, V)
 
 
 def exchange_matrix(V: FinRep, W: FinRep, lam: LambdaHandle, method: str = "verma"):
     """R_{V,W}(lambda) = J_{V,W}^{-1}(lambda) R21|_{V(x)W} J21_{W,V}(lambda) on V (x) W."""
-    key = (rep_fingerprint(V), rep_fingerprint(W), lam.key(), method)
-    if key in _exchange_cache:
-        return _exchange_cache[key]
-    R = _exchange_matrix_impl(V, W, lam, method)
-    _exchange_cache[key] = R
-    return R
+    return _exchange.get((V.key, W.key, lam.key(), method), _exchange_matrix_impl,
+                         V, W, lam, method)
 
 
 def _exchange_matrix_impl(V: FinRep, W: FinRep, lam: LambdaHandle, method: str):
@@ -539,12 +536,7 @@ def ktilde(V: FinRep, lam: LambdaHandle, method: str = "verma"):
 def kprime(V: FinRep, lam: LambdaHandle, method: str = "verma"):
     """K'(lambda) = m(J^{t1}_{V,*V}(lambda)) on *V: K'[r][s] = sum_p J[(p,p)][(r,s)],
     so that <v, K'(lambda) v*> is the two-point pairing."""
-    key = ("Kp", rep_fingerprint(V), lam.key(), method)
-    if key in _kmat_cache:
-        return _kmat_cache[key]
-    out = _kprime_impl(V, lam, method)
-    _kmat_cache[key] = out
-    return out
+    return _kprime.get((V.key, lam.key(), method), _kprime_impl, V, lam, method)
 
 
 def _kprime_impl(V: FinRep, lam: LambdaHandle, method: str):
@@ -564,12 +556,7 @@ def _kprime_impl(V: FinRep, lam: LambdaHandle, method: str):
 
 def kmat(V: FinRep, lam: LambdaHandle, method: str = "verma"):
     """K(lambda) = (Ktilde(lambda - h))^{-1} on *V (h = the *V weight acted on)."""
-    key = ("K", rep_fingerprint(V), lam.key(), method)
-    if key in _kmat_cache:
-        return _kmat_cache[key]
-    out = _kmat_impl(V, lam, method)
-    _kmat_cache[key] = out
-    return out
+    return _kmat.get((V.key, lam.key(), method), _kmat_impl, V, lam, method)
 
 
 def _kmat_impl(V: FinRep, lam: LambdaHandle, method: str):
@@ -769,7 +756,6 @@ def asymptotic_alcove(V: FinRep, W: FinRep, direction: str, mgrid, method: str =
         raise ValueError("direction must be 'positive' or 'negative'")
     prev = None
     q2 = qp.q ** 2
-    rate_seq = []
     for m in mgrid:
         lam = SampledLambda(spec, _rho_point(spec, sgn * m))
         J = fusion_matrix(V, W, lam, method)
@@ -780,7 +766,6 @@ def asymptotic_alcove(V: FinRep, W: FinRep, direction: str, mgrid, method: str =
                 for c in range(d):
                     if prev[r][c] != 0:
                         ratio = dist[r][c] / prev[r][c]
-                        rate_seq.append((m, r, c, ratio))
                         if ratio > bound:
                             rep.fail(m=m, entry=(r, c), ratio=str(ratio), bound=str(bound))
                     elif dist[r][c] != 0:

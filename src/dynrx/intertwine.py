@@ -106,7 +106,6 @@ def solve_intertwiner(lam: LambdaHandle, v: list, V: FinRep) -> IntertwinerExpan
             return rows[key]
 
         for col, (w, j) in enumerate(unknowns):
-            kq = spec.qp.qpow(spec.cartan_int(0, V.weights[j])) if False else None
             for i in range(spec.nsimple):
                 eimg = verma._e_on_word(i, w)
                 if not eimg:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import memo
 from .liealg import AlgebraSpec, Weight
 from .scalars import QParam, RatFunc, SamplePoint
 
@@ -59,8 +60,18 @@ class LambdaHandle:
         """q^{2 (lambda, beta)} for beta in the root lattice (trigonometric)."""
         raise NotImplementedError
 
-    def key(self):
-        """Hashable identity for memoization."""
+    def key(self) -> int:
+        """Interned memo key, computed once per handle; handles for the same
+        lambda share it."""
+        try:
+            return self._key
+        except AttributeError:
+            k = memo.intern(self._identity())
+            object.__setattr__(self, "_key", k)  # the dataclass subclasses are frozen
+            return k
+
+    def _identity(self):
+        """Hashable value identifying this lambda (and its q)."""
         raise NotImplementedError
 
 
@@ -115,15 +126,8 @@ class SampledLambda(LambdaHandle):
             out *= a ** (2 * b)
         return out
 
-    def lin_pair2(self, beta: Weight):
-        """2 (lambda, beta) classically."""
-        c = self.point.coords
-        if self.spec.kind == "sl2":
-            return c[0] * beta[0]
-        return 2 * sum(a * b for a, b in zip(c, beta))
-
-    def key(self):
-        return ("pt", self.point.coords, self.qp.s, self.qp.classical)
+    def _identity(self):
+        return ("pt", self.point.coords, self.qp)
 
 
 @dataclass(frozen=True)
@@ -186,5 +190,5 @@ class SymbolicLambda(LambdaHandle):
             out = out * x if n2 > 0 else out / x
         return out
 
-    def key(self):
-        return ("sym", self.mult, self.add, self.qp.s, self.qp.classical)
+    def _identity(self):
+        return ("sym", self.mult, self.add, self.qp)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
+from . import linalg, memo
 from .linalg import Matrix, kron, mat_mul, mat_sub, mat_is_zero, eye, zeros
 from .scalars import QParam
 
@@ -113,7 +113,8 @@ class FinRep:
 
     e[i], f[i] are dim x dim matrices (Fraction entries) for each simple root;
     K_i^{+-1} act diagonally through the weights.  zdeg is the Z-grading
-    (deg e_i = +1), used for triangularity of fusion matrices.
+    (deg e_i = +1), used for triangularity of fusion matrices.  A rep is not
+    changed after it is built: its memo key is taken from its content once.
     """
 
     def __init__(self, spec: AlgebraSpec, weights, zdeg, e, f, name=""):
@@ -124,6 +125,16 @@ class FinRep:
         self.e = e
         self.f = f
         self.name = name
+        self._key = None
+
+    @property
+    def key(self) -> int:
+        """Interned structural key, computed once: content-equal reps share it."""
+        if self._key is None:
+            from .exchange import rep_fingerprint  # a module-level import would be circular
+
+            self._key = memo.intern(rep_fingerprint(self))
+        return self._key
 
     def K_diag(self, i: int, sign: int = 1):
         qp = self.spec.qp
@@ -350,26 +361,49 @@ def _q_cartan_factor(V: FinRep, W: FinRep) -> Matrix:
     return Q
 
 
+_universal_r = memo.table("universal_r")
+
+
 def universal_r(V: FinRep, W: FinRep) -> Matrix:
-    """The universal R-matrix restricted to V (x) W.
+    """The universal R-matrix restricted to V (x) W, built once per rep pair.
 
     classical: identity.  gl_N, N >= 3: vector pair closed form.  sl2 and gl2
     (single simple root, e/f nilpotent): R = (sum_n c_n e^n (x) f^n) Q with Q
     the Cartan factor and c_n solved from R D(x) = D^op(x) R, degree by degree;
     the solve removes any transcription risk in the series coefficients.
+    Every build is checked exactly: R D(x) = D^op(x) R for x = e_i, f_i, K_i
+    on every simple root i, and det R != 0.
     """
-    spec = V.spec
-    if spec != W.spec:
+    if V.spec != W.spec:
         raise ValueError("mismatched algebras")
+    return _universal_r.get((V.key, W.key), _universal_r_impl, V, W)
+
+
+def _universal_r_impl(V: FinRep, W: FinRep) -> Matrix:
+    spec = V.spec
     qp = spec.qp
     if qp.classical:
-        return eye(V.dim * W.dim)
-    if spec.kind == "gln" and spec.n >= 3:
-        if _is_vector_rep(V) and _is_vector_rep(W):
-            return _gln_vector_r(spec.n, qp)
-        raise UnsupportedPair("gl_N (N>=3) universal R implemented for the vector pair only")
-    # single simple root: ansatz solve with R = Q (sum_n c_n e^n (x) f^n),
-    # c_0 = 1; the Cartan factor sits on the left of the nilpotent series
+        R = eye(V.dim * W.dim)
+    elif spec.kind == "gln" and spec.n >= 3:
+        if not (_is_vector_rep(V) and _is_vector_rep(W)):
+            raise UnsupportedPair("gl_N (N>=3) universal R implemented for the vector pair only")
+        R = _gln_vector_r(spec.n, qp)
+    else:
+        R = _single_root_r(V, W)
+    for i in range(spec.nsimple):
+        for gen in ("e", "f", "K"):
+            D = coproduct_op(V, W, i, gen)
+            Dop = coproduct_op(V, W, i, gen, opposite=True)
+            if not mat_is_zero(mat_sub(mat_mul(R, D), mat_mul(Dop, R))):
+                raise ArithmeticError(f"universal R fails R D(x) = D^op(x) R for {gen}_{i + 1}")
+    if linalg.mat_det(R) == 0:
+        raise ArithmeticError("universal R not invertible")
+    return R
+
+
+def _single_root_r(V: FinRep, W: FinRep) -> Matrix:
+    """Ansatz solve with R = Q (sum_n c_n e^n (x) f^n), c_0 = 1; the Cartan
+    factor sits on the left of the nilpotent series."""
     Q = _q_cartan_factor(V, W)
     eV, fW = V.e[0], W.f[0]
     terms = [Q]
@@ -382,39 +416,28 @@ def universal_r(V: FinRep, W: FinRep) -> Matrix:
         terms.append(mat_mul(Q, kron(En, Fn)))
     nun = len(terms) - 1
     if nun == 0:
-        R = Q
-    else:
-        rows, rhs = [], []
-        d = V.dim * W.dim
-        for gen in ("e", "f"):
-            D = coproduct_op(V, W, 0, gen)
-            Dop = coproduct_op(V, W, 0, gen, opposite=True)
-            mats = [mat_sub(mat_mul(T, D), mat_mul(Dop, T)) for T in terms]
-            for r in range(d):
-                for c in range(d):
-                    row = [mats[n][r][c] for n in range(1, nun + 1)]
-                    if any(x != 0 for x in row) or mats[0][r][c] != 0:
-                        rows.append(row)
-                        rhs.append([-mats[0][r][c]])
-        sol = linalg.solve_linear(rows, rhs)
-        R = terms[0]
-        for n in range(1, nun + 1):
-            R = linalg.mat_add(R, linalg.mat_scale(terms[n], sol[n - 1][0]))
-    # exact sanity: QTS axiom and invertibility
-    for gen in ("e", "f", "K"):
-        D = coproduct_op(V, W, 0, gen) if spec.nsimple == 1 else None
-        if D is None:
-            break
+        return Q
+    rows, rhs = [], []
+    d = V.dim * W.dim
+    for gen in ("e", "f"):
+        D = coproduct_op(V, W, 0, gen)
         Dop = coproduct_op(V, W, 0, gen, opposite=True)
-        if not mat_is_zero(mat_sub(mat_mul(R, D), mat_mul(Dop, R))):
-            raise ArithmeticError("universal R solve failed the QTS axiom")
-    if linalg.mat_det(R) == 0:
-        raise ArithmeticError("universal R not invertible")
+        mats = [mat_sub(mat_mul(T, D), mat_mul(Dop, T)) for T in terms]
+        for r in range(d):
+            for c in range(d):
+                row = [mats[n][r][c] for n in range(1, nun + 1)]
+                if any(x != 0 for x in row) or mats[0][r][c] != 0:
+                    rows.append(row)
+                    rhs.append([-mats[0][r][c]])
+    sol = linalg.solve_linear(rows, rhs)
+    R = terms[0]
+    for n in range(1, nun + 1):
+        R = linalg.mat_add(R, linalg.mat_scale(terms[n], sol[n - 1][0]))
     return R
 
 
 def r_zero_part(V: FinRep, W: FinRep) -> Matrix:
-    """R_0 = R Q^{-1}, the unipotent factor of R = R_0 Q."""
+    """R_0 = R Q^{-1}, the unipotent factor of R = R_0 Q (R from the universal_r table)."""
     R = universal_r(V, W)
     Q = _q_cartan_factor(V, W)
     d = len(Q)

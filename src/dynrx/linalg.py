@@ -138,12 +138,6 @@ def solve_linear(A: Matrix, B: Matrix) -> Matrix:
 
 def mat_inv(A: Matrix) -> Matrix:
     n = len(A)
-    one = None
-    for row in A:
-        for x in row:
-            one = x
-            break
-        break
     # build identity of matching element type
     zero = A[0][0] - A[0][0]
     unit = zero + 1 if not isinstance(A[0][0], RatFunc) else RatFunc.const(1)

@@ -30,10 +30,6 @@ class NonGenericLambda(ValueError):
     """A lambda value hit the zero set of a required determinant/denominator."""
 
 
-def frac(a, b=None) -> Fraction:
-    return Fraction(a) if b is None else Fraction(a, b)
-
-
 def scalar_to_str(a: Fraction) -> str:
     return str(a)  # "p/q" with q > 0, "/1" omitted
 
@@ -441,7 +437,7 @@ class SamplePoint:
     def to_json(self) -> dict:
         return {
             "case": "classical" if self.qp.classical else "trigonometric",
-            "s": scalar_to_str(self.qp.s),
+            "s": None if self.qp.s is None else scalar_to_str(self.qp.s),
             "coords": [scalar_to_str(c) for c in self.coords],
             "z": [scalar_to_str(self.z(a)) for a in range(self.ncoords)],
             "seed": self.seed,

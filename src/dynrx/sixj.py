@@ -17,11 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
+from . import linalg, memo
 from .liealg import cg_decompose, irrep_sl2, tensor
 from .lam import SymbolicLambda
-from .exchange import fusion_matrix, invert_unipotent
+from .exchange import fusion_inverse
 from .scalars import PoleError, QParam, RatFunc
+
+
+_sixj = memo.table("sixj")
+_phi = memo.table("phi")
 
 
 class ResonanceError(ArithmeticError):
@@ -47,12 +51,8 @@ def cg_range(b, c):
 def normalized_intertwiner(b, c, a, qp: QParam):
     """phi_a^{bc}: V_a -> V_b (x) V_c normalized on v_b (x) v_{c,b+c-a}; columns
     are the images of the basis v_{a,m}."""
-    ck = (Fraction(b), Fraction(c), Fraction(a), qp.q, qp.classical)
-    if ck in _phi_cache:
-        return _phi_cache[ck]
-    out = _normalized_intertwiner_impl(b, c, a, qp)
-    _phi_cache[ck] = out
-    return out
+    return _phi.get((Fraction(b), Fraction(c), Fraction(a), qp.q, qp.classical),
+                    _normalized_intertwiner_impl, b, c, a, qp)
 
 
 def _normalized_intertwiner_impl(b, c, a, qp: QParam):
@@ -83,19 +83,11 @@ def _normalized_intertwiner_impl(b, c, a, qp: QParam):
     return Vb, Vc, [list(col) for col in zip(*cols)]  # (dim T) x (dim V_a)
 
 
-_sixj_cache: dict = {}
-_phi_cache: dict = {}
-
-
 def sixj_fusion(a, b, n, c, k, j, qp: QParam):
     """6j-symbol extracted from the symbolic fusion matrix J_{bc} at lambda = k."""
     a, b, n, c, k, j = map(Fraction, (a, b, n, c, k, j))
-    ck = (a, b, n, c, k, j, qp.q, qp.classical)
-    if ck in _sixj_cache:
-        return _sixj_cache[ck]
-    val = _sixj_fusion_impl(a, b, n, c, k, j, qp)
-    _sixj_cache[ck] = val
-    return val
+    return _sixj.get((a, b, n, c, k, j, qp.q, qp.classical), _sixj_fusion_impl,
+                     a, b, n, c, k, j, qp)
 
 
 def _sixj_fusion_impl(a, b, n, c, k, j, qp: QParam):
@@ -107,9 +99,7 @@ def _sixj_fusion_impl(a, b, n, c, k, j, qp: QParam):
         return Fraction(0)
     Vb, Vc, phi = normalized_intertwiner(b, c, j, qp)
     col = [phi[r][int(m)] for r in range(Vb.dim * Vc.dim)]
-    lam = SymbolicLambda(Vb.spec)
-    J = fusion_matrix(Vb, Vc, lam)
-    Jinv = invert_unipotent(J, Vb, Vc)
+    Jinv = fusion_inverse(Vb, Vc, SymbolicLambda(Vb.spec))
     # evaluate at lambda = k (h-eigenvalue 2k): x = q^{2k}, classically x = 2k;
     # combine symbolically first so that removable entry poles cancel
     x0 = Fraction(2 * k) if qp.classical else qp.spow(int(4 * k))

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from . import linalg
+from . import linalg, memo
 from .liealg import AlgebraSpec, Weight, wt_add
 from .lam import LambdaHandle
 
@@ -52,8 +51,15 @@ class _WordBasis:
         return {k: v for k, v in out.items() if v != 0}
 
 
-@lru_cache(maxsize=None)
+_word_bases = memo.table("word_basis")
+
+
 def word_basis(nsimple: int, qnum2: Fraction, cutoff: int) -> _WordBasis:
+    """The reduced word basis up to `cutoff`; lambda-independent, built once."""
+    return _word_bases.get((nsimple, qnum2, cutoff), _word_basis_impl, nsimple, qnum2, cutoff)
+
+
+def _word_basis_impl(nsimple: int, qnum2: Fraction, cutoff: int) -> _WordBasis:
     basis = [((),)]
     reducers = [dict()]
     for n in range(1, cutoff + 1):

@@ -34,6 +34,30 @@ def test_usage_errors_exit_two():
     assert run("bogus-command").returncode == 2
 
 
+@pytest.mark.parametrize("args, env", [
+    (("compute", "--reps", "abc"), None),
+    (("compute", "--reps", "40"), None),
+    (("verify",), {"DYNRX_THREADS": "x"}),
+    (("compute", "--object", "sixj-table", "--max-spin", "abc"), None),
+])
+def test_bad_config_exits_two_without_traceback(args, env):
+    r = run(*args, env=env)
+    assert r.returncode == 2
+    assert r.stderr.startswith("config error: ") and "Traceback" not in r.stderr
+
+
+def test_avoid_exhausted_exits_three(monkeypatch, capsys):
+    import dynrx.cli as cli
+    from dynrx.scalars import AvoidExhausted
+
+    def exhausted(*args, **kwargs):
+        raise AvoidExhausted("no regular point found")
+
+    monkeypatch.setattr(cli, "sample_handles", exhausted)
+    assert cli.main(["compute", "--q", "4"]) == 3
+    assert "no regular point found" in capsys.readouterr().err
+
+
 def test_byte_stable_output():
     args = ("verify", "--suites", "hecke", "--algebra", "gl2", "--reps", "vector",
             "--q", "4", "--samples", "2", "--seed", "5")
@@ -58,6 +82,7 @@ def test_compute_reproducible_and_schema():
     m = payload["results"][0]["matrix"]
     assert set(m) == {"rows", "cols", "basis", "entries"}
     assert m["rows"] == m["cols"] == 4
+    assert payload["results"][0]["lambda"]["s"] is None  # q^{1/2} = sqrt 2
 
 
 def test_compute_symbolic_gl2_exchange():

@@ -105,6 +105,21 @@ def test_universal_r(qp4, qpc):
         universal_r(tensor(V3, V3), V3)
 
 
+def test_universal_r_checks_every_simple_root(qp4, monkeypatch):
+    from dynrx import liealg, memo
+
+    V = vector_rep_gln(3, qp4)
+    good = liealg._gln_vector_r(3, qp4)
+    bad = [list(row) for row in good]
+    bad[1 * 3 + 2][2 * 3 + 1] += 1  # the v_2 (x) v_1 -> v_1 (x) v_2 entry
+    memo.clear()
+    monkeypatch.setattr(liealg, "_gln_vector_r", lambda N, qp: bad)
+    with pytest.raises(ArithmeticError):
+        universal_r(V, V)
+    monkeypatch.setattr(liealg, "_gln_vector_r", lambda N, qp: good)
+    assert universal_r(V, V) == good
+
+
 def test_universal_r_mixed_pairs_consistent(qp4):
     # the per-pair ansatz solve restricts one universal element: the series
     # coefficient read off V_{1/2} (x) V_{1/2} matches the one on V_1 (x) V_{1/2}

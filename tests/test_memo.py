@@ -1,0 +1,98 @@
+import copy
+import sys
+import threading
+from fractions import Fraction
+
+from dynrx import memo
+from dynrx.exchange import exchange_matrix, fusion_matrix
+from dynrx.lam import SampledLambda, SymbolicLambda
+from dynrx.liealg import irrep_sl2
+from dynrx.scalars import QParam, SamplePoint
+from dynrx.sixj import pentagon_residuals, sixj_table
+
+
+def test_sixj_inverts_each_fusion_matrix_once():
+    memo.clear()
+    qp = QParam.from_q(2)
+    sixj_table(qp, Fraction(1))
+    assert pentagon_residuals(qp, Fraction(1)) == []
+    st = memo.stats()
+    assert st["fusion"]["misses"] > 0
+    assert st["fusion_inverse"]["misses"] == st["fusion"]["misses"]
+    assert st["fusion_inverse"]["hits"] > 0
+
+
+def test_content_equal_reps_share_a_key(qp4):
+    A, B = irrep_sl2(1, qp4), irrep_sl2(1, qp4)
+    assert A is not B and A.key == B.key
+    C = irrep_sl2(1, qp4)
+    C.e[0][0][1] += 1  # changed before it is first keyed
+    assert C.key != A.key
+    assert irrep_sl2(1, QParam.from_q(9)).key != A.key
+    lam = SampledLambda(A.spec, SamplePoint(qp4, (Fraction(3, 5),)))
+    again = SampledLambda(A.spec, SamplePoint(qp4, (Fraction(3, 5),)))
+    assert lam.key() == again.key() != lam.shifted((2,)).key()
+
+
+def test_clear_then_recompute_gives_equal_values(qp4):
+    V = irrep_sl2(Fraction(1, 2), qp4)
+    W = irrep_sl2(1, qp4)
+    lam = SampledLambda(V.spec, SamplePoint(qp4, (Fraction(7, 3),)))
+    qp2 = QParam.from_q(2)
+
+    def compute():
+        return (fusion_matrix(V, W, lam), fusion_matrix(V, W, lam, "abrr"),
+                exchange_matrix(V, W, lam), exchange_matrix(V, V, SymbolicLambda(V.spec)),
+                sixj_table(qp2, Fraction(1, 2)).values)
+
+    first = copy.deepcopy(compute())
+    # callers read the shared values; none may change them in place
+    exchange_matrix(W, V, lam)
+    pentagon_residuals(qp2, Fraction(1, 2))
+    assert compute() == first
+    memo.clear()
+    assert all(t["size"] == 0 and t["hits"] == 0 for t in memo.stats().values())
+    assert compute() == first
+
+
+def test_abrr_lookup_never_served_from_verma(qp4):
+    memo.clear()
+    V = irrep_sl2(Fraction(1, 2), qp4)
+    lam = SampledLambda(V.spec, SamplePoint(qp4, (Fraction(5, 7),)))
+    J = fusion_matrix(V, V, lam, "verma")
+    before = memo.stats()["fusion"]
+    assert fusion_matrix(V, V, lam, "abrr") == J
+    after = memo.stats()["fusion"]
+    assert after["misses"] == before["misses"] + 1
+    assert after["hits"] == before["hits"]
+
+
+def test_threads_share_tables_without_lost_updates():
+    t = memo.Table("threads")
+    nthreads, rounds, nkeys = 8, 300, 50
+    ids = [[] for _ in range(nthreads)]
+    barrier = threading.Barrier(nthreads)
+
+    def work(slot):
+        barrier.wait(timeout=30)
+        for r in range(rounds):
+            k = r % nkeys
+            ids[slot].append(memo.intern(("test-threads", k)))
+            assert t.get(k, lambda: [k]) == [k]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(s,)) for s in range(nthreads)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+        assert not any(th.is_alive() for th in threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert t.hits + t.misses == nthreads * rounds
+    assert len(t.data) == nkeys
+    # one int per distinct value, the same int in every thread
+    assert all(row == ids[0] for row in ids)
+    assert len(set(ids[0])) == nkeys

@@ -126,6 +126,12 @@ def test_sample_point_basics(qp4):
     assert ptc.shift((2,)).coords[0] == 3
 
 
+def test_sample_point_json_s_is_null_when_irrational(qp4):
+    assert SamplePoint(qp4, (Fraction(3, 2),)).to_json()["s"] == "2"
+    # q = 2: q^{1/2} is irrational, written as JSON null
+    assert SamplePoint(QParam.from_q(2), (Fraction(3, 2),)).to_json()["s"] is None
+
+
 def test_random_regular_point_reproducible(qp4):
     a = random_regular_point(qp4, 2, seed=42)
     b = random_regular_point(qp4, 2, seed=42)
