@@ -2,7 +2,8 @@
 run the identity-verification suites, emit machine-readable reports.
 
 Exit codes: 0 all identities hold exactly; 1 mathematical failure; 2 invalid
-usage/config; 3 non-generic lambda encountered (retries exhausted).
+usage/config; 3 a sampled lambda is non-generic (a determinant or denominator
+the computation divides by vanishes there); the sampled point is not redrawn.
 """
 
 from __future__ import annotations

@@ -41,25 +41,21 @@ def mat_scale(A: Matrix, c) -> Matrix:
 
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    n, k, m = len(A), len(B), len(B[0])
-    Bt = [[B[r][c] for r in range(k)] for c in range(m)]
+    """A B, multiplying only nonzero pairs; each entry sums its terms in
+    increasing inner index."""
+    m = len(B[0])
+    B_nz = [[(c, b) for c, b in enumerate(row) if not is_zero_elem(b)] for row in B]
     out = []
-    for i in range(n):
-        Ai = A[i]
-        row = []
-        for c in range(m):
-            Bc = Bt[c]
-            s = None
-            for r in range(k):
-                a = Ai[r]
-                if is_zero_elem(a):
-                    continue
-                term = a * Bc[r]
-                s = term if s is None else s + term
-            if s is None:
-                s = Ai[0] * Bc[0]  # a zero of the right type
-            row.append(s)
-        out.append(row)
+    for Ai in A:
+        acc = [None] * m
+        for a, Br in zip(Ai, B_nz):
+            if not Br or is_zero_elem(a):
+                continue
+            for c, b in Br:
+                s = acc[c]
+                acc[c] = a * b if s is None else s + a * b
+        # an entry with no nonzero term gets a zero of the right type
+        out.append([Ai[0] * B[0][c] if s is None else s for c, s in enumerate(acc)])
     return out
 
 

@@ -2,7 +2,8 @@
 
 The negative part is realized as the free algebra on f_1..f_r modulo the
 quantum Serre relations; per-degree bases are extracted once by exact row
-reduction of the relation span (lambda-independent), and every action is
+reduction of the relation span, one weight block at a time (lambda-independent,
+one memo entry per degree), and every action is
 computed in the free algebra and then reduced.  This avoids any PBW/root
 vector conventions.
 """
@@ -51,47 +52,56 @@ class _WordBasis:
         return {k: v for k, v in out.items() if v != 0}
 
 
-_word_bases = memo.table("word_basis")
+_word_levels = memo.table("word_basis")
 
 
 def word_basis(nsimple: int, qnum2: Fraction, cutoff: int) -> _WordBasis:
-    """The reduced word basis up to `cutoff`; lambda-independent, built once."""
-    return _word_bases.get((nsimple, qnum2, cutoff), _word_basis_impl, nsimple, qnum2, cutoff)
+    """The reduced word basis up to `cutoff`; each level is lambda-independent,
+    built once and shared by every cutoff that reaches it."""
+    basis, reducers = zip(*(_word_levels.get((nsimple, qnum2, n), _word_level, nsimple, qnum2, n)
+                            for n in range(cutoff + 1)))
+    return _WordBasis(nsimple, qnum2, cutoff, basis, reducers)
 
 
-def _word_basis_impl(nsimple: int, qnum2: Fraction, cutoff: int) -> _WordBasis:
-    basis = [((),)]
-    reducers = [dict()]
-    for n in range(1, cutoff + 1):
-        words = list(_words(nsimple, n))
-        index = {w: k for k, w in enumerate(words)}
-        rel_rows = []
-        for core, coeffs in _serre_relations(nsimple, qnum2):
-            L = len(core[0])
-            if L > n:
-                continue
-            for left in _words(nsimple, 0, n - L):
-                rest = n - L - len(left)
-                for right in _words(nsimple, rest, rest):
-                    row = [Fraction(0)] * len(words)
-                    for cw, cc in zip(core, coeffs):
-                        row[index[left + cw + right]] += cc
-                    rel_rows.append(row)
-        if rel_rows:
-            rref, piv = linalg.row_reduce_basis(rel_rows)
-        else:
-            rref, piv = [], []
-        pivset = dict(zip(piv, rref))
-        bwords = tuple(w for k, w in enumerate(words) if k not in pivset)
-        red = {}
+def _word_level(nsimple: int, qnum2: Fraction, n: int) -> tuple:
+    """(basis words, reducers) of level n.
+
+    Every Serre relation is homogeneous in letter content (the U_q(n_-)
+    weight), so the words of the level split into content blocks and each
+    block's relation rows are row-reduced on their own, in block-local
+    coordinates.  Words keep the level's global order inside a block, so the
+    pivots and reducers are those of one reduction over the whole level.
+    """
+    words = list(_words(nsimple, n))
+    blocks: dict = {}  # content -> words of that content, in global order
+    for w in words:
+        blocks.setdefault(_content(nsimple, w), []).append(w)
+    index = {w: k for bw in blocks.values() for k, w in enumerate(bw)}
+    rows: dict = {c: [] for c in blocks}
+    for core, coeffs in _serre_relations(nsimple, qnum2):
+        L = len(core[0])
+        if L > n:
+            continue
+        for left in _words(nsimple, 0, n - L):
+            rest = n - L - len(left)
+            for right in _words(nsimple, rest, rest):
+                c = _content(nsimple, left + core[0] + right)
+                row = [Fraction(0)] * len(blocks[c])
+                for cw, cc in zip(core, coeffs):
+                    row[index[left + cw + right]] += cc
+                rows[c].append(row)
+    reduced = {}
+    for c, bw in blocks.items():
+        rref, piv = linalg.row_reduce_basis(rows[c])
         for k, row in zip(piv, rref):
-            # words[k] = -sum_{j != k} row[j] * words[j]
-            red[words[k]] = {
-                words[j]: -row[j] for j in range(len(words)) if j != k and row[j] != 0
-            }
-        basis.append(bwords)
-        reducers.append(red)
-    return _WordBasis(nsimple, qnum2, cutoff, tuple(basis), tuple(reducers))
+            # bw[k] = -sum_{j != k} row[j] * bw[j]
+            reduced[bw[k]] = {bw[j]: -row[j] for j in range(len(bw)) if j != k and row[j] != 0}
+    return tuple(w for w in words if w not in reduced), reduced
+
+
+def _content(nsimple: int, w: Word) -> tuple:
+    """How often each letter occurs in w: the weight of the word, in simple roots."""
+    return tuple(w.count(i) for i in range(nsimple))
 
 
 def _words(r: int, lo: int, hi: int | None = None):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -127,3 +128,47 @@ def test_verify_failure_exit_one(tmp_path):
     )
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 1
+
+
+# sha256 of stdout for fixed configurations, captured before the weight-graded
+# word basis and the sparse mat_mul replaced the dense kernels: refactors of
+# the exact kernels must leave every output byte unchanged.
+GOLDEN = [
+    (("compute", "--algebra", "gl4", "--q", "4", "--samples", "2", "--seed", "5",
+      "--method", "verma"),
+     "e4c24aec5e7dfd9ff6a052f6ebf4bf2298bdcad9e5351f4587c254760acee3eb"),
+    (("compute", "--algebra", "gl3", "--q", "4", "--samples", "3", "--seed", "5",
+      "--method", "verma"),
+     "e2bc79e02386c9c0356dfb8151945dff37b09ab1db57c4f2b875f4a5731ba419"),
+    (("compute", "--algebra", "gl4", "--object", "exchange", "--q", "4", "--samples", "1",
+      "--seed", "2", "--method", "abrr"),
+     "7119941edba16a0f3b04ccca6bea22e3754a643db890311ec46f99d81f76719e"),
+    (("compute", "--algebra", "sl2", "--object", "sixj-table", "--q", "2", "--max-spin", "1",
+      "--format", "csv"),
+     "c519652273e2b84c62cb8c404f3fbb439929bc9268ce795ba82c053c88ad8c80"),
+    (("compute", "--algebra", "gl2", "--object", "exchange", "--symbolic", "--q", "4"),
+     "e2ffb5e7c0f675583ef794a0400036fb058fcc2099bf666b3edf19798e02c608"),
+    (("compute", "--algebra", "sl2", "--reps", "1/2", "1/2", "--q", "2", "--samples", "1",
+      "--seed", "7"),
+     "e91b7d4de785046acf339980e0d8462f597c27f65139bde00feea28d267d0c37"),
+    (("verify", "--suites", "closed-form", "hecke", "qdyb", "--algebra", "gl3", "--q", "4",
+      "--samples", "2", "--seed", "5"),
+     "a0d8f953ebd16db2ce6f508104cf043249442d802efd6ca652241ea4a96b15b2"),
+]
+
+
+@pytest.mark.parametrize("args, digest", GOLDEN, ids=[" ".join(a) for a, _ in GOLDEN])
+def test_golden_stdout(args, digest):
+    r = subprocess.run(CLI + list(args), capture_output=True)  # bytes: csv rows end in \r\n
+    assert r.returncode == 0, r.stderr
+    assert hashlib.sha256(r.stdout).hexdigest() == digest
+
+
+def test_verify_gl4_vector_suites():
+    r = run("verify", "--suites", "closed-form", "hecke", "abrr-agreement", "qdyb",
+            "--algebra", "gl4", "--q", "4", "--samples", "5")
+    assert r.returncode == 0, r.stderr
+    payload = json.loads(r.stdout)
+    assert payload["pass"] is True
+    assert {rep["suite"] for rep in payload["reports"]} == {
+        "closed-form", "hecke", "abrr-agreement", "qdyb"}

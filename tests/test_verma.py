@@ -84,9 +84,9 @@ def test_gram_symmetric_classical():
 
 def test_word_basis_dims_match_poincare():
     # dim A_-[-n] for gl_N: generating function prod_{alpha>0} 1/(1 - z^{ht alpha})
-    import itertools
-
-    for N, cutoff in ((2, 4), (3, 4), (4, 4)):
+    cutoff = 6
+    dims = {}
+    for N in (2, 3, 4):
         heights = [b - a for a in range(1, N + 1) for b in range(a + 1, N + 1)]
         coeffs = [0] * (cutoff + 1)
         coeffs[0] = 1
@@ -99,8 +99,69 @@ def test_word_basis_dims_match_poincare():
                     k += 1
             coeffs = new
         wb = word_basis(N - 1, QParam(Fraction(2)).qnum(2), cutoff)
-        for n in range(cutoff + 1):
-            assert len(wb.basis[n]) == coeffs[n], (N, n)
+        dims[N] = [len(wb.basis[n]) for n in range(cutoff + 1)]
+        assert dims[N] == coeffs, N
+    assert dims[3] == [1, 2, 4, 6, 9, 12, 16]
+    assert dims[4] == [1, 3, 8, 17, 33, 58, 97]
+
+
+def _content(w, nsimple):
+    return tuple(w.count(i) for i in range(nsimple))
+
+
+def _serre(nsimple, qnum2):
+    """The quantum Serre relations of U_q(n_-) for gl_{nsimple+1}, written out
+    independently of verma.py: f_i f_j - f_j f_i for |i - j| >= 2 and
+    f_i^2 f_j - [2] f_i f_j f_i + f_j f_i^2 for |i - j| = 1."""
+    for i in range(nsimple):
+        for j in range(nsimple):
+            if abs(i - j) >= 2:
+                yield {(i, j): Fraction(1), (j, i): Fraction(-1)}
+            elif abs(i - j) == 1:
+                yield {(i, i, j): Fraction(1), (i, j, i): -qnum2, (j, i, i): Fraction(1)}
+
+
+@pytest.mark.parametrize("N, q", [(3, 4), (4, 4), (4, 2)])
+def test_word_basis_reducers_and_serre(N, q):
+    import itertools
+
+    nsimple, cutoff = N - 1, 6
+    qnum2 = QParam.from_q(q).qnum(2)
+    wb = word_basis(nsimple, qnum2, cutoff)
+    # every reducer is weight-homogeneous and expands in basis words or other reducers
+    for n in range(cutoff + 1):
+        for w, expansion in wb.reducers[n].items():
+            assert w not in wb.basis[n]
+            for w2 in expansion:
+                assert len(w2) == n and _content(w2, nsimple) == _content(w, nsimple)
+    # every Serre relation, padded on both sides to each level, reduces to zero
+    for rel in _serre(nsimple, qnum2):
+        L = len(next(iter(rel)))
+        for n in range(L, cutoff + 1):
+            for k in range(n - L + 1):
+                for left in itertools.product(range(nsimple), repeat=k):
+                    for right in itertools.product(range(nsimple), repeat=n - L - k):
+                        total = {}
+                        for core, c in rel.items():
+                            for w2, c2 in wb.reduce_word(left + core + right).items():
+                                total[w2] = total.get(w2, 0) + c * c2
+                        assert all(v == 0 for v in total.values()), (left, rel, right)
+
+
+def test_word_basis_levels_shared_across_cutoffs():
+    from dynrx import memo
+
+    qnum2 = QParam(Fraction(2)).qnum(2)
+    wb6 = word_basis(3, qnum2, 6)
+    misses = memo.stats()["word_basis"]["misses"]
+    wb3 = word_basis(3, qnum2, 3)
+    assert memo.stats()["word_basis"]["misses"] == misses  # one entry per level
+    assert wb3.cutoff == 3 and len(wb3.basis) == 4
+    for n in range(4):
+        assert wb3.basis[n] == wb6.basis[n]
+        assert wb3.reducers[n] == wb6.reducers[n]
+    with pytest.raises(CutoffExceeded):
+        wb3.reduce_word((0,) * 4)
 
 
 def test_positive_side_dimensions_match(qp4):
