@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -377,29 +376,9 @@ def cmd_verify(args) -> int:
     for s in suites:
         if s not in ALL_SUITES:
             raise ConfigError(f"unknown suite {s!r}")
-    threads = os.environ.get("DYNRX_THREADS", "1")
-    try:
-        workers = int(threads)
-    except ValueError as exc:
-        raise ConfigError(f"DYNRX_THREADS must be an integer, not {threads!r}") from exc
     runners = _suite_runners(args, qp, reps, lams)
-    reports = []
-    all_pass = True
-
-    def run_one(name):
-        return [r.to_json() for r in runners[name]()]
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, suites))
-    else:
-        results = [run_one(s) for s in suites]
-    for chunk in results:
-        for rj in chunk:
-            reports.append(rj)
-            all_pass = all_pass and rj["pass"]
+    reports = [r.to_json() for s in suites for r in runners[s]()]
+    all_pass = all(rj["pass"] for rj in reports)
     payload = {"config": {"command": "verify", "suites": suites, **config_dict(args)},
                "reports": reports, "pass": all_pass}
     _emit(args, payload)

@@ -17,15 +17,12 @@ from . import linalg, memo
 from .liealg import (
     AlgebraSpec,
     FinRep,
-    Weight,
     dual_rep,
     flip_matrix,
     r_zero_part,
     tensor,
     universal_r,
-    vector_rep_gln,
     wt_add,
-    wt_neg,
     wt_sub,
 )
 from .lam import LambdaHandle, SampledLambda, SymbolicLambda
@@ -297,61 +294,6 @@ def closed_form_gln(N: int, qp: QParam, which: str) -> ClosedFormGLN:
     if N < 1:
         raise ValueError("N >= 1")
     return ClosedFormGLN(N, qp, which)
-
-
-# ---------------------------------------------------------------------------
-# matrix-valued functions of lambda as first-class objects
-
-
-@dataclass
-class LambdaMatrix:
-    """A matrix-valued function of lambda on W (x) V: an evaluation procedure
-    plus an optional univariate symbolic form, tagged with the method that
-    produced it ('verma-fusion', 'abrr', 'closed-form', 'exchange')."""
-
-    wrep: FinRep
-    vrep: FinRep
-    method: str
-    _fn: object  # LambdaHandle -> matrix
-
-    def evaluate(self, lam):
-        """lam: a LambdaHandle or a SamplePoint."""
-        if isinstance(lam, SamplePoint):
-            lam = SampledLambda(self.wrep.spec, lam)
-        return self._fn(lam)
-
-    def symbolic(self):
-        """Univariate symbolic matrix (sl2/gl2 only)."""
-        return self._fn(SymbolicLambda(self.wrep.spec))
-
-    def basis_labels(self):
-        return [f"{i},{j}" for i in range(self.wrep.dim) for j in range(self.vrep.dim)]
-
-    def to_json(self, lam) -> dict:
-        from .scalars import scalar_to_str
-
-        M = self.evaluate(lam)
-        ent = [[x.to_json() if isinstance(x, RatFunc) else scalar_to_str(x) for x in row]
-               for row in M]
-        return {"rows": len(M), "cols": len(M[0]) if M else 0,
-                "basis": self.basis_labels(), "entries": ent, "method": self.method}
-
-
-def fusion_matrix_fn(W: FinRep, V: FinRep, method: str = "verma") -> LambdaMatrix:
-    tag = "verma-fusion" if method == "verma" else "abrr"
-    return LambdaMatrix(W, V, tag, lambda lam: fusion_matrix(W, V, lam, method))
-
-
-def exchange_matrix_fn(V: FinRep, W: FinRep, method: str = "verma") -> LambdaMatrix:
-    return LambdaMatrix(V, W, "exchange", lambda lam: exchange_matrix(V, W, lam, method))
-
-
-def closed_form_fn(N: int, qp: QParam, which: str) -> LambdaMatrix:
-    V = vector_rep_gln(N, qp)
-    cf = closed_form_gln(N, qp, which)
-    return LambdaMatrix(V, V, "closed-form",
-                        lambda lam: cf.matrix(lam.point if isinstance(lam, SampledLambda)
-                                              else "symbolic"))
 
 
 # ---------------------------------------------------------------------------

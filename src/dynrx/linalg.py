@@ -206,23 +206,26 @@ def nullspace(A: Matrix) -> list[list]:
 
 
 def row_reduce_basis(vectors: list[list]) -> tuple[list[list], list[int]]:
-    """Extract a row-echelon basis from a spanning list; returns (basis, pivot columns)."""
+    """Extract a row-echelon basis from a spanning list; returns (basis, pivot columns).
+    A basis row is subtracted only over its own nonzero columns."""
     if not vectors:
         return [], []
     m = len(vectors[0])
-    rows = [list(v) for v in vectors]
     basis = []
     pivcols = []
-    for v in rows:
+    supports = []
+    for v in vectors:
         w = list(v)
-        for b, pc in zip(basis, pivcols):
-            if not is_zero_elem(w[pc]):
-                c = w[pc]
-                w = [x - c * y for x, y in zip(w, b)]
+        for b, pc, support in zip(basis, pivcols, supports):
+            c = w[pc]
+            if not is_zero_elem(c):
+                for j in support:
+                    w[j] = w[j] - c * b[j]
         pc = next((j for j in range(m) if not is_zero_elem(w[j])), None)
         if pc is None:
             continue
         w = [x / w[pc] for x in w]
         basis.append(w)
         pivcols.append(pc)
+        supports.append([j for j, x in enumerate(w) if not is_zero_elem(x)])
     return basis, pivcols

@@ -97,30 +97,25 @@ def _sixj_fusion_impl(a, b, n, c, k, j, qp: QParam):
     m = j - k + a
     if m.denominator != 1 or not 0 <= m <= 2 * j:
         return Fraction(0)
-    Vb, Vc, phi = normalized_intertwiner(b, c, j, qp)
-    col = [phi[r][int(m)] for r in range(Vb.dim * Vc.dim)]
-    Jinv = fusion_inverse(Vb, Vc, SymbolicLambda(Vb.spec))
-    # evaluate at lambda = k (h-eigenvalue 2k): x = q^{2k}, classically x = 2k;
-    # combine symbolically first so that removable entry poles cancel
-    x0 = Fraction(2 * k) if qp.classical else qp.spow(int(4 * k))
-    w = []
-    for r in range(len(col)):
-        acc = RatFunc.const(0)
-        for s in range(len(col)):
-            e = Jinv[r][s]
-            if linalg.is_zero_elem(e):
-                continue
-            acc = acc + RatFunc.coerce(e) * RatFunc.const(col[s])
-        try:
-            w.append(acc.eval(x0))
-        except PoleError as exc:
-            raise ResonanceError(f"J_bc^(-1) singular at lambda = {k}") from exc
     ib = int(b - n + a)
     ic = int(c - k + n)
+    Vb, Vc, phi = normalized_intertwiner(b, c, j, qp)
     if not (0 <= ib < Vb.dim and 0 <= ic < Vc.dim):
         return Fraction(0)
-    # the image must be supported on the admissible grid; read the (n) coefficient
-    return w[ib * Vc.dim + ic]
+    col = [phi[r][int(m)] for r in range(Vb.dim * Vc.dim)]
+    # the coefficient on v_{b,b-n+a} (x) v_{c,c-k+n}: row ib (x) ic of J_bc^(-1) phi
+    # at lambda = k (h-eigenvalue 2k), x = q^{2k} (classically x = 2k); the row
+    # is combined symbolically first so that removable entry poles cancel
+    row = fusion_inverse(Vb, Vc, SymbolicLambda(Vb.spec))[ib * Vc.dim + ic]
+    x0 = Fraction(2 * k) if qp.classical else qp.spow(int(4 * k))
+    acc = RatFunc.const(0)
+    for e, cs in zip(row, col):
+        if not linalg.is_zero_elem(e):
+            acc = acc + RatFunc.coerce(e) * RatFunc.const(cs)
+    try:
+        return acc.eval(x0)
+    except PoleError as exc:
+        raise ResonanceError(f"J_bc^(-1) singular at lambda = {k}") from exc
 
 
 def sixj_oracle(a, b, n, c, k, j, qp: QParam):

@@ -38,7 +38,7 @@ def test_usage_errors_exit_two():
 @pytest.mark.parametrize("args, env", [
     (("compute", "--reps", "abc"), None),
     (("compute", "--reps", "40"), None),
-    (("verify",), {"DYNRX_THREADS": "x"}),
+    (("verify", "--suites", "hecke", "--algebra", "sl2", "--samples", "1"), None),
     (("compute", "--object", "sixj-table", "--max-spin", "abc"), None),
 ])
 def test_bad_config_exits_two_without_traceback(args, env):
@@ -64,14 +64,6 @@ def test_byte_stable_output():
             "--q", "4", "--samples", "2", "--seed", "5")
     a, b = run(*args), run(*args)
     assert a.stdout == b.stdout and a.returncode == 0
-
-
-def test_thread_env_var_does_not_change_output():
-    args = ("verify", "--suites", "hecke", "k-matrix", "--algebra", "gl2",
-            "--reps", "vector", "--q", "4", "--samples", "2", "--seed", "5")
-    a = run(*args)
-    b = run(*args, env={"DYNRX_THREADS": "2"})
-    assert a.stdout == b.stdout
 
 
 def test_compute_reproducible_and_schema():
@@ -130,9 +122,9 @@ def test_verify_failure_exit_one(tmp_path):
     assert r.returncode == 1
 
 
-# sha256 of stdout for fixed configurations, captured before the weight-graded
-# word basis and the sparse mat_mul replaced the dense kernels: refactors of
-# the exact kernels must leave every output byte unchanged.
+# sha256 of stdout for fixed configurations, each captured before a refactor
+# of the code it runs (the exact kernels, the difference-operator suites):
+# refactors must leave every output byte unchanged.
 GOLDEN = [
     (("compute", "--algebra", "gl4", "--q", "4", "--samples", "2", "--seed", "5",
       "--method", "verma"),
@@ -154,6 +146,9 @@ GOLDEN = [
     (("verify", "--suites", "closed-form", "hecke", "qdyb", "--algebra", "gl3", "--q", "4",
       "--samples", "2", "--seed", "5"),
      "a0d8f953ebd16db2ce6f508104cf043249442d802efd6ca652241ea4a96b15b2"),
+    (("verify", "--suites", "rll", "product", "coproduct", "antipode", "--algebra", "gl2",
+      "--q", "4", "--samples", "2", "--seed", "5"),
+     "27df83d2803ffe38f3bf24fda7e68e43adf447be67d6b6a47f35d23070cf5f0e"),
 ]
 
 

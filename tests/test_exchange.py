@@ -252,18 +252,12 @@ def test_asymptotic_alcove(qp_half):
                           "positive", range(5, 8))
 
 
-def test_lambda_matrix_wrapper(qp4):
-    from dynrx.exchange import closed_form_fn, exchange_matrix_fn, fusion_matrix_fn
-
+def test_sampled_and_symbolic_direct_calls(qp4):
+    # J through a fresh handle on the same point, and R against the gl2 closed form
     W = vector_rep_gln(2, qp4)
     lam = sampled(W.spec, 30)
-    F = fusion_matrix_fn(W, W)
-    assert F.method == "verma-fusion"
-    assert linalg.mat_eq(F.evaluate(lam), fusion_matrix(W, W, lam))
-    assert linalg.mat_eq(F.evaluate(lam.point), fusion_matrix(W, W, lam))
-    E = exchange_matrix_fn(W, W)
-    C = closed_form_fn(2, qp4, "R")
-    assert linalg.mat_eq(E.evaluate(lam), C.evaluate(lam))
-    assert mats_equal(E.symbolic(), C.symbolic())
-    js = E.to_json(lam)
-    assert js["rows"] == 4 and js["method"] == "exchange"
+    J = fusion_matrix(W, W, lam)
+    assert linalg.mat_eq(fusion_matrix(W, W, SampledLambda(W.spec, lam.point)), J)
+    cf = closed_form_gln(2, qp4, "R")
+    assert linalg.mat_eq(exchange_matrix(W, W, lam), cf.matrix(lam.point))
+    assert mats_equal(exchange_matrix(W, W, SymbolicLambda(W.spec)), cf.matrix("symbolic"))

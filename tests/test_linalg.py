@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dynrx.linalg import mat_mul
+from dynrx.linalg import is_zero_elem, mat_mul, row_reduce_basis
 from dynrx.scalars import Poly, RatFunc
 
 
@@ -62,3 +62,52 @@ def test_mat_mul_all_zero_product_stays_ratfunc():
         C = mat_mul(A, B)
         assert len(C) == len(A) and all(len(row) == 2 for row in C)
         assert all(type(v) is RatFunc and v.is_zero() for row in C for v in row)
+
+
+def dense_row_reduce(vectors):
+    """Reference: subtract each basis row over every column."""
+    basis, pivcols = [], []
+    for v in vectors:
+        w = list(v)
+        for b, pc in zip(basis, pivcols):
+            if not is_zero_elem(w[pc]):
+                c = w[pc]
+                w = [x - c * y for x, y in zip(w, b)]
+        pc = next((j for j, x in enumerate(w) if not is_zero_elem(x)), None)
+        if pc is not None:
+            basis.append([x / w[pc] for x in w])
+            pivcols.append(pc)
+    return basis, pivcols
+
+
+def with_dependent_rows(rng, rows, zero):
+    """rows, plus combinations of pairs of them and a zero row, shuffled."""
+    out = list(rows)
+    for _ in range(len(rows)):
+        r1, r2 = rng.sample(rows, 2)
+        c1, c2 = Fraction(rng.randint(-4, 4)), Fraction(rng.randint(1, 3), rng.randint(1, 4))
+        out.append([x * c1 + y * c2 for x, y in zip(r1, r2)])
+    out.append([zero] * len(rows[0]))
+    rng.shuffle(out)
+    return out
+
+
+@pytest.mark.parametrize("n, m", [(4, 9), (8, 6), (12, 30)])
+@pytest.mark.parametrize("density", [0.15, 0.4, 1.0])
+def test_row_reduce_basis_fractions_match_dense(n, m, density):
+    rng = random.Random(f"rr{n}{m}{density}")
+    for _ in range(4):
+        rows = with_dependent_rows(rng, random_fractions(rng, n, m, density), Fraction(0))
+        basis, piv = row_reduce_basis(rows)
+        assert (basis, piv) == dense_row_reduce(rows)
+        assert all(type(x) is Fraction for row in basis for x in row)
+
+
+def test_row_reduce_basis_ratfuncs_match_dense():
+    rng = random.Random("rr-ratfunc")
+    for _ in range(3):
+        rows = with_dependent_rows(rng, random_ratfuncs(rng, 4, 6, 0.5), RatFunc.const(0))
+        basis, piv = row_reduce_basis(rows)
+        want_basis, want_piv = dense_row_reduce(rows)
+        assert piv == want_piv and basis == want_basis
+        assert all(type(x) is RatFunc for row in basis for x in row)
