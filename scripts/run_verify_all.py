@@ -23,7 +23,8 @@ RUNS = [
                               "cocycle", "gauge", "rll", "product", "coproduct",
                               "antipode"], 5),
     ("gl3", "4", ["vector"], ["closed-form", "hecke", "abrr-agreement", "qdyb"], 5),
-    ("gl4", "4", ["vector"], ["closed-form", "hecke", "abrr-agreement", "qdyb"], 5),
+    ("gl4", "4", ["vector"], ["closed-form", "hecke", "abrr-agreement", "qdyb",
+                              "cocycle"], 5),
     ("gl2", "classical", ["vector"], ["closed-form", "hecke", "gauge"], 5),
     ("gl3", "classical", ["vector"], ["closed-form", "hecke"], 5),
 ]

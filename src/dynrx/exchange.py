@@ -4,7 +4,13 @@ and the identity-verification suites (2-cocycle, QDYB, Hecke, R00).
 
 Conventions (fixed package-wide):
   J_{W,V}(lambda) w (x) v = degree-0 coefficient of the composed intertwiner
-  (Phi^w_{lambda - wt v} (x) 1) Phi^v_lambda; R_{V,W} = J_{V,W}^{-1} R21 J21_{W,V};
+  (Phi^w_{lambda - wt v} (x) 1) Phi^v_lambda.  Only the leading term of Phi^w
+  reaches degree 0, so the Verma route reads J off the inner expansion
+  Phi^v v_lambda = sum c_{u,j} f_u v_mu (x) v_j alone:
+  J(w (x) v) = sum c_{u,j} prod_{i in u} k_i(nu)^{-1} pi_W(f_u) w (x) v_j,
+  with nu = lambda - wt v - wt w and k_i(nu) the K_i eigenvalue on v_nu (the
+  factor is 1 classically).
+  R_{V,W} = J_{V,W}^{-1} R21 J21_{W,V};
   lambda - h^{(k)} acts on a slot-k vector of weight mu by lambda -> lambda - mu.
 """
 
@@ -26,7 +32,7 @@ from .liealg import (
     wt_sub,
 )
 from .lam import LambdaHandle, SampledLambda, SymbolicLambda
-from .intertwine import compose_intertwiners
+from .intertwine import compose_intertwiners, solve_intertwiner
 from .scalars import NonGenericLambda, QParam, RatFunc, SamplePoint
 
 
@@ -65,17 +71,49 @@ def _fusion_impl(W: FinRep, V: FinRep, lam: LambdaHandle, method: str):
 
 
 def _fusion_verma(W: FinRep, V: FinRep, lam: LambdaHandle):
+    """J read off the inner expansion alone, by the formula in the module
+    docstring: D(f_i) = f_i (x) 1 + K_i^{-1} (x) f_i and f_i never shortens a
+    Verma word, so only the leading term v_nu (x) w of Phi^w reaches degree 0.
+    One intertwiner solve per basis vector of V, none for W."""
+    spec = W.spec
     dW, dV = W.dim, V.dim
-    d = dW * dV
-    zero = lam.zero()
-    J = [[zero for _ in range(d)] for _ in range(d)]
-    for iW in range(dW):
-        w = [Fraction(1) if t == iW else Fraction(0) for t in range(dW)]
-        for iV in range(dV):
-            v = [Fraction(1) if t == iV else Fraction(0) for t in range(dV)]
-            comp = compose_intertwiners(lam, W, w, V, v)
-            for (jW, jV), c in comp.degree0().items():
-                J[jW * dV + jV][iW * dV + iV] = c
+    zero, one = lam.zero(), lam.one()
+    J = [[zero] * (dW * dV) for _ in range(dW * dV)]
+    f_images: dict = {}  # (u, iW) -> pi_W(f_u) applied to basis vector iW, as {jW: c}
+
+    def f_image(u, iW):
+        key = (u, iW)
+        if key not in f_images:
+            if not u:
+                f_images[key] = {iW: Fraction(1)}
+            else:
+                f = W.f[u[0]]
+                out = {}
+                for j, c in f_image(u[1:], iW).items():
+                    for j2 in range(dW):
+                        if not linalg.is_zero_elem(f[j2][j]):
+                            out[j2] = out.get(j2, 0) + c * f[j2][j]
+                f_images[key] = {j: c for j, c in out.items() if not linalg.is_zero_elem(c)}
+        return f_images[key]
+
+    for iV in range(dV):
+        v = [Fraction(1) if t == iV else Fraction(0) for t in range(dV)]
+        inner = solve_intertwiner(lam, v, V)
+        for iW in range(dW):
+            if spec.qp.classical:
+                kinv = [one] * spec.nsimple
+            else:
+                nu = inner.mu.shifted(W.weights[iW])
+                kinv = [one / nu.simple_qpow(i) for i in range(spec.nsimple)]
+            col = iW * dV + iV
+            for (u, jV), c in inner.terms.items():
+                img = f_image(u, iW)
+                if not img:
+                    continue
+                for i in u:
+                    c = c * kinv[i]
+                for jW, a in img.items():
+                    J[jW * dV + jV][col] = J[jW * dV + jV][col] + c * a
     return J
 
 

@@ -159,11 +159,20 @@ def test_golden_stdout(args, digest):
     assert hashlib.sha256(r.stdout).hexdigest() == digest
 
 
+@pytest.mark.parametrize("samples, used", [("25", 20), ("3", 3)])
+def test_gauge_report_records_effective_samples(samples, used):
+    # under sl2 the gauge suite runs the N = 2 calculus; it draws at most 20 points
+    r = run("verify", "--suites", "gauge", "--algebra", "sl2", "--q", "4", "--samples", samples)
+    assert r.returncode == 0, r.stderr
+    (rep,) = json.loads(r.stdout)["reports"]
+    assert rep["config"] == {"N": 2, "samples": used}
+
+
 def test_verify_gl4_vector_suites():
-    r = run("verify", "--suites", "closed-form", "hecke", "abrr-agreement", "qdyb",
+    r = run("verify", "--suites", "closed-form", "hecke", "abrr-agreement", "qdyb", "cocycle",
             "--algebra", "gl4", "--q", "4", "--samples", "5")
     assert r.returncode == 0, r.stderr
     payload = json.loads(r.stdout)
     assert payload["pass"] is True
     assert {rep["suite"] for rep in payload["reports"]} == {
-        "closed-form", "hecke", "abrr-agreement", "qdyb"}
+        "closed-form", "hecke", "abrr-agreement", "qdyb", "cocycle"}

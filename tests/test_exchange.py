@@ -24,6 +24,7 @@ from dynrx.exchange import (
     verify_cocycle,
     verify_qdyb,
 )
+from dynrx.intertwine import compose_intertwiners
 from dynrx.lam import SampledLambda, SymbolicLambda
 from dynrx.liealg import (
     dual_rep,
@@ -32,7 +33,14 @@ from dynrx.liealg import (
     trivial_rep,
     vector_rep_gln,
 )
-from dynrx.scalars import QParam, RatFunc, classical_q, random_regular_point
+from dynrx.scalars import (
+    NonGenericLambda,
+    QParam,
+    RatFunc,
+    SamplePoint,
+    classical_q,
+    random_regular_point,
+)
 
 
 def sampled(spec, seed, bits=10):
@@ -261,3 +269,29 @@ def test_sampled_and_symbolic_direct_calls(qp4):
     cf = closed_form_gln(2, qp4, "R")
     assert linalg.mat_eq(exchange_matrix(W, W, lam), cf.matrix(lam.point))
     assert mats_equal(exchange_matrix(W, W, SymbolicLambda(W.spec)), cf.matrix("symbolic"))
+
+
+@pytest.mark.parametrize("a, b, c", [
+    ("1/2", "1/2", Fraction(1)),
+    ("1/2", "1/2", Fraction(-1, 16)),
+    ("1", "1/2", Fraction(4)),
+    ("1/2", "1", Fraction(1, 64)),
+])
+def test_verma_fusion_finite_where_only_outer_solve_is_singular(qp4, a, b, c):
+    # at these lambda some Phi^w at mu = lambda - wt v is singular, so the full
+    # composition raises; J reads only the inner Phi^v and is finite there
+    W, V = irrep_sl2(Fraction(a), qp4), irrep_sl2(Fraction(b), qp4)
+    lam = SampledLambda(W.spec, SamplePoint(qp4, (c,)))
+    raised = 0
+    for iW in range(W.dim):
+        for iV in range(V.dim):
+            w = [Fraction(int(t == iW)) for t in range(W.dim)]
+            v = [Fraction(int(t == iV)) for t in range(V.dim)]
+            try:
+                compose_intertwiners(lam, W, w, V, v)
+            except NonGenericLambda:
+                raised += 1
+    assert raised > 0
+    J = fusion_matrix(W, V, lam)
+    Jx = fusion_matrix(W, V, SymbolicLambda(W.spec))
+    assert J == [[RatFunc.coerce(x).eval(c) for x in row] for row in Jx]

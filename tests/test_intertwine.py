@@ -5,7 +5,7 @@ import pytest
 from dynrx import linalg
 from dynrx.intertwine import compose_intertwiners, raising_residual, solve_intertwiner
 from dynrx.lam import SampledLambda, SymbolicLambda
-from dynrx.liealg import AlgebraSpec, irrep_sl2, tensor, trivial_rep, vector_rep_gln
+from dynrx.liealg import AlgebraSpec, dual_rep, irrep_sl2, tensor, trivial_rep, vector_rep_gln
 from dynrx.scalars import (
     NonGenericLambda,
     Poly,
@@ -154,3 +154,67 @@ def test_expansion_json(qp4):
     exp = solve_intertwiner(lam, unit(2, 1), V)
     js = exp.to_json()
     assert js[0]["word"] == [] and js[0]["v_index"] == 1
+
+
+def _oracle_cases():
+    qp4, qpc = QParam(Fraction(2)), classical_q()
+    sl2 = AlgebraSpec("sl2", 1, qp4)
+    half, one = irrep_sl2(Fraction(1, 2), qp4), irrep_sl2(1, qp4)
+    g3, g4 = vector_rep_gln(3, qp4), vector_rep_gln(4, qp4)
+
+    def at(V, seed):
+        return SampledLambda(V.spec, random_regular_point(V.spec.qp, V.spec.ncoords, seed=seed))
+
+    return {
+        "sl2 1/2(x)1": (half, one, at(half, 1)),
+        "sl2 1(x)1/2": (one, half, at(half, 2)),
+        "sl2 1(x)1": (one, one, at(one, 3)),
+        "gl3 V(x)V": (g3, g3, at(g3, 4)),
+        "gl3 V(x)V*": (g3, dual_rep(g3), at(g3, 5)),
+        "gl4 V(x)V": (g4, g4, at(g4, 6)),
+        "sl2 1/2(x)(1/2(x)1/2)": (half, tensor(half, half), at(half, 7)),
+        "sl2 symbolic 1(x)1/2": (one, half, SymbolicLambda(sl2)),
+        "sl2 symbolic classical 1/2(x)1": (
+            irrep_sl2(Fraction(1, 2), qpc), irrep_sl2(1, qpc),
+            SymbolicLambda(AlgebraSpec("sl2", 1, qpc))),
+    }
+
+
+@pytest.mark.parametrize("case", list(_oracle_cases()))
+def test_fusion_column_equals_composition_degree0(case):
+    # the full composition (outer solve included) is the oracle for every column of J
+    from dynrx.exchange import fusion_matrix
+
+    W, V, lam = _oracle_cases()[case]
+    J = fusion_matrix(W, V, lam)
+    for iW in range(W.dim):
+        for iV in range(V.dim):
+            col = compose_intertwiners(lam, W, unit(W.dim, iW), V, unit(V.dim, iV)).degree0()
+            for jW in range(W.dim):
+                for jV in range(V.dim):
+                    assert J[jW * V.dim + jV][iW * V.dim + iV] == col.get((jW, jV), lam.zero())
+
+
+def test_fusion_miss_makes_one_inner_solve_per_basis_vector(qp4, monkeypatch):
+    from dynrx import exchange, memo
+
+    calls = {"solve": 0, "compose": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(exchange, "solve_intertwiner",
+                        counting("solve", exchange.solve_intertwiner))
+    monkeypatch.setattr(exchange, "compose_intertwiners",
+                        counting("compose", exchange.compose_intertwiners))
+    for W, V in [(irrep_sl2(1, qp4), irrep_sl2(Fraction(3, 2), qp4)),
+                 (vector_rep_gln(3, qp4), vector_rep_gln(3, qp4))]:
+        lam = SampledLambda(V.spec, random_regular_point(qp4, V.spec.ncoords, seed=31))
+        memo.clear()
+        calls.update(solve=0, compose=0)
+        exchange.fusion_matrix(W, V, lam)
+        assert memo.stats()["fusion"]["misses"] == 1
+        assert calls == {"solve": V.dim, "compose": 0}

@@ -7,7 +7,7 @@ from dynrx import memo
 from dynrx.exchange import exchange_matrix, fusion_matrix
 from dynrx.lam import SampledLambda, SymbolicLambda
 from dynrx.liealg import irrep_sl2
-from dynrx.scalars import QParam, SamplePoint
+from dynrx.scalars import QParam, SamplePoint, random_regular_point
 from dynrx.sixj import pentagon_residuals, sixj_table
 
 
@@ -65,6 +65,26 @@ def test_abrr_lookup_never_served_from_verma(qp4):
     after = memo.stats()["fusion"]
     assert after["misses"] == before["misses"] + 1
     assert after["hits"] == before["hits"]
+
+
+def test_verma_fusion_reads_no_universal_r_and_no_abrr(monkeypatch):
+    # the Verma route must stay independent of the ABRR route it is checked against
+    from dynrx import exchange
+    from dynrx.liealg import vector_rep_gln
+
+    def forbidden(*args):
+        raise AssertionError("the Verma route reached the ABRR route")
+
+    monkeypatch.setattr(exchange, "fusion_matrix_abrr", forbidden)
+    monkeypatch.setattr(exchange, "r_zero_part", forbidden)
+    memo.clear()
+    qp = QParam.from_q(4)
+    for V in (irrep_sl2(1, qp), vector_rep_gln(3, qp)):
+        lam = SampledLambda(V.spec, random_regular_point(qp, V.spec.ncoords, seed=12))
+        fusion_matrix(V, V, lam)
+    st = memo.stats()
+    assert st["fusion"]["misses"] == 2
+    assert st["universal_r"]["hits"] == st["universal_r"]["misses"] == 0
 
 
 def test_threads_share_tables_without_lost_updates():
