@@ -2,14 +2,14 @@
 """Cold timings of the slow acceptance criteria (c3, c4, c7, c8), the suite
 sweep and the gl4 cocycle verify, appended as one run to a BENCH_<n>.json file.
 
-Each entry runs `--repeats` times, each time in a fresh process, and reports
+Each entry runs REPEATS times, each time in a fresh process, and reports
 the median wall time of that whole process (interpreter start, imports and
 pytest collection included).  Run from the root of the repository:
 
-    python3 scripts/bench_cold.py --out BENCH_6.json --repeats 5
+    python3 scripts/bench_cold.py --out BENCH_6.json
 
 `--repo PATH` measures another checkout (for example the parent commit) with
-this same script.  A run that outlives `--timeout` seconds is stopped; the
+this same script.  A run that outlives TIMEOUT_S seconds is stopped; the
 entry then records the timeout and a null median, and is not repeated.
 """
 
@@ -24,6 +24,8 @@ import subprocess
 import sys
 import time
 
+REPEATS = 5
+TIMEOUT_S = 150.0
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
 CRITERIA = "tests/test_acceptance.py::test_criterion_"
 
@@ -44,19 +46,20 @@ def git(repo: str, *args: str) -> str:
                           check=True).stdout.strip()
 
 
-def time_entry(repo: str, argv: list, repeats: int, timeout: float) -> dict:
+def time_entry(repo: str, argv: list) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
     times, codes = [], []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t0 = time.perf_counter()
         try:
-            r = subprocess.run(argv, cwd=repo, env=env, capture_output=True, timeout=timeout)
+            r = subprocess.run(argv, cwd=repo, env=env, capture_output=True,
+                               timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
             return {"median_s": None, "repeats": len(times) + 1, "times_s": times,
-                    "returncodes": codes, "timeout_s": timeout}
+                    "returncodes": codes, "timeout_s": TIMEOUT_S}
         times.append(round(time.perf_counter() - t0, 3))
         codes.append(r.returncode)
-    return {"median_s": round(statistics.median(times), 3), "repeats": repeats,
+    return {"median_s": round(statistics.median(times), 3), "repeats": REPEATS,
             "times_s": times, "returncodes": codes}
 
 
@@ -64,11 +67,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--repo", default=".", help="checkout to measure (default: here)")
     p.add_argument("--out", required=True, help="BENCH_<n>.json to append the run to")
-    p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--timeout", type=float, default=600.0, help="seconds per process")
     args = p.parse_args(argv)
-    if args.repeats < 1:
-        p.error("--repeats must be at least 1")
     repo = os.path.abspath(args.repo)
     run = {
         "sha": git(repo, "rev-parse", "HEAD"),
@@ -78,7 +77,7 @@ def main(argv=None) -> int:
         "entries": [],
     }
     for name, layer, cmd in ENTRIES:
-        entry = {"name": name, "layer": layer, **time_entry(repo, cmd, args.repeats, args.timeout)}
+        entry = {"name": name, "layer": layer, **time_entry(repo, cmd)}
         print(json.dumps(entry), flush=True)
         run["entries"].append(entry)
     runs = []
