@@ -23,13 +23,11 @@ from .exchange import (
     Report,
     asymptotic_alcove,
     asymptotic_leading,
-    closed_form_gln,
     exchange_matrix,
     fusion_matrix,
     hecke_report,
     kmat,
     kprime,
-    ktilde,
     r00_cross_check,
     r00_scalar_check,
     two_point,
@@ -37,6 +35,7 @@ from .exchange import (
     verify_qdyb,
 )
 from .gauge import (
+    closed_form_fusion,
     closed_form_hecke,
     conjugation_identity_check,
     d_operator,
@@ -59,7 +58,6 @@ from .scalars import (
     NonGenericLambda,
     QParam,
     RatFunc,
-    SamplePoint,
     classical_q,
     random_regular_point,
     scalar_to_str,
@@ -88,9 +86,23 @@ def parse_q(text: str) -> QParam:
 
 def parse_max_spin(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        max_spin = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad --max-spin {text!r}: {exc}") from exc
+    if max_spin < 0 or (2 * max_spin).denominator != 1:
+        raise ConfigError(f"bad --max-spin {text!r}: 2 * max-spin must be a nonnegative integer")
+    return max_spin
+
+
+def check_options(args) -> None:
+    """Reject option values that no command can honour."""
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
+    if args.bitsize < 0:
+        raise ConfigError(f"--bitsize must be nonnegative, got {args.bitsize}")
+    if args.method == "abrr" and args.q == "classical":
+        raise ConfigError("--method abrr applies to the trigonometric case; "
+                          "classical J uses --method verma")
 
 
 def build_reps(algebra: str, qp: QParam, reps: list):
@@ -242,13 +254,13 @@ def _suite_runners(args, qp, reps, lams):
         if spec.kind != "gln":
             raise ConfigError("closed-form suite applies to gl_N")
         rep = Report("closed-form", {"N": spec.n})
-        cfJ = closed_form_gln(spec.n, qp, "J")
-        cfR = closed_form_gln(spec.n, qp, "R")
+        cfJ = closed_form_fusion(spec.n, qp)
+        cfR = closed_form_hecke(spec.n, qp)
         for idx, lam in enumerate(lams):
             pt = lam.point
-            if not linalg.mat_eq(fusion_matrix(pair[0], pair[1], lam, args.method), cfJ.matrix(pt)):
+            if not linalg.mat_eq(fusion_matrix(pair[0], pair[1], lam, args.method), cfJ.to_matrix(pt)):
                 rep.fail(sample=idx, object="J")
-            if not linalg.mat_eq(exchange_matrix(pair[0], pair[1], lam, args.method), cfR.matrix(pt)):
+            if not linalg.mat_eq(exchange_matrix(pair[0], pair[1], lam, args.method), cfR.to_matrix(pt)):
                 rep.fail(sample=idx, object="R")
         return [rep]
 
@@ -417,6 +429,7 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
+        check_options(args)
         if args.command == "compute":
             return cmd_compute(args)
         return cmd_verify(args)

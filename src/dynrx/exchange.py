@@ -1,6 +1,7 @@
 """Fusion matrices J_{W,V}(lambda) by two independent methods, exchange matrices
-R_{V,W}(lambda), closed gl_N forms, K-matrices, two-point functions, asymptotics,
-and the identity-verification suites (2-cocycle, QDYB, Hecke, R00).
+R_{V,W}(lambda), K-matrices, two-point functions, asymptotics, and the
+identity-verification suites (2-cocycle, QDYB, Hecke, R00).  The closed gl_N
+forms of J and R that these are checked against live in `gauge`.
 
 Conventions (fixed package-wide):
   J_{W,V}(lambda) w (x) v = degree-0 coefficient of the composed intertwiner
@@ -240,98 +241,6 @@ def _exchange_matrix_impl(V: FinRep, W: FinRep, lam: LambdaHandle, method: str):
     J21 = linalg.mat_mul(Pwv_to_vw, linalg.mat_mul(Jwv, Pvw_to_wv))
     Jinv = fusion_inverse(V, W, lam, method)
     return linalg.mat_mul(Jinv, linalg.mat_mul(R21, J21))
-
-
-# ---------------------------------------------------------------------------
-# closed gl_N forms
-
-
-@dataclass(frozen=True)
-class ClosedFormGLN:
-    """Literal closed-form J or R for the gl_N vector pair, evaluable at sample
-    points; symbolic (univariate in the difference) for N = 2."""
-
-    N: int
-    qp: QParam
-    which: str  # "J" or "R"
-
-    def _pairpow(self, lam, a: int, b: int, shift: int):
-        """q^{2(lambda_a - lambda_b + shift)} (trig) or lambda_a - lambda_b + shift."""
-        qp = self.qp
-        if isinstance(lam, SamplePoint):
-            if qp.classical:
-                return lam.coords[a] - lam.coords[b] + shift
-            return (lam.coords[a] / lam.coords[b]) ** 2 * qp.qpow(2 * shift)
-        # symbolic: only N == 2, variable x = q^{lambda_1-lambda_2} or lambda_1-lambda_2
-        x = RatFunc.x()
-        if qp.classical:
-            diff = x if (a, b) == (0, 1) else RatFunc.const(0) - x
-            return diff + RatFunc.const(shift)
-        xx = x * x if (a, b) == (0, 1) else RatFunc.const(1) / (x * x)
-        return xx * RatFunc.const(qp.qpow(2 * shift))
-
-    def matrix(self, lam):
-        """lam: a SamplePoint, or the string 'symbolic' for N = 2."""
-        N, qp = self.N, self.qp
-        symbolic = not isinstance(lam, SamplePoint)
-        if symbolic and N != 2:
-            raise ValueError("symbolic closed form only for N = 2")
-        one = RatFunc.const(1) if symbolic else Fraction(1)
-        zero = one - one
-        d = N * N
-        M = [[zero for _ in range(d)] for _ in range(d)]
-        qv = one * qp.q
-
-        def E(r1, c1, r2, c2, val):
-            M[r1 * N + r2][c1 * N + c2] = val
-
-        if self.which == "J":
-            for a in range(N):
-                for b in range(N):
-                    E(a, a, b, b, one)
-            for a in range(N):
-                for b in range(a + 1, N):
-                    u = self._pairpow(lam, a, b, b - a)
-                    if qp.classical:
-                        # 1/(lambda_b - lambda_a + a - b) = -1/(lambda_a-lambda_b+b-a)
-                        cval = (zero - one) / u
-                    else:
-                        cval = (one / qp.q - qv) / (u - one)
-                    E(b, a, a, b, cval)
-            return M
-        # R
-        for a in range(N):
-            E(a, a, a, a, one if qp.classical else qv)
-        for a in range(N):
-            for b in range(N):
-                if a == b:
-                    continue
-                if a < b:
-                    E(a, a, b, b, one)
-                else:
-                    u = self._pairpow(lam, b, a, a - b)
-                    if qp.classical:
-                        val = (u - one) * (u + one) / (u * u)
-                    else:
-                        q2 = one * qp.qpow(2)
-                        q2i = one * qp.qpow(-2)
-                        val = (u - q2) * (u - q2i) / ((u - one) * (u - one))
-                    E(a, a, b, b, val)
-                u = self._pairpow(lam, b, a, a - b)
-                if qp.classical:
-                    beta = one / (zero - u)  # 1/(lambda_a-lambda_b+b-a)
-                else:
-                    beta = (one / qp.q - qv) / (u - one)
-                E(b, a, a, b, beta)
-        return M
-
-
-def closed_form_gln(N: int, qp: QParam, which: str) -> ClosedFormGLN:
-    if which not in ("J", "R"):
-        raise ValueError("which must be 'J' or 'R'")
-    if N < 1:
-        raise ValueError("N >= 1")
-    return ClosedFormGLN(N, qp, which)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,10 @@
 """Multiplicative k-forms on the lambda-torus, the difference d (d^2 = 0),
-and gauge transformations I-IV of Hecke-type dynamical R-matrices.
+gauge transformations I-IV of Hecke-type dynamical R-matrices, and the closed
+gl_N forms of the vector-pair J and R.
+
+J and R are each written once, in Hecke-coefficient form (`closed_form_fusion`,
+`closed_form_hecke`); `HeckeRMatrix.to_matrix` is their matrix view at a sample
+point, or symbolically in x = x_01 for N = 2.
 
 Form values live in a small exact multiplicative algebra (FormScalar): a
 rational constant, a monomial prod_c q^{e_c lambda_c} (trigonometric case), and
@@ -282,19 +287,30 @@ class HeckeRMatrix:
     def beta_ab(self, a, b) -> RatFunc:
         return self._get(self.beta, a, b)
 
-    def to_matrix(self, pt: SamplePoint):
-        N = self.N
+    def to_matrix(self, pt):
+        """The matrix at a SamplePoint; for N = 2, pt = "symbolic" gives RatFunc
+        entries in x = x_01."""
+        N, qp = self.N, self.qp
+        symbolic = not isinstance(pt, SamplePoint)
+        if symbolic and N != 2:
+            raise ValueError("symbolic matrix view only for N = 2")
+        const = RatFunc.const if symbolic else Fraction
+
+        def at(g: RatFunc, a: int, b: int):
+            if symbolic:
+                return g if a < b else _flip_var(qp, g)
+            return g.eval(pt.coords[a] - pt.coords[b] if qp.classical
+                          else pt.coords[a] / pt.coords[b])
+
         d = N * N
-        M = [[Fraction(0)] * d for _ in range(d)]
+        M = [[const(0)] * d for _ in range(d)]
         for a in range(N):
-            M[a * N + a][a * N + a] = Fraction(self.alpha_diag[a])
+            M[a * N + a][a * N + a] = const(self.alpha_diag[a])
         for a in range(N):
             for b in range(N):
-                if a == b:
-                    continue
-                x = (pt.coords[a] - pt.coords[b]) if self.qp.classical else pt.coords[a] / pt.coords[b]
-                M[a * N + b][a * N + b] = self.alpha_ab(a, b).eval(x)
-                M[b * N + a][a * N + b] = self.beta_ab(a, b).eval(x)
+                if a != b:
+                    M[a * N + b][a * N + b] = at(self.alpha_ab(a, b), a, b)
+                    M[b * N + a][a * N + b] = at(self.beta_ab(a, b), a, b)
         return M
 
     def equals(self, other: "HeckeRMatrix") -> bool:
@@ -400,7 +416,7 @@ def example_hecke(N: int, qp: QParam) -> HeckeRMatrix:
 
 
 def closed_form_hecke(N: int, qp: QParam) -> HeckeRMatrix:
-    """The computed exchange matrix for the vector pair, in Hecke-coefficient form."""
+    """The closed gl_N exchange matrix R of the vector pair, in Hecke-coefficient form."""
     alpha, beta = [], []
     one = RatFunc.const(1)
     for a in range(N):
@@ -423,6 +439,27 @@ def closed_form_hecke(N: int, qp: QParam) -> HeckeRMatrix:
     hq = diag
     hp = Fraction(1) if qp.classical else qp.qpow(-1)
     return HeckeRMatrix(N, qp, tuple(diag for _ in range(N)), tuple(alpha), tuple(beta), hq, hp)
+
+
+def closed_form_fusion(N: int, qp: QParam) -> HeckeRMatrix:
+    """The closed gl_N fusion matrix J of the vector pair, in the same form:
+    diagonal 1, alpha_ab = 1, and beta_ab = (q^-1 - q)/(u - 1) with
+    u = q^{2(lambda_a-lambda_b+b-a)} for a < b (classically
+    -1/(lambda_a-lambda_b+b-a)); beta_ab = 0 for a > b."""
+    alpha, beta = [], []
+    one, zero = RatFunc.const(1), RatFunc.const(0)
+    for a in range(N):
+        for b in range(N):
+            if a == b:
+                continue
+            if a > b:
+                bb = zero
+            else:
+                u = _pairpow_ratfunc(qp, b - a, forward=True)  # q^{2(lambda_a-lambda_b+b-a)}
+                bb = (zero - one) / u if qp.classical else RatFunc.const(qp.qpow(-1) - qp.q) / (u - one)
+            alpha.append(((a, b), one))
+            beta.append(((a, b), bb))
+    return HeckeRMatrix(N, qp, tuple(Fraction(1) for _ in range(N)), tuple(alpha), tuple(beta))
 
 
 class NotClosedError(ValueError):

@@ -449,55 +449,6 @@ def r_zero_part(V: FinRep, W: FinRep) -> Matrix:
 # Clebsch-Gordan decomposition
 
 
-class SubspaceBasis:
-    """Incremental row-reduced basis with coordinate extraction."""
-
-    def __init__(self, ambient_dim: int):
-        self.m = ambient_dim
-        self.rows: list[list] = []
-        self.piv: list[int] = []
-        self.raw: list[list] = []  # original added vectors (basis of the span, in order)
-        self._expr: list[list] = []  # reduced rows expressed in terms of raw vectors
-
-    def _reduce(self, v):
-        v = list(v)
-        coeffs = [Fraction(0)] * len(self.raw)
-        for k, (row, p) in enumerate(zip(self.rows, self.piv)):
-            if not linalg.is_zero_elem(v[p]):
-                c = v[p]
-                v = [x - c * y for x, y in zip(v, row)]
-                for t, e in enumerate(self._expr[k]):
-                    coeffs[t] += c * e
-        return v, coeffs
-
-    def add(self, v) -> bool:
-        red, coeffs = self._reduce(v)
-        p = next((j for j in range(self.m) if not linalg.is_zero_elem(red[j])), None)
-        if p is None:
-            return False
-        lead = red[p]
-        self.raw.append(list(v))
-        expr = [-c / lead for c in coeffs] + [1 / lead]
-        red = [x / lead for x in red]
-        self.rows.append(red)
-        self.piv.append(p)
-        for k in range(len(self._expr)):
-            self._expr[k].append(Fraction(0))
-        self._expr.append(expr)
-        return True
-
-    def coords(self, v):
-        """Coordinates of v in terms of the raw added vectors, or None if outside."""
-        red, coeffs = self._reduce(v)
-        if any(not linalg.is_zero_elem(x) for x in red):
-            return None
-        return coeffs
-
-    @property
-    def dim(self):
-        return len(self.raw)
-
-
 class NotCompletelyReducible(ValueError):
     pass
 
@@ -535,8 +486,7 @@ def generate_subrep(T: FinRep, hw: list, name="") -> tuple[FinRep, Matrix]:
     as columns; the basis is the f-word orbit of hw in BFS order, so the first
     basis vector is hw itself.
     """
-    sb = SubspaceBasis(T.dim)
-    sb.add(hw)
+    span = linalg.Echelon(T.dim, [hw])
     frontier = [hw]
     order = [list(hw)]
     while frontier:
@@ -544,25 +494,20 @@ def generate_subrep(T: FinRep, hw: list, name="") -> tuple[FinRep, Matrix]:
         for v in frontier:
             for i in range(T.spec.nsimple):
                 img = [sum(T.f[i][r][c] * v[c] for c in range(T.dim)) for r in range(T.dim)]
-                if any(x != 0 for x in img) and sb.add(img):
+                if any(x != 0 for x in img) and span.add(img):
                     new.append(img)
                     order.append(img)
         frontier = new
     dimU = len(order)
     tau = [[order[k][r] for k in range(dimU)] for r in range(T.dim)]
-    # action matrices in the generated basis
+    # action matrices in the generated basis: X tau = tau X_U
     es, fs = [], []
-    for i in range(T.spec.nsimple):
-        ecols, fcols = [], []
-        for v in order:
-            for X, cols in ((T.e[i], ecols), (T.f[i], fcols)):
-                img = [sum(X[r][c] * v[c] for c in range(T.dim)) for r in range(T.dim)]
-                co = sb.coords(img)
-                if co is None:
-                    raise NotCompletelyReducible("generated subspace not e/f-stable")
-                cols.append(list(co))
-        es.append(linalg.mat_transpose(ecols))
-        fs.append(linalg.mat_transpose(fcols))
+    try:
+        for i in range(T.spec.nsimple):
+            es.append(linalg.solve_linear(tau, mat_mul(T.e[i], tau)))
+            fs.append(linalg.solve_linear(tau, mat_mul(T.f[i], tau)))
+    except linalg.SingularMatrixError as exc:
+        raise NotCompletelyReducible("generated subspace not e/f-stable") from exc
     weights = []
     zdeg = []
     for v in order:

@@ -90,142 +90,124 @@ class SingularMatrixError(ValueError):
     pass
 
 
+class Echelon:
+    """The one elimination kernel: an incremental row-echelon basis.
+
+    `add` reduces a vector against the kept rows, each subtracted only over its
+    own nonzero columns, and keeps the remainder if it is nonzero, normalised
+    at its first nonzero column (the pivot).  Kept row k is zero left of its
+    pivot and at the pivots of rows 0..k-1; `pivvals` holds each pivot's
+    value before normalising."""
+
+    def __init__(self, m: int, vectors=()):
+        self.m = m
+        self.rows: list[list] = []
+        self.pivcols: list[int] = []
+        self.pivvals: list = []
+        self.supports: list[list[int]] = []  # nonzero columns of each row, pivot first
+        for v in vectors:
+            self.add(v)
+
+    def add(self, v) -> bool:
+        """Reduce v and keep it; False (nothing kept) if v is in the span."""
+        w = list(v)
+        for b, pc, support in zip(self.rows, self.pivcols, self.supports):
+            c = w[pc]
+            if not is_zero_elem(c):
+                for j in support:
+                    w[j] = w[j] - c * b[j]
+        pc = next((j for j in range(self.m) if not is_zero_elem(w[j])), None)
+        if pc is None:
+            return False
+        p = w[pc]
+        w = [x / p for x in w]
+        self.rows.append(w)
+        self.pivcols.append(pc)
+        self.pivvals.append(p)
+        self.supports.append([j for j, x in enumerate(w) if not is_zero_elem(x)])
+        return True
+
+    def reversed_rows(self):
+        return zip(reversed(self.rows), reversed(self.pivcols), reversed(self.supports))
+
+
+def _one_like(zero):
+    return RatFunc.const(1) if isinstance(zero, RatFunc) else zero + 1
+
+
 def solve_linear(A: Matrix, B: Matrix) -> Matrix:
     """Solve A X = B exactly for possibly rectangular consistent systems.
 
     Returns the unique solution; raises SingularMatrixError if the system is
     inconsistent or underdetermined (solution not unique).
     """
-    n = len(A)
-    m = len(A[0]) if n else 0
-    k = len(B[0])
-    aug = [list(A[i]) + list(B[i]) for i in range(n)]
-    pivots = []
-    row = 0
-    for col in range(m):
-        piv = None
-        for r in range(row, n):
-            if not is_zero_elem(aug[r][col]):
-                piv = r
-                break
-        if piv is None:
-            continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = aug[row][col]
-        aug[row] = [x / inv for x in aug[row]]
-        for r in range(n):
-            if r != row and not is_zero_elem(aug[r][col]):
-                c = aug[r][col]
-                aug[r] = [x - c * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == n:
-            break
-    for r in range(row, n):
-        if any(not is_zero_elem(x) for x in aug[r][m:]):
-            raise SingularMatrixError("inconsistent linear system")
-    if len(pivots) < m:
+    m = len(A[0]) if A else 0
+    ech = Echelon(m + len(B[0]), (list(a) + list(b) for a, b in zip(A, B)))
+    if any(pc >= m for pc in ech.pivcols):
+        raise SingularMatrixError("inconsistent linear system")
+    if len(ech.pivcols) < m:
         raise SingularMatrixError("underdetermined linear system")
-    X = [[None] * k for _ in range(m)]
-    for r, col in enumerate(pivots):
-        X[col] = aug[r][m:]
+    # every column of A is a pivot, so row k's A-part lies on later rows' pivots
+    X = [None] * m
+    for row, pc, support in ech.reversed_rows():
+        x = row[m:]
+        for j in support[1:]:
+            if j >= m:
+                break
+            c = row[j]
+            x = [a - c * b for a, b in zip(x, X[j])]
+        X[pc] = x
     return X
 
 
 def mat_inv(A: Matrix) -> Matrix:
     n = len(A)
-    # build identity of matching element type
     zero = A[0][0] - A[0][0]
-    unit = zero + 1 if not isinstance(A[0][0], RatFunc) else RatFunc.const(1)
+    unit = _one_like(zero)
     I = [[unit if i == j else zero for j in range(n)] for i in range(n)]
     return solve_linear(A, I)
 
 
 def mat_det(A: Matrix):
+    """The product of the pivot values, signed by the pivot-column permutation."""
     n = len(A)
-    M = [list(r) for r in A]
     zero = A[0][0] - A[0][0]
-    det = zero + 1 if not isinstance(A[0][0], RatFunc) else RatFunc.const(1)
-    for col in range(n):
-        piv = None
-        for r in range(col, n):
-            if not is_zero_elem(M[r][col]):
-                piv = r
-                break
-        if piv is None:
-            return zero
-        if piv != col:
-            M[col], M[piv] = M[piv], M[col]
-            det = zero - det
-        det = det * M[col][col]
-        inv = M[col][col]
-        for r in range(col + 1, n):
-            if not is_zero_elem(M[r][col]):
-                c = M[r][col] / inv
-                M[r] = [x - c * y for x, y in zip(M[r], M[col])]
-    return det
+    ech = Echelon(n)
+    if not all(ech.add(row) for row in A):
+        return zero
+    det = _one_like(zero)
+    for p in ech.pivvals:
+        det = det * p
+    perm = ech.pivcols
+    inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+    return zero - det if inversions % 2 else det
 
 
 def nullspace(A: Matrix) -> list[list]:
-    """Basis of the right nullspace (exact RREF)."""
-    n = len(A)
-    m = len(A[0]) if n else 0
-    M = [list(r) for r in A]
-    zero = A[0][0] - A[0][0] if n else Fraction(0)
-    one = zero + 1 if not isinstance(zero, RatFunc) else RatFunc.const(1)
-    pivots = []
-    row = 0
-    for col in range(m):
-        piv = None
-        for r in range(row, n):
-            if not is_zero_elem(M[r][col]):
-                piv = r
-                break
-        if piv is None:
-            continue
-        M[row], M[piv] = M[piv], M[row]
-        inv = M[row][col]
-        M[row] = [x / inv for x in M[row]]
-        for r in range(n):
-            if r != row and not is_zero_elem(M[r][col]):
-                c = M[r][col]
-                M[r] = [x - c * y for x, y in zip(M[r], M[row])]
-        pivots.append(col)
-        row += 1
-        if row == n:
-            break
-    free = [c for c in range(m) if c not in pivots]
+    """Basis of the right nullspace: one vector per free (non-pivot) column,
+    1 there and 0 at the other free columns."""
+    m = len(A[0]) if A else 0
+    zero = A[0][0] - A[0][0] if A else Fraction(0)
+    ech = Echelon(m, A)
+    pivots = set(ech.pivcols)
     basis = []
-    for fc in free:
-        v = [zero] * m
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = zero - M[r][fc]
-        basis.append(v)
+    for fc in range(m):
+        if fc in pivots:
+            continue
+        v = {fc: _one_like(zero)}
+        for row, pc, support in ech.reversed_rows():
+            acc = zero
+            for j in support[1:]:
+                if j in v:
+                    acc = acc + row[j] * v[j]
+            v[pc] = zero - acc
+        basis.append([v.get(c, zero) for c in range(m)])
     return basis
 
 
 def row_reduce_basis(vectors: list[list]) -> tuple[list[list], list[int]]:
-    """Extract a row-echelon basis from a spanning list; returns (basis, pivot columns).
-    A basis row is subtracted only over its own nonzero columns."""
+    """Extract a row-echelon basis from a spanning list; returns (basis, pivot columns)."""
     if not vectors:
         return [], []
-    m = len(vectors[0])
-    basis = []
-    pivcols = []
-    supports = []
-    for v in vectors:
-        w = list(v)
-        for b, pc, support in zip(basis, pivcols, supports):
-            c = w[pc]
-            if not is_zero_elem(c):
-                for j in support:
-                    w[j] = w[j] - c * b[j]
-        pc = next((j for j in range(m) if not is_zero_elem(w[j])), None)
-        if pc is None:
-            continue
-        w = [x / w[pc] for x in w]
-        basis.append(w)
-        pivcols.append(pc)
-        supports.append([j for j, x in enumerate(w) if not is_zero_elem(x)])
-    return basis, pivcols
+    ech = Echelon(len(vectors[0]), vectors)
+    return ech.rows, ech.pivcols

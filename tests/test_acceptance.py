@@ -15,7 +15,6 @@ from dynrx import linalg
 from dynrx.exchange import (
     asymptotic_alcove,
     asymptotic_leading,
-    closed_form_gln,
     exchange_matrix,
     fusion_matrix,
     hecke_report,
@@ -35,6 +34,8 @@ from dynrx.dynrep import (
 )
 from dynrx.gauge import (
     apply_gauge,
+    closed_form_fusion,
+    closed_form_hecke,
     d_operator,
     exact_one_form,
     exact_two_form,
@@ -77,13 +78,13 @@ def test_criterion_1_closed_form_reproduction():
         W2 = vector_rep_gln(2, qp)
         ok = ok and sym_eq(
             exchange_matrix(W2, W2, SymbolicLambda(W2.spec)),
-            closed_form_gln(2, qp, "R").matrix("symbolic"),
+            closed_form_hecke(2, qp).to_matrix("symbolic"),
         )
         W3 = vector_rep_gln(3, qp)
-        cf = closed_form_gln(3, qp, "R")
+        cf = closed_form_hecke(3, qp)
         for seed in range(20):
             lam = sampled(W3.spec, seed)
-            ok = ok and linalg.mat_eq(exchange_matrix(W3, W3, lam), cf.matrix(lam.point))
+            ok = ok and linalg.mat_eq(exchange_matrix(W3, W3, lam), cf.to_matrix(lam.point))
     report_line(1, "exchange matrix equals the closed gl_N forms", ok, time.perf_counter() - t0, 10)
 
 
@@ -94,7 +95,7 @@ def test_criterion_2_fusion_closed_form():
         W2 = vector_rep_gln(2, qp)
         ok = ok and sym_eq(
             fusion_matrix(W2, W2, SymbolicLambda(W2.spec)),
-            closed_form_gln(2, qp, "J").matrix("symbolic"),
+            closed_form_fusion(2, qp).to_matrix("symbolic"),
         )
     report_line(2, "gl2 fusion matrix equals the closed form, symbolically", ok,
                 time.perf_counter() - t0, 5)

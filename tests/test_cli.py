@@ -40,6 +40,17 @@ def test_usage_errors_exit_two():
     (("compute", "--reps", "40"), None),
     (("verify", "--suites", "hecke", "--algebra", "sl2", "--samples", "1"), None),
     (("compute", "--object", "sixj-table", "--max-spin", "abc"), None),
+    (("compute", "--method", "abrr", "--q", "classical"), None),
+    (("compute", "--object", "exchange", "--method", "abrr", "--q", "classical"), None),
+    (("compute", "--object", "kmatrix", "--method", "abrr", "--q", "classical"), None),
+    (("compute", "--symbolic", "--method", "abrr", "--q", "classical"), None),
+    (("verify", "--suites", "cocycle", "--method", "abrr", "--q", "classical",
+      "--samples", "1"), None),
+    (("compute", "--bitsize", "-3"), None),
+    (("verify", "--suites", "qdyb", "--samples", "0"), None),
+    (("verify", "--suites", "qdyb", "--samples", "-1"), None),
+    (("compute", "--object", "sixj-table", "--max-spin", "-1"), None),
+    (("compute", "--object", "sixj-table", "--max-spin", "1/3"), None),
 ])
 def test_bad_config_exits_two_without_traceback(args, env):
     r = run(*args, env=env)

@@ -8,7 +8,6 @@ from dynrx.exchange import (
     NotUnipotent,
     asymptotic_alcove,
     asymptotic_leading,
-    closed_form_gln,
     exchange_matrix,
     fusion_matrix,
     fusion_matrix_abrr,
@@ -24,6 +23,7 @@ from dynrx.exchange import (
     verify_cocycle,
     verify_qdyb,
 )
+from dynrx.gauge import closed_form_fusion, closed_form_hecke
 from dynrx.intertwine import compose_intertwiners
 from dynrx.lam import SampledLambda, SymbolicLambda
 from dynrx.liealg import (
@@ -88,8 +88,8 @@ def test_closed_form_symbolic_gl2(qp4, qpc):
     for qp in (qp4, qpc):
         W = vector_rep_gln(2, qp)
         lam = SymbolicLambda(W.spec)
-        assert mats_equal(fusion_matrix(W, W, lam), closed_form_gln(2, qp, "J").matrix("symbolic"))
-        assert mats_equal(exchange_matrix(W, W, lam), closed_form_gln(2, qp, "R").matrix("symbolic"))
+        assert mats_equal(fusion_matrix(W, W, lam), closed_form_fusion(2, qp).to_matrix("symbolic"))
+        assert mats_equal(exchange_matrix(W, W, lam), closed_form_hecke(2, qp).to_matrix("symbolic"))
 
 
 def test_closed_form_gl3_samples(qp4, qpc):
@@ -98,10 +98,10 @@ def test_closed_form_gl3_samples(qp4, qpc):
         for seed in range(5):
             lam = sampled(W.spec, seed)
             assert linalg.mat_eq(
-                exchange_matrix(W, W, lam), closed_form_gln(3, qp, "R").matrix(lam.point)
+                exchange_matrix(W, W, lam), closed_form_hecke(3, qp).to_matrix(lam.point)
             )
             assert linalg.mat_eq(
-                fusion_matrix(W, W, lam), closed_form_gln(3, qp, "J").matrix(lam.point)
+                fusion_matrix(W, W, lam), closed_form_fusion(3, qp).to_matrix(lam.point)
             )
 
 
@@ -266,9 +266,9 @@ def test_sampled_and_symbolic_direct_calls(qp4):
     lam = sampled(W.spec, 30)
     J = fusion_matrix(W, W, lam)
     assert linalg.mat_eq(fusion_matrix(W, W, SampledLambda(W.spec, lam.point)), J)
-    cf = closed_form_gln(2, qp4, "R")
-    assert linalg.mat_eq(exchange_matrix(W, W, lam), cf.matrix(lam.point))
-    assert mats_equal(exchange_matrix(W, W, SymbolicLambda(W.spec)), cf.matrix("symbolic"))
+    cf = closed_form_hecke(2, qp4)
+    assert linalg.mat_eq(exchange_matrix(W, W, lam), cf.to_matrix(lam.point))
+    assert mats_equal(exchange_matrix(W, W, SymbolicLambda(W.spec)), cf.to_matrix("symbolic"))
 
 
 @pytest.mark.parametrize("a, b, c", [

@@ -4,11 +4,13 @@ import pytest
 
 from dynrx import linalg
 from dynrx.liealg import (
+    NotCompletelyReducible,
     UnsupportedPair,
     cg_decompose,
     chevalley_residuals,
     coproduct_op,
     dual_rep,
+    generate_subrep,
     irrep_sl2,
     tensor,
     trivial_rep,
@@ -159,6 +161,20 @@ def test_cg_decompose(qp4):
     V3 = irrep_sl2(Fraction(1, 2), QParam.from_q(3))
     for U, tau, taubar in cg_decompose(V3, V3):
         assert linalg.mat_eq(linalg.mat_mul(taubar, tau), linalg.eye(U.dim))
+
+
+def test_generate_subrep_rejects_orbit_that_is_not_e_stable(qp4, qpc):
+    # the f-orbit of a vector that is not highest weight misses its own e-image
+    for qp in (qp4, qpc):
+        V = irrep_sl2(Fraction(1, 2), qp)
+        with pytest.raises(NotCompletelyReducible):
+            generate_subrep(V, [Fraction(0), Fraction(1)])
+        T = tensor(V, V)
+        top_bottom = [Fraction(int(i == 1)) for i in range(T.dim)]  # v0 (x) v1
+        with pytest.raises(NotCompletelyReducible):
+            generate_subrep(T, top_bottom)
+        U, tau = generate_subrep(T, [Fraction(int(i == 0)) for i in range(T.dim)])
+        assert U.dim == 3 and len(tau) == T.dim
 
 
 def test_dual_rep_pairing(qp4):

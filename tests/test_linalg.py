@@ -1,8 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from dynrx import linalg
 from dynrx.linalg import is_zero_elem, mat_mul, row_reduce_basis
 from dynrx.scalars import Poly, RatFunc
 
@@ -111,3 +113,170 @@ def test_row_reduce_basis_ratfuncs_match_dense():
         want_basis, want_piv = dense_row_reduce(rows)
         assert piv == want_piv and basis == want_basis
         assert all(type(x) is RatFunc for row in basis for x in row)
+
+
+# ---------------------------------------------------------------------------
+# solve_linear, mat_det and nullspace against definitions that use no
+# elimination: A X = B by multiplication, det by the Leibniz sum, and A v = 0.
+
+
+def nonzero_fraction(rng):
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+
+
+def nonzero_ratfunc(rng):
+    return RatFunc.make(Poly.of(rng.choice([-2, -1, 1, 2]), rng.randint(-2, 2)),
+                        Poly.of(rng.randint(1, 3), rng.randint(-2, 2)))
+
+
+KINDS = {
+    "fraction": (Fraction(0), random_fractions, nonzero_fraction),
+    "ratfunc": (RatFunc.const(0), random_ratfuncs, nonzero_ratfunc),
+}
+
+
+def full_column_rank(rng, kind, n, m, density):
+    """An n x m matrix (n >= m) of rank m: a triangular block with a nonzero
+    diagonal and random rows below it, with rows and columns shuffled."""
+    zero, rand, nonzero = KINDS[kind]
+    T = rand(rng, n, m, density)
+    for i in range(m):
+        T[i][i] = nonzero(rng)
+        for j in range(i + 1, m):
+            T[i][j] = zero
+    rng.shuffle(T)
+    cols = list(range(m))
+    rng.shuffle(cols)
+    return [[row[c] for c in cols] for row in T]
+
+
+def entry_type(kind):
+    return Fraction if kind == "fraction" else RatFunc
+
+
+SOLVE_SHAPES = [(1, 1, 1), (3, 3, 2), (4, 4, 1), (6, 3, 2), (5, 2, 3)]
+
+
+@pytest.mark.parametrize("n, m, k", SOLVE_SHAPES)
+@pytest.mark.parametrize("density", [0.3, 1.0])
+def test_solve_linear_fractions(n, m, k, density):
+    rng = random.Random(f"solve{n}{m}{k}{density}")
+    for _ in range(6):
+        A = full_column_rank(rng, "fraction", n, m, density)
+        X = random_fractions(rng, m, k, density)
+        B = naive_mul(A, X, Fraction(0))
+        got = linalg.solve_linear(A, B)
+        assert got == X
+        assert all(type(x) is Fraction for row in got for x in row)
+
+
+@pytest.mark.parametrize("n, m, k", [(2, 2, 1), (3, 3, 2), (4, 2, 1)])
+@pytest.mark.parametrize("density", [0.4, 1.0])
+def test_solve_linear_ratfuncs(n, m, k, density):
+    rng = random.Random(f"solve-rf{n}{m}{k}{density}")
+    for _ in range(2):
+        A = full_column_rank(rng, "ratfunc", n, m, density)
+        X = random_ratfuncs(rng, m, k, density)
+        B = naive_mul(A, X, RatFunc.const(0))
+        got = linalg.solve_linear(A, B)
+        assert got == X
+        assert all(type(x) is RatFunc for row in got for x in row)
+
+
+@pytest.mark.parametrize("kind", ["fraction", "ratfunc"])
+def test_solve_linear_rejects_inconsistent_and_underdetermined(kind):
+    rng = random.Random(f"solve-bad-{kind}")
+    zero, rand, nonzero = KINDS[kind]
+    for _ in range(3):
+        A = full_column_rank(rng, kind, 4, 3, 0.5)
+        B = naive_mul(A, rand(rng, 3, 2, 0.7), zero)
+        # a repeated equation with a different right-hand side
+        bad_B = B + [[B[0][0] + nonzero(rng), B[0][1]]]
+        with pytest.raises(linalg.SingularMatrixError):
+            linalg.solve_linear(A + [list(A[0])], bad_B)
+        # more unknowns than independent equations: a repeated column
+        wide = [row + [row[0]] for row in A]
+        with pytest.raises(linalg.SingularMatrixError):
+            linalg.solve_linear(wide, B)
+        # fewer equations than unknowns
+        with pytest.raises(linalg.SingularMatrixError):
+            linalg.solve_linear(A[:2], B[:2])
+
+
+def leibniz_det(A, zero):
+    n = len(A)
+    total = zero
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = zero + 1
+        for i in range(n):
+            term = term * A[i][perm[i]]
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("density", [0.3, 0.7, 1.0])
+def test_mat_det_fractions_match_leibniz(n, density):
+    rng = random.Random(f"det{n}{density}")
+    for _ in range(6):
+        A = random_fractions(rng, n, n, density)
+        det = linalg.mat_det(A)
+        assert det == leibniz_det(A, Fraction(0))
+        assert type(det) is Fraction
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mat_det_ratfuncs_match_leibniz(n):
+    rng = random.Random(f"det-rf{n}")
+    for density in (0.5, 1.0):
+        A = random_ratfuncs(rng, n, n, density)
+        det = linalg.mat_det(A)
+        assert det == leibniz_det(A, RatFunc.const(0))
+        assert type(det) is RatFunc
+
+
+@pytest.mark.parametrize("kind", ["fraction", "ratfunc"])
+def test_mat_det_singular_is_typed_zero(kind):
+    rng = random.Random(f"det-singular-{kind}")
+    zero, rand, _ = KINDS[kind]
+    for n in (2, 3, 4):
+        A = rand(rng, n, n, 1.0)
+        for singular in (A[:-1] + [list(A[0])], A[:-1] + [[zero] * n],
+                         [row[:-1] + [row[0] + row[0]] for row in A]):
+            det = linalg.mat_det(singular)
+            assert is_zero_elem(det) and type(det) is entry_type(kind)
+
+
+def known_rank(rng, kind, n, m, r, density):
+    """(A, free columns): A = L M with L an n x r matrix of rank r and M an r x m
+    reduced echelon matrix whose pivot columns are a random r-subset."""
+    zero, rand, _ = KINDS[kind]
+    L = full_column_rank(rng, kind, n, r, density)
+    pivots = sorted(rng.sample(range(m), r))
+    M = rand(rng, r, m, density)
+    for i, p in enumerate(pivots):
+        for j in range(m):
+            if j < p or j in pivots:
+                M[i][j] = zero
+        M[i][p] = zero + 1
+    return naive_mul(L, M, zero), [j for j in range(m) if j not in pivots]
+
+
+@pytest.mark.parametrize("kind, n, m, r", [
+    ("fraction", 3, 5, 2), ("fraction", 5, 5, 3), ("fraction", 6, 4, 4),
+    ("fraction", 2, 6, 1), ("fraction", 4, 4, 4), ("ratfunc", 3, 4, 2), ("ratfunc", 2, 3, 1),
+])
+@pytest.mark.parametrize("density", [0.4, 1.0])
+def test_nullspace_spans_kernel_with_unit_free_columns(kind, n, m, r, density):
+    rng = random.Random(f"null{kind}{n}{m}{r}{density}")
+    zero = KINDS[kind][0]
+    for _ in range(3 if kind == "fraction" else 1):
+        A, free = known_rank(rng, kind, n, m, r, density)
+        basis = linalg.nullspace(A)
+        assert len(basis) == m - r == len(free)
+        for fc, v in zip(free, basis):
+            assert len(v) == m
+            assert all(type(x) is entry_type(kind) for x in v)
+            assert [v[c] for c in free] == [zero + (1 if c == fc else 0) for c in free]
+            assert all(is_zero_elem(row[0]) for row in naive_mul(A, [[x] for x in v], zero))
