@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Cold timings of the slow acceptance criteria (c3, c4, c7, c8), the suite
 sweep, the gl4 cocycle verify and the three perfbench workloads, appended as
-one run to a BENCH_<n>.json file.
+one run per measured checkout to a BENCH_<n>.json file.
 
 Each entry runs REPEATS times and reports the median wall time of one round.
 A round runs each of the entry's commands once, each in a fresh process, and
@@ -10,11 +10,15 @@ included).  A perfbench workload's commands are its invocation list from
 `perfbench/workloads.py` at seed WORKLOAD_SEED.  Run from the root of the
 repository:
 
-    python3 scripts/bench_cold.py --out BENCH_7.json
+    python3 scripts/bench_cold.py --out BENCH_8.json --repo PARENT .
 
-`--repo PATH` measures another checkout (for example the parent commit) with
-this same script.  A process that outlives TIMEOUT_S seconds is stopped; the
-entry then records the timeout and a null median, and is not repeated.
+`--repo` names the checkouts to measure with this same script (default: the
+current directory).  With several, every repeat of an entry runs one round in
+each checkout, and the checkout that goes first moves one place along the list
+from repeat to repeat (with two, they alternate), so drift of the host over
+the run reads the same on each.  Each checkout is appended as its own run.  A
+process that outlives TIMEOUT_S seconds is stopped; that checkout's entry then
+records the timeout and a null median, and is not repeated.
 """
 
 from __future__ import annotations
@@ -63,51 +67,79 @@ def git(repo: str, *args: str) -> str:
                           check=True).stdout.strip()
 
 
-def time_entry(repo: str, argvs: list) -> dict:
-    """times_s holds one wall time per round; returncodes the first nonzero
-    exit code of each round's processes, or 0."""
+def time_round(repo: str, argvs: list):
+    """Wall time of one round and the first nonzero exit code of its processes
+    (or 0); (None, None) if a process timed out."""
     env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
-    times, codes = [], []
-    for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        code = 0
-        for argv in argvs:
-            try:
-                r = subprocess.run(argv, cwd=repo, env=env, capture_output=True,
-                                   timeout=TIMEOUT_S)
-            except subprocess.TimeoutExpired:
-                return {"median_s": None, "repeats": len(times) + 1, "times_s": times,
-                        "returncodes": codes, "timeout_s": TIMEOUT_S}
-            code = code or r.returncode
-        times.append(round(time.perf_counter() - t0, 3))
-        codes.append(code)
-    return {"median_s": round(statistics.median(times), 3), "repeats": REPEATS,
-            "times_s": times, "returncodes": codes}
+    t0 = time.perf_counter()
+    code = 0
+    for argv in argvs:
+        try:
+            r = subprocess.run(argv, cwd=repo, env=env, capture_output=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return None, None
+        code = code or r.returncode
+    return round(time.perf_counter() - t0, 3), code
+
+
+def time_entry(repos: list, argvs: list) -> dict:
+    """{repo: entry}: times_s holds one wall time per round, returncodes the
+    first nonzero exit code of each round's processes, or 0."""
+    times = {repo: [] for repo in repos}
+    codes = {repo: [] for repo in repos}
+    timed_out = set()
+    for k in range(REPEATS):
+        for repo in repos[k % len(repos):] + repos[:k % len(repos)]:
+            if repo in timed_out:
+                continue
+            t, code = time_round(repo, argvs)
+            if t is None:
+                timed_out.add(repo)
+                continue
+            times[repo].append(t)
+            codes[repo].append(code)
+    out = {}
+    for repo in repos:
+        if repo in timed_out:
+            out[repo] = {"median_s": None, "repeats": len(times[repo]) + 1,
+                         "times_s": times[repo], "returncodes": codes[repo],
+                         "timeout_s": TIMEOUT_S}
+        else:
+            out[repo] = {"median_s": round(statistics.median(times[repo]), 3),
+                         "repeats": REPEATS, "times_s": times[repo], "returncodes": codes[repo]}
+    return out
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--repo", default=".", help="checkout to measure (default: here)")
-    p.add_argument("--out", required=True, help="BENCH_<n>.json to append the run to")
+    p.add_argument("--repo", nargs="+", default=["."],
+                   help="checkouts to measure, interleaved (default: here)")
+    p.add_argument("--out", required=True, help="BENCH_<n>.json to append the runs to")
     args = p.parse_args(argv)
-    repo = os.path.abspath(args.repo)
-    run = {
-        "sha": git(repo, "rev-parse", "HEAD"),
-        "dirty": bool(git(repo, "status", "--porcelain", "--", "src", "tests", "scripts")),
-        "python": platform.python_version(),
-        "nproc": len(os.sched_getaffinity(0)),
-        "entries": [],
-    }
+    repos = [os.path.abspath(r) for r in args.repo]
+    runs = {}
+    for repo in repos:
+        runs[repo] = {
+            "sha": git(repo, "rev-parse", "HEAD"),
+            "dirty": bool(git(repo, "status", "--porcelain", "--", "src", "tests", "scripts")),
+            "python": platform.python_version(),
+            "nproc": len(os.sched_getaffinity(0)),
+            "entries": [],
+        }
+    for run in runs.values():
+        run["interleaved_with"] = [r["sha"] for r in runs.values() if r is not run]
     for name, layer, argvs in ENTRIES:
-        entry = {"name": name, "layer": layer, **time_entry(repo, argvs)}
-        print(json.dumps(entry), flush=True)
-        run["entries"].append(entry)
-    runs = []
+        for repo, timing in time_entry(repos, argvs).items():
+            entry = {"name": name, "layer": layer, **timing}
+            print(json.dumps({"sha": runs[repo]["sha"][:7], **entry}), flush=True)
+            runs[repo]["entries"].append(entry)
+    shas = {run["sha"] for run in runs.values()}
+    old = []
     if os.path.exists(args.out):
         with open(args.out) as fh:
-            runs = [r for r in json.load(fh)["runs"] if r["sha"] != run["sha"]]
+            old = [r for r in json.load(fh)["runs"] if r["sha"] not in shas]
     with open(args.out, "w") as fh:
-        json.dump({"runs": runs + [run]}, fh, indent=2)
+        json.dump({"runs": old + list(runs.values())}, fh, indent=2)
         fh.write("\n")
     return 0
 

@@ -54,7 +54,6 @@ from .dynrep import (
     verify_rll,
 )
 from .scalars import (
-    AvoidExhausted,
     NonGenericLambda,
     QParam,
     RatFunc,
@@ -436,7 +435,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NonGenericLambda, AvoidExhausted) as exc:
+    except NonGenericLambda as exc:
         print(f"non-generic lambda: {exc}", file=sys.stderr)
         return 3
 

@@ -55,7 +55,7 @@ def _bad_blocks(A: dict, B: dict, n: int):
     k = len(diffs[0]) // n
     for r in range(n):
         for c in range(n):
-            if any(not linalg.is_zero_elem(D[i][j]) for D in diffs
+            if any(D[i][j] for D in diffs
                    for i in range(r * k, r * k + k) for j in range(c * k, c * k + k)):
                 yield r, c
 

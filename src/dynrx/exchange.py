@@ -25,7 +25,7 @@ from .liealg import (
     AlgebraSpec,
     FinRep,
     dual_rep,
-    flip_matrix,
+    flip,
     r_zero_part,
     tensor,
     universal_r,
@@ -92,9 +92,9 @@ def _fusion_verma(W: FinRep, V: FinRep, lam: LambdaHandle):
                 out = {}
                 for j, c in f_image(u[1:], iW).items():
                     for j2 in range(dW):
-                        if not linalg.is_zero_elem(f[j2][j]):
+                        if f[j2][j]:
                             out[j2] = out.get(j2, 0) + c * f[j2][j]
-                f_images[key] = {j: c for j, c in out.items() if not linalg.is_zero_elem(c)}
+                f_images[key] = {j: c for j, c in out.items() if c}
         return f_images[key]
 
     for iV in range(dV):
@@ -119,30 +119,31 @@ def _fusion_verma(W: FinRep, V: FinRep, lam: LambdaHandle):
 
 
 def fusion_matrix_abrr(W: FinRep, V: FinRep, lam: LambdaHandle):
-    """J_{W,V} as the unique unipotent weight-zero solution of the linear
-    fixed-point equation J = R0^{21} . D J D^{-1}, solved degree by degree in the
-    first-slot filtration (trigonometric case only; D carries q^{2(lambda+rho)}
-    minus Cartan-square factors)."""
+    """J_{W,V} as the unique unipotent weight-zero solution of the ABRR equation
+    J = R0^{21} . Theta(J), Theta(X) = D X D^{-1} (trigonometric case only; D
+    carries q^{2(lambda+rho)} minus Cartan-square factors).  Theta scales the
+    matrix unit (r <- c) by theta(r, c), and the first-slot drop of r <- c is the
+    sum of the drops along any product, so the equation is read entry by entry:
+    with J starting as the identity and entries visited in increasing drop k,
+
+        J[r][c] = sum_{s: drop(r, s) >= 1} R0^{21}[r][s] theta(s, c) J[s][c]
+                  / (1 - theta(r, c)),
+
+    where every J[s][c] on the right has drop below k and is already final."""
     spec = W.spec
     if spec.qp.classical:
         raise ValueError("ABRR applies to the trigonometric case; classical J uses Verma fusion")
     dW, dV = W.dim, V.dim
     d = dW * dV
-    R0 = r_zero_part(V, W)  # on V (x) W
-    Pwv = flip_matrix(dW, dV)  # W(x)V -> V(x)W
-    Pvw = flip_matrix(dV, dW)  # V(x)W -> W(x)V
-    R021 = linalg.mat_mul(Pvw, linalg.mat_mul(R0, Pwv))  # acts on W (x) V
+    R021 = flip(r_zero_part(V, W), dV, dW)  # acts on W (x) V
     zero, one = lam.zero(), lam.one()
 
     def drop(row, col):
-        iW = row // dV
-        kW = col // dV
-        return W.zdeg[kW] - W.zdeg[iW]
+        return W.zdeg[col // dV] - W.zdeg[row // dV]
 
-    def theta(row, col):
-        # scale factor of D X D^{-1} on the matrix unit (row <- col)
-        jV = row % dV
-        lV = col % dV
+    def theta_v(jV, lV):
+        # scale factor of D X D^{-1} on the matrix unit (row <- col); it reads
+        # only the second-slot indices jV = row % dV, lV = col % dV
         beta = wt_sub(V.weights[jV], V.weights[lV])
         exp = (
             spec.rho_pairing2(beta)
@@ -151,42 +152,25 @@ def fusion_matrix_abrr(W: FinRep, V: FinRep, lam: LambdaHandle):
         )
         return lam.root_qpow2(beta) * lam.scalar(spec.qp.qpow(exp))
 
-    maxdrop = max(W.zdeg) - min(W.zdeg)
-    # bucket R0^21 by first-slot drop
-    Rparts = [
-        [[R021[r][c] if drop(r, c) == m else Fraction(0) for c in range(d)] for r in range(d)]
-        for m in range(maxdrop + 1)
-    ]
-    if not linalg.mat_eq(Rparts[0], linalg.eye(d)):
+    theta = [[theta_v(jV, lV) for lV in range(dV)] for jV in range(dV)]
+    if any(R021[r][c] != (1 if r == c else 0)
+           for r in range(d) for c in range(d) if drop(r, c) == 0):
         raise ArithmeticError("R0 is not unipotent in the first-slot filtration")
-    Jparts = [linalg.eye(d)]
-    for k in range(1, maxdrop + 1):
-        rhs = [[zero for _ in range(d)] for _ in range(d)]
-        for m in range(1, k + 1):
-            Jt = Jparts[k - m]
-            # Theta(J^{(k-m)}) then multiply by R0^{(m)}
-            Th = [
-                [Jt[r][c] * theta(r, c) if not linalg.is_zero_elem(Jt[r][c]) else zero
-                 for c in range(d)]
-                for r in range(d)
-            ]
-            rhs = linalg.mat_add(rhs, linalg.mat_mul(Rparts[m], Th))
-        Jk = [[zero for _ in range(d)] for _ in range(d)]
-        for r in range(d):
-            for c in range(d):
-                if drop(r, c) != k:
-                    continue
-                val = rhs[r][c]
-                if linalg.is_zero_elem(val):
-                    continue
-                den = one - theta(r, c)
-                if linalg.is_zero_elem(den):
-                    raise NonGenericLambda(f"ABRR step {k}: 1 - theta vanishes at this lambda")
-                Jk[r][c] = val / den
-        Jparts.append(Jk)
-    J = Jparts[0]
-    for Jk in Jparts[1:]:
-        J = linalg.mat_add(J, Jk)
+    strict = [[(s, R021[r][s]) for s in range(d) if drop(r, s) >= 1 and R021[r][s]]
+              for r in range(d)]  # row r of the strictly triangular part of R0^{21}
+    J = [[one if r == c else zero for c in range(d)] for r in range(d)]
+    for k, r, c in sorted((drop(r, c), r, c) for r in range(d) for c in range(d)
+                          if drop(r, c) >= 1):
+        val = zero
+        for s, a in strict[r]:
+            if J[s][c]:
+                val = val + a * theta[s % dV][c % dV] * J[s][c]
+        if not val:
+            continue
+        den = one - theta[r % dV][c % dV]
+        if not den:
+            raise NonGenericLambda(f"ABRR step {k}: 1 - theta vanishes at this lambda")
+        J[r][c] = val / den
     return J
 
 
@@ -203,7 +187,7 @@ def invert_unipotent(J, W: FinRep, V: FinRep):
     N = linalg.mat_sub(J, one_mat)
     for r in range(d):
         for c in range(d):
-            if not linalg.is_zero_elem(N[r][c]) and W.zdeg[r // dV] >= W.zdeg[c // dV]:
+            if N[r][c] and W.zdeg[r // dV] >= W.zdeg[c // dV]:
                 raise NotUnipotent("J - Id is not strictly first-slot triangular")
     out = one_mat
     P = N
@@ -233,12 +217,8 @@ def exchange_matrix(V: FinRep, W: FinRep, lam: LambdaHandle, method: str = "verm
 
 def _exchange_matrix_impl(V: FinRep, W: FinRep, lam: LambdaHandle, method: str):
     Jvw = fusion_matrix(V, W, lam, method)
-    Jwv = fusion_matrix(W, V, lam, method)
-    Pwv_to_vw = flip_matrix(W.dim, V.dim)
-    Pvw_to_wv = flip_matrix(V.dim, W.dim)
-    Rwv = universal_r(W, V)
-    R21 = linalg.mat_mul(Pwv_to_vw, linalg.mat_mul(Rwv, Pvw_to_wv))
-    J21 = linalg.mat_mul(Pwv_to_vw, linalg.mat_mul(Jwv, Pvw_to_wv))
+    R21 = flip(universal_r(W, V), W.dim, V.dim)
+    J21 = flip(fusion_matrix(W, V, lam, method), W.dim, V.dim)
     Jinv = fusion_inverse(V, W, lam, method)
     return linalg.mat_mul(Jinv, linalg.mat_mul(R21, J21))
 
@@ -270,7 +250,7 @@ class Report:
 def _first_nonzero_entry(M):
     for r, row in enumerate(M):
         for c, x in enumerate(row):
-            if not linalg.is_zero_elem(x):
+            if x:
                 return r, c, str(x)
     return None
 
@@ -301,7 +281,7 @@ def embed3(matfn, reps, s0: int, s1: int, lam: LambdaHandle, shift_spectator: bo
                 for ja in range(dA):
                     for jb in range(dB):
                         v = M[ia * dB + ib][ja * dB + jb]
-                        if linalg.is_zero_elem(v):
+                        if not v:
                             continue
                         ridx = [0, 0, 0]
                         cidx = [0, 0, 0]
@@ -363,19 +343,14 @@ def hecke_report(Rmat, V: FinRep, qp: QParam) -> Report:
     v_a (x) v_a, and has characteristic polynomial (x-q)(x+q^{-1}) on each V_ab."""
     rep = Report("hecke", {"V": V.name})
     N = V.dim
-    P = flip_matrix(N, N)
-    Rv = linalg.mat_mul(P, Rmat)
+    Rv = [Rmat[(r % N) * N + r // N] for r in range(N * N)]  # rows of P R
     q = qp.q
     for a in range(N):
         idx = a * N + a
         for r in range(N * N):
             want = q if r == idx else Fraction(0)
             got = Rv[r][idx]
-            if isinstance(got, RatFunc) or isinstance(want, RatFunc):
-                equal = RatFunc.coerce(got) == RatFunc.coerce(want)
-            else:
-                equal = got == want
-            if not equal:
+            if got != want:
                 rep.fail(block=f"V_{a}{a}", entry=(r, idx), value=str(got))
     for a in range(N):
         for b in range(a + 1, N):
@@ -385,13 +360,13 @@ def hecke_report(Rmat, V: FinRep, qp: QParam) -> Report:
             for r in range(N * N):
                 if r not in (i1, i2):
                     for c in (i1, i2):
-                        if not linalg.is_zero_elem(Rv[r][c]):
+                        if Rv[r][c]:
                             rep.fail(block=f"V_{a}{b}", leak=(r, c), value=str(Rv[r][c]))
             tr = block[0][0] + block[1][1]
             det = block[0][0] * block[1][1] - block[0][1] * block[1][0]
             want_tr = q - 1 / q
             want_det = Fraction(-1)
-            if not linalg.is_zero_elem(tr - want_tr) or not linalg.is_zero_elem(det - want_det):
+            if tr - want_tr or det - want_det:
                 rep.fail(block=f"V_{a}{b}", trace=str(tr), det=str(det))
     return rep
 
@@ -496,7 +471,7 @@ def two_point(V: FinRep, lam: LambdaHandle) -> list:
                 s = zero
                 for jj in range(d):
                     s = s + comp.terms.get((wd, jj, jj), zero)
-                if not linalg.is_zero_elem(s):
+                if s:
                     raise ArithmeticError("two-point contraction is not proportional to Id")
             B[i][j] = acc
     return B
@@ -523,7 +498,7 @@ def r00_scalar_check(V: FinRep, W: FinRep, lams, method: str = "verma") -> Repor
             rep.fail(sample=idx, reason="not scalar on a weight space")
             continue
         for wt, s in scal.items():
-            if linalg.is_zero_elem(s):
+            if not s:
                 rep.fail(sample=idx, weight=list(wt), reason="zero scalar")
     return rep
 
@@ -539,12 +514,12 @@ def _scalar_per_weight(B, W: FinRep):
                     v = B[y][x]
                     if want is None:
                         if W.weights[y] == wt and y != x:
-                            if not linalg.is_zero_elem(v):
+                            if v:
                                 return None
-                        elif W.weights[y] != wt and not linalg.is_zero_elem(v):
+                        elif W.weights[y] != wt and v:
                             return None
                     else:
-                        if not linalg.is_zero_elem(v - want):
+                        if v - want:
                             return None
         out[wt] = s
     return out
@@ -563,7 +538,7 @@ def r00_cross_check(V: FinRep, W1: FinRep, W2: FinRep, lams, method: str = "verm
         if not shared:
             rep.fail(sample=idx, reason="no shared weights")
         for wt in shared:
-            if not linalg.is_zero_elem(s1[wt] - s2[wt]):
+            if s1[wt] - s2[wt]:
                 rep.fail(sample=idx, weight=list(wt), v1=str(s1[wt]), v2=str(s2[wt]))
     return rep
 
@@ -594,13 +569,13 @@ def asymptotic_leading(V: FinRep, W: FinRep) -> Report:
             entry = RatFunc.coerce(J[r][c])
             if r == c:
                 entry = entry - RatFunc.const(1)
-            coeff = entry.inf_coeff(1) if not entry.is_zero() else Fraction(0)
+            coeff = entry.inf_coeff(1)
             if coeff != -fe[r][c]:
                 rep.fail(matrix="J", entry=(r, c), got=str(coeff), want=str(-fe[r][c]))
             entry = RatFunc.coerce(R[r][c])
             if r == c:
                 entry = entry - RatFunc.const(1)
-            coeff = entry.inf_coeff(1) if not entry.is_zero() else Fraction(0)
+            coeff = entry.inf_coeff(1)
             want = fe[r][c] - ef[r][c]
             if coeff != want:
                 rep.fail(matrix="R", entry=(r, c), got=str(coeff), want=str(want))
@@ -634,9 +609,7 @@ def asymptotic_alcove(V: FinRep, W: FinRep, direction: str, mgrid, method: str =
     rep = Report("alcove", {"V": V.name, "W": W.name, "direction": direction})
     d = V.dim * W.dim
     if direction == "positive":
-        Pwv = flip_matrix(W.dim, V.dim)
-        Pvw = flip_matrix(V.dim, W.dim)
-        limit = linalg.mat_mul(Pwv, linalg.mat_mul(r_zero_part(W, V), Pvw))
+        limit = flip(r_zero_part(W, V), W.dim, V.dim)
         sgn = 1
     elif direction == "negative":
         limit = linalg.eye(d)

@@ -11,7 +11,7 @@ rational constant, a monomial prod_c q^{e_c lambda_c} (trigonometric case), and
 per-pair factors g(x_ab) with x_ab = q^{lambda_a - lambda_b} (or the plain
 difference classically).  This family is closed under products, inverses and
 the shift operators delta_a, so d, d^2 and closedness are decided by exact
-symbolic identities; arbitrary callables are handled pointwise.
+symbolic identities.
 
 Sign conventions used here: delta_a f = f(lambda) / f(lambda with lambda_a -> lambda_a - 1),
 
@@ -128,12 +128,9 @@ class FormScalar:
             return False
         acc = self.const
         for _, g in self.pairs:
-            if g.num.degree == 0 and g.den.degree == 0:  # constant function
-                acc *= g.num.coeffs[0] / g.den.coeffs[0]
-            elif g.num.degree <= 0 and g.is_zero():
+            if g.num.degree != 0 or g.den.degree != 0:  # not a nonzero constant
                 return False
-            else:
-                return False
+            acc *= g.num.coeffs[0] / g.den.coeffs[0]
         return acc == 1
 
     def __eq__(self, other):
@@ -245,14 +242,8 @@ def random_one_form(N: int, qp: QParam, rng: random.Random) -> MultForm:
         f = f * FormScalar.of_const(qp, Fraction(rng.randint(1, 9), rng.randint(1, 9)))
         for _ in range(rng.randint(0, 2)):
             b, c = rng.sample(range(N), 2)
-            k = rng.randint(-2, 2)
-            x = _x()
-            if qp.classical:
-                g = x + RatFunc.const(k) if k else x
-            else:
-                g = x * x * RatFunc.const(qp.qpow(2 * k)) - RatFunc.const(1)
-            vals_g = FormScalar.of_pair(qp, b, c, g)
-            f = f * vals_g
+            u = _pairpow_ratfunc(qp, rng.randint(-2, 2), forward=True)
+            f = f * FormScalar.of_pair(qp, b, c, u if qp.classical else u - RatFunc.const(1))
         vals[(a,)] = f
     return MultForm.build(N, 1, qp, vals)
 
@@ -327,57 +318,6 @@ class HeckeRMatrix:
                 if self.beta_ab(a, b) != other.beta_ab(a, b):
                     return False
         return True
-
-
-def hecke_to_json(R: HeckeRMatrix) -> dict:
-    from .scalars import scalar_to_str
-
-    return {
-        "N": R.N,
-        "case": "classical" if R.qp.classical else "trigonometric",
-        "q": scalar_to_str(R.qp.q),
-        "alpha_diag": [scalar_to_str(x) for x in R.alpha_diag],
-        "alpha": [{"a": a, "b": b, "coeff": g.to_json()} for (a, b), g in R.alpha],
-        "beta": [{"a": a, "b": b, "coeff": g.to_json()} for (a, b), g in R.beta],
-        "hecke_params": [scalar_to_str(R.hq), scalar_to_str(R.hp)],
-    }
-
-
-def hecke_from_json(d: dict) -> HeckeRMatrix:
-    """Hecke matrix from JSON: coefficient patterns are RatFuncs in the
-    difference variable of each ordered pair (a, b)."""
-    qp = QParam.from_q(Fraction(d["q"]), classical=d["case"] == "classical")
-    alpha = tuple(((e["a"], e["b"]), RatFunc.from_json(e["coeff"])) for e in d["alpha"])
-    beta = tuple(((e["a"], e["b"]), RatFunc.from_json(e["coeff"])) for e in d["beta"])
-    hq, hp = (Fraction(x) for x in d.get("hecke_params", ["1", "1"]))
-    return HeckeRMatrix(d["N"], qp, tuple(Fraction(x) for x in d["alpha_diag"]),
-                        alpha, beta, hq, hp)
-
-
-def form_to_json(phi: MultForm) -> dict:
-    vals = []
-    for subset, v in phi.values:
-        vals.append({
-            "subset": list(subset),
-            "const": str(v.const),
-            "mono": [[c, e] for c, e in v.mono],
-            "pairs": [{"a": a, "b": b, "coeff": g.to_json()} for (a, b), g in v.pairs],
-        })
-    return {"N": phi.N, "degree": phi.degree,
-            "case": "classical" if phi.qp.classical else "trigonometric",
-            "q": str(phi.qp.q), "values": vals}
-
-
-def form_from_json(d: dict) -> MultForm:
-    qp = QParam.from_q(Fraction(d["q"]), classical=d["case"] == "classical")
-    mapping = {}
-    for e in d["values"]:
-        v = FormScalar(qp, Fraction(e["const"]),
-                       tuple((c, ex) for c, ex in e["mono"]),
-                       tuple(((p["a"], p["b"]), RatFunc.from_json(p["coeff"]))
-                             for p in e["pairs"]))
-        mapping[tuple(e["subset"])] = v
-    return MultForm.build(d["N"], d["degree"], qp, mapping)
 
 
 def _pairpow_ratfunc(qp: QParam, shift: int, forward: bool) -> RatFunc:
@@ -532,15 +472,12 @@ def exact_one_form(N: int, qp: QParam) -> MultForm:
     (classically prod_{b<a} (lambda_b - lambda_a + a - b + 1)); d xi* is the
     2-form of the rational-equivalence lemma."""
     vals = {}
-    x = _x()
     for a in range(N):
         f = FormScalar.one(qp)
         for b in range(a):
-            shift = a - b + 1
-            if qp.classical:
-                g = x + RatFunc.const(shift)  # lambda_b - lambda_a + shift in x_{ba}
-            else:
-                g = x * x * RatFunc.const(qp.qpow(2 * shift)) - RatFunc.const(1)
+            g = _pairpow_ratfunc(qp, a - b + 1, forward=True)  # in x_{ba}
+            if not qp.classical:
+                g = g - RatFunc.const(1)
                 f = f * FormScalar.of_mono(qp, {b: -1})
             f = f * FormScalar.of_pair(qp, b, a, g)
         vals[(a,)] = f
@@ -557,12 +494,10 @@ def exact_two_form(N: int, qp: QParam) -> MultForm:
         for a in range(b + 1, N):
             # build phi_ab (ordered, a > b) as a function of x_{ba} = difference for
             # the sorted pair (b, a); the stored value is phi_{ba} = phi_ab^{-1}
-            x = _x()
+            u = _pairpow_ratfunc(qp, a - b, forward=True)  # q^{2(lambda_b-lambda_a+a-b)}
             if qp.classical:
-                v = x + RatFunc.const(a - b)  # lambda_b - lambda_a + a - b
-                phi_ab = (v + one) / v
+                phi_ab = (u + one) / u  # u = lambda_b - lambda_a + a - b
             else:
-                u = x * x * RatFunc.const(qp.qpow(2 * (a - b)))  # q^{2(lambda_b-lambda_a+a-b)}
                 phi_ab = RatFunc.const(qp.q) * (u - RatFunc.const(qp.qpow(-2))) / (u - one)
             vals[(b, a)] = FormScalar.of_pair(qp, b, a, one / phi_ab)
     return MultForm.build(N, 2, qp, vals)

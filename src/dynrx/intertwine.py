@@ -18,7 +18,7 @@ from .verma import VermaSlice, Word
 
 def vector_weight(V: FinRep, vec: list) -> Weight:
     """Weight of a homogeneous vector; raises if mixed."""
-    wts = {V.weights[i] for i, c in enumerate(vec) if not linalg.is_zero_elem(c)}
+    wts = {V.weights[i] for i, c in enumerate(vec) if c}
     if len(wts) != 1:
         raise ValueError("vector is not weight-homogeneous")
     return wts.pop()
@@ -81,7 +81,7 @@ def solve_intertwiner(lam: LambdaHandle, v: list, V: FinRep) -> IntertwinerExpan
     zero, one = lam.zero(), lam.one()
     terms: dict[tuple[Word, int], object] = {}
     for j, c in enumerate(v):
-        if not linalg.is_zero_elem(c):
+        if c:
             terms[((), j)] = c + zero
     prev: dict[tuple[Word, int], object] = dict(terms)
     for k in range(1, depth + 1):
@@ -120,7 +120,7 @@ def solve_intertwiner(lam: LambdaHandle, v: list, V: FinRep) -> IntertwinerExpan
             for i in range(spec.nsimple):
                 col_e = V.e[i]
                 for j1 in range(V.dim):
-                    if not linalg.is_zero_elem(col_e[j1][j0]):
+                    if col_e[j1][j0]:
                         key = (i, w2, j1)
                         row_of(key)
                         rhs[key] = rhs[key] - c * col_e[j1][j0]
@@ -136,7 +136,7 @@ def solve_intertwiner(lam: LambdaHandle, v: list, V: FinRep) -> IntertwinerExpan
         prev = {}
         for col, (w, j) in enumerate(unknowns):
             val = sol[col][0]
-            if not linalg.is_zero_elem(val):
+            if val:
                 terms[(w, j)] = val
                 prev[(w, j)] = val
     return IntertwinerExpansion(spec, lam, V, list(v), wt_v, mu, verma, terms)
@@ -158,10 +158,10 @@ def raising_residual(exp: IntertwinerExpansion) -> dict:
                 key = (w2, j)
                 res[key] = res.get(key, exp.lam.zero()) + c * c2 * kscale
             for j1 in range(exp.V.dim):
-                if not linalg.is_zero_elem(exp.V.e[i][j1][j]):
+                if exp.V.e[i][j1][j]:
                     key = (w, j1)
                     res[key] = res.get(key, exp.lam.zero()) + c * exp.V.e[i][j1][j]
-        res = {k: v for k, v in res.items() if not linalg.is_zero_elem(v)}
+        res = {k: v for k, v in res.items() if v}
         if res:
             out[i] = res
     return out
@@ -221,10 +221,10 @@ def compose_intertwiners(lam: LambdaHandle, W: FinRep, w: list, V: FinRep, v: li
             else:
                 kfac = bigv.k_eigen(i, wd, -1)
             for j2 in range(W.dim):
-                if not linalg.is_zero_elem(W.f[i][j2][jW]):
+                if W.f[i][j2][jW]:
                     key = (wd, j2)
                     nxt[key] = nxt.get(key, lam.zero()) + c * kfac * W.f[i][j2][jW]
-        nxt = {k: v for k, v in nxt.items() if not linalg.is_zero_elem(v)}
+        nxt = {k: v for k, v in nxt.items() if v}
         applied_cache[u] = nxt
         return nxt
 
@@ -235,5 +235,5 @@ def compose_intertwiners(lam: LambdaHandle, W: FinRep, w: list, V: FinRep, v: li
                 key = (wd, jW, jV)
                 val = out_terms.get(key, lam.zero()) + c * cv
                 out_terms[key] = val
-    out_terms = {k: v for k, v in out_terms.items() if not linalg.is_zero_elem(v)}
+    out_terms = {k: v for k, v in out_terms.items() if v}
     return Composition(spec, lam, W, V, nu, out_terms)

@@ -247,13 +247,11 @@ def dual_rep(V: FinRep) -> FinRep:
     return FinRep(spec, weights, zdeg, es, fs, name=f"*{V.name}")
 
 
-def flip_matrix(dV: int, dW: int) -> Matrix:
-    """P: V (x) W -> W (x) V on flattened indices."""
-    P = zeros(dW * dV, dV * dW)
-    for i in range(dV):
-        for j in range(dW):
-            P[j * dV + i][i * dW + j] = Fraction(1)
-    return P
+def flip(M: Matrix, dA: int, dB: int) -> Matrix:
+    """The operator M on A (x) B re-indexed to B (x) A: P M P^{-1} for the flip
+    P: a (x) b -> b (x) a, with M's own entries."""
+    idx = [a * dB + b for b in range(dB) for a in range(dA)]  # B (x) A index -> A (x) B index
+    return [[M[r][c] for c in idx] for r in idx]
 
 
 def chevalley_residuals(V: FinRep) -> list:

@@ -1,23 +1,16 @@
 """Field-generic exact dense matrices (lists of lists).
 
-Works over any field type supporting +, -, *, /, == 0-testing through
-`is_zero_elem`; in practice Fraction and RatFunc.  No pivoting heuristics
-beyond "first nonzero": everything is exact.
+Works over any field type supporting +, -, * and /, in practice Fraction and
+RatFunc.  A zero test is truthiness: `not x` holds exactly when x is zero, for
+both types.  A typed one is `zero + 1`.  No pivoting heuristics beyond "first
+nonzero": everything is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import RatFunc
-
 Matrix = list  # list[list[field element]]
-
-
-def is_zero_elem(x) -> bool:
-    if isinstance(x, RatFunc):
-        return x.is_zero()
-    return x == 0
 
 
 def zeros(n: int, m: int, zero=Fraction(0)) -> Matrix:
@@ -44,12 +37,12 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     """A B, multiplying only nonzero pairs; each entry sums its terms in
     increasing inner index."""
     m = len(B[0])
-    B_nz = [[(c, b) for c, b in enumerate(row) if not is_zero_elem(b)] for row in B]
+    B_nz = [[(c, b) for c, b in enumerate(row) if b] for row in B]
     out = []
     for Ai in A:
         acc = [None] * m
         for a, Br in zip(Ai, B_nz):
-            if not Br or is_zero_elem(a):
+            if not Br or not a:
                 continue
             for c, b in Br:
                 s = acc[c]
@@ -70,7 +63,7 @@ def kron(A: Matrix, B: Matrix) -> Matrix:
     for i in range(n):
         for j in range(m):
             a = A[i][j]
-            if is_zero_elem(a):
+            if not a:
                 continue
             for r in range(p):
                 for c in range(q):
@@ -79,7 +72,7 @@ def kron(A: Matrix, B: Matrix) -> Matrix:
 
 
 def mat_is_zero(A: Matrix) -> bool:
-    return all(is_zero_elem(x) for row in A for x in row)
+    return not any(x for row in A for x in row)
 
 
 def mat_eq(A: Matrix, B: Matrix) -> bool:
@@ -113,10 +106,10 @@ class Echelon:
         w = list(v)
         for b, pc, support in zip(self.rows, self.pivcols, self.supports):
             c = w[pc]
-            if not is_zero_elem(c):
+            if c:
                 for j in support:
                     w[j] = w[j] - c * b[j]
-        pc = next((j for j in range(self.m) if not is_zero_elem(w[j])), None)
+        pc = next((j for j in range(self.m) if w[j]), None)
         if pc is None:
             return False
         p = w[pc]
@@ -124,15 +117,11 @@ class Echelon:
         self.rows.append(w)
         self.pivcols.append(pc)
         self.pivvals.append(p)
-        self.supports.append([j for j, x in enumerate(w) if not is_zero_elem(x)])
+        self.supports.append([j for j, x in enumerate(w) if x])
         return True
 
     def reversed_rows(self):
         return zip(reversed(self.rows), reversed(self.pivcols), reversed(self.supports))
-
-
-def _one_like(zero):
-    return RatFunc.const(1) if isinstance(zero, RatFunc) else zero + 1
 
 
 def solve_linear(A: Matrix, B: Matrix) -> Matrix:
@@ -163,7 +152,7 @@ def solve_linear(A: Matrix, B: Matrix) -> Matrix:
 def mat_inv(A: Matrix) -> Matrix:
     n = len(A)
     zero = A[0][0] - A[0][0]
-    unit = _one_like(zero)
+    unit = zero + 1
     I = [[unit if i == j else zero for j in range(n)] for i in range(n)]
     return solve_linear(A, I)
 
@@ -175,7 +164,7 @@ def mat_det(A: Matrix):
     ech = Echelon(n)
     if not all(ech.add(row) for row in A):
         return zero
-    det = _one_like(zero)
+    det = zero + 1
     for p in ech.pivvals:
         det = det * p
     perm = ech.pivcols
@@ -194,7 +183,7 @@ def nullspace(A: Matrix) -> list[list]:
     for fc in range(m):
         if fc in pivots:
             continue
-        v = {fc: _one_like(zero)}
+        v = {fc: zero + 1}
         for row, pc, support in ech.reversed_rows():
             acc = zero
             for j in support[1:]:

@@ -1,5 +1,5 @@
 """Exact coefficient arithmetic: rationals, q = s^2, univariate rational functions,
-sample points on the lambda-torus and pole-avoiding random sampling.
+sample points on the lambda-torus and reproducible random sampling.
 
 All lambda-dependence in this package is either numeric (a SamplePoint, one
 rational per torus coordinate) or univariate symbolic (a RatFunc in one formal
@@ -32,10 +32,6 @@ class NonGenericLambda(ValueError):
 
 def scalar_to_str(a: Fraction) -> str:
     return str(a)  # "p/q" with q > 0, "/1" omitted
-
-
-def scalar_from_str(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def _exact_sqrt(q: Fraction) -> Fraction | None:
@@ -113,12 +109,6 @@ class QParam:
             return Fraction(n)
         q = self._q
         return (q ** n - q ** -n) / (q - 1 / q)
-
-    def qfact(self, n: int) -> Fraction:
-        out = Fraction(1)
-        for k in range(1, n + 1):
-            out *= self.qnum(k)
-        return out
 
 
 def classical_q() -> QParam:
@@ -271,7 +261,7 @@ class RatFunc:
 
     @staticmethod
     def const(c) -> "RatFunc":
-        return RatFunc.make(Poly.const(c), Poly.of(1))
+        return RatFunc(Poly.const(c), Poly.of(1))  # already normal: no gcd
 
     @staticmethod
     def x() -> "RatFunc":
@@ -283,8 +273,8 @@ class RatFunc:
             return v
         return RatFunc.const(v)
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
+    def __bool__(self) -> bool:
+        return not self.num.is_zero()
 
     def __add__(self, other):
         other = RatFunc.coerce(other)
@@ -309,7 +299,7 @@ class RatFunc:
 
     def __truediv__(self, other):
         other = RatFunc.coerce(other)
-        if other.is_zero():
+        if not other:
             raise ScalarDivisionError("division by zero rational function")
         return RatFunc.make(self.num * other.den, self.den * other.num)
 
@@ -352,7 +342,7 @@ class RatFunc:
 
     def subst_inv(self) -> "RatFunc":
         """f(x) -> f(1/x): num(1/x)/den(1/x) cleared to polynomials by x^L."""
-        if self.is_zero():
+        if not self:
             return self
         dn, dd = self.num.degree, self.den.degree
         L = max(dn, dd)
@@ -363,7 +353,7 @@ class RatFunc:
     def inf_coeff(self, order: int) -> Fraction:
         """Coefficient of x^{-order} in the expansion at infinity, for functions
         vanishing there (deg num < deg den).  Exact; used for 1/lambda asymptotics."""
-        if self.is_zero():
+        if not self:
             return Fraction(0)
         gap = self.den.degree - self.num.degree
         if gap <= 0:
@@ -389,12 +379,6 @@ class RatFunc:
             "num": [scalar_to_str(c) for c in self.num.coeffs],
             "den": [scalar_to_str(c) for c in self.den.coeffs],
         }
-
-    @staticmethod
-    def from_json(d: dict) -> "RatFunc":
-        num = Poly(_trim([Fraction(c) for c in d["num"]]))
-        den = Poly(_trim([Fraction(c) for c in d["den"]]))
-        return RatFunc.make(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -445,49 +429,15 @@ class SamplePoint:
         }
 
 
-class AvoidExhausted(RuntimeError):
-    pass
-
-
-def random_regular_point(
-    qp: QParam,
-    ncoords: int,
-    seed: int,
-    avoid: Sequence = (),
-    bits: int = 16,
-    max_tries: int = 500,
-) -> SamplePoint:
-    """Draw a reproducible random SamplePoint at which no avoid-constraint vanishes.
-
-    Entries of `avoid` are either RatFunc (evaluated on the single coordinate;
-    only valid when ncoords == 1) or callables SamplePoint -> Fraction.
-    """
+def random_regular_point(qp: QParam, ncoords: int, seed: int, bits: int = 16) -> SamplePoint:
+    """A reproducible random SamplePoint: coordinates num/den with
+    0 < |num| <= 2^bits and 1 <= den <= 2^bits, drawn once from `seed`."""
     rng = random.Random(seed)
-    for attempt in range(max_tries):
-        coords = []
-        for _ in range(ncoords):
-            num = 0
-            while num == 0:
-                num = rng.randint(-(2 ** bits), 2 ** bits)
-            den = rng.randint(1, 2 ** bits)
-            coords.append(Fraction(num, den))
-        pt = SamplePoint(qp, tuple(coords), seed=seed, draw_index=attempt)
-        ok = True
-        for j, f in enumerate(avoid):
-            if isinstance(f, RatFunc):
-                if ncoords != 1:
-                    raise ValueError("RatFunc avoid-constraints need a 1-coordinate point")
-                try:
-                    val = f.eval(pt.coords[0])
-                except PoleError:
-                    val = Fraction(0)  # pole of the constraint: treat as bad point
-            else:
-                val = f(pt)
-            if val == 0:
-                ok = False
-                break
-        if ok:
-            return pt
-    raise AvoidExhausted(
-        f"no regular point found in {max_tries} draws (last failing constraint index {j})"
-    )
+    coords = []
+    for _ in range(ncoords):
+        num = 0
+        while num == 0:
+            num = rng.randint(-(2 ** bits), 2 ** bits)
+        den = rng.randint(1, 2 ** bits)
+        coords.append(Fraction(num, den))
+    return SamplePoint(qp, tuple(coords), seed=seed, draw_index=0)

@@ -110,7 +110,7 @@ def _sixj_fusion_impl(a, b, n, c, k, j, qp: QParam):
     x0 = Fraction(2 * k) if qp.classical else qp.spow(int(4 * k))
     acc = RatFunc.const(0)
     for e, cs in zip(row, col):
-        if not linalg.is_zero_elem(e):
+        if e:
             acc = acc + RatFunc.coerce(e) * RatFunc.const(cs)
     try:
         return acc.eval(x0)

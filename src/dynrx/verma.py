@@ -232,4 +232,4 @@ class VermaSlice:
 
 
 def _clean(d: dict) -> dict:
-    return {k: v for k, v in d.items() if not linalg.is_zero_elem(v)}
+    return {k: v for k, v in d.items() if v}

@@ -58,18 +58,6 @@ def test_bad_config_exits_two_without_traceback(args, env):
     assert r.stderr.startswith("config error: ") and "Traceback" not in r.stderr
 
 
-def test_avoid_exhausted_exits_three(monkeypatch, capsys):
-    import dynrx.cli as cli
-    from dynrx.scalars import AvoidExhausted
-
-    def exhausted(*args, **kwargs):
-        raise AvoidExhausted("no regular point found")
-
-    monkeypatch.setattr(cli, "sample_handles", exhausted)
-    assert cli.main(["compute", "--q", "4"]) == 3
-    assert "no regular point found" in capsys.readouterr().err
-
-
 def test_byte_stable_output():
     args = ("verify", "--suites", "hecke", "--algebra", "gl2", "--reps", "vector",
             "--q", "4", "--samples", "2", "--seed", "5")

@@ -29,9 +29,11 @@ from dynrx.lam import SampledLambda, SymbolicLambda
 from dynrx.liealg import (
     dual_rep,
     irrep_sl2,
+    r_zero_part,
     tensor,
     trivial_rep,
     vector_rep_gln,
+    wt_sub,
 )
 from dynrx.scalars import (
     NonGenericLambda,
@@ -121,6 +123,110 @@ def test_abrr_trivial_and_classical_rejection(qp4, qpc):
     with pytest.raises(ValueError):
         Vc = irrep_sl2(1, qpc)
         fusion_matrix_abrr(Vc, Vc, sampled(Vc.spec, 0))
+
+
+def flip_permutation(dA, dB):
+    """P: A (x) B -> B (x) A as a permutation matrix."""
+    P = [[Fraction(0)] * (dA * dB) for _ in range(dA * dB)]
+    for a in range(dA):
+        for b in range(dB):
+            P[b * dA + a][a * dB + b] = Fraction(1)
+    return P
+
+
+def abrr_bucketed(W, V, lam):
+    """Reference ABRR solve, one first-slot drop k at a time: R0^21 is split into
+    one masked matrix per drop, each J part is scaled by Theta as a whole
+    matrix, and J^(k) = (sum_m R0^(m) Theta(J^(k-m))) / (1 - theta) entrywise."""
+    spec = W.spec
+    dW, dV = W.dim, V.dim
+    d = dW * dV
+    R021 = linalg.mat_mul(flip_permutation(dV, dW),
+                          linalg.mat_mul(r_zero_part(V, W), flip_permutation(dW, dV)))
+    zero, one = lam.zero(), lam.one()
+
+    def drop(row, col):
+        return W.zdeg[col // dV] - W.zdeg[row // dV]
+
+    def theta(row, col):
+        jV, lV = row % dV, col % dV
+        beta = wt_sub(V.weights[jV], V.weights[lV])
+        exp = (spec.rho_pairing2(beta) - spec.pairing2(V.weights[lV], beta)
+               - spec.pairing2(beta, beta) // 2)
+        return lam.root_qpow2(beta) * lam.scalar(spec.qp.qpow(exp))
+
+    maxdrop = max(W.zdeg) - min(W.zdeg)
+    Rparts = [[[R021[r][c] if drop(r, c) == m else Fraction(0) for c in range(d)]
+               for r in range(d)] for m in range(maxdrop + 1)]
+    assert linalg.mat_eq(Rparts[0], linalg.eye(d))
+    Jparts = [linalg.eye(d)]
+    for k in range(1, maxdrop + 1):
+        rhs = [[zero] * d for _ in range(d)]
+        for m in range(1, k + 1):
+            Jt = Jparts[k - m]
+            Th = [[Jt[r][c] * theta(r, c) if Jt[r][c] else zero for c in range(d)]
+                  for r in range(d)]
+            rhs = linalg.mat_add(rhs, linalg.mat_mul(Rparts[m], Th))
+        Jk = [[zero] * d for _ in range(d)]
+        for r in range(d):
+            for c in range(d):
+                if drop(r, c) != k or not rhs[r][c]:
+                    continue
+                den = one - theta(r, c)
+                if not den:
+                    raise NonGenericLambda(f"ABRR step {k}: 1 - theta vanishes at this lambda")
+                Jk[r][c] = rhs[r][c] / den
+        Jparts.append(Jk)
+    J = Jparts[0]
+    for Jk in Jparts[1:]:
+        J = linalg.mat_add(J, Jk)
+    return J
+
+
+def assert_same_entries(A, B):
+    assert A == B
+    assert [[type(x) for x in row] for row in A] == [[type(x) for x in row] for row in B]
+
+
+def test_abrr_matches_bucketed_reference(qp4, qp_half):
+    half = Fraction(1, 2)
+    spins = [half, Fraction(1), Fraction(3, 2)]
+    for qp in (qp4, qp_half):
+        pairs = [(irrep_sl2(a, qp), irrep_sl2(b, qp)) for a, b in itertools.product(spins, repeat=2)]
+        h = irrep_sl2(half, qp)
+        pairs += [(tensor(h, h), h), (h, tensor(h, h))]
+        for W, V in pairs:
+            for seed in (1, 2):
+                lam = sampled(W.spec, seed)
+                assert_same_entries(fusion_matrix_abrr(W, V, lam), abrr_bucketed(W, V, lam))
+    for q in (Fraction(4), Fraction(1, 3)):
+        qp = QParam.from_q(q)
+        for N in (2, 3, 4):
+            W = vector_rep_gln(N, qp)
+            lam = sampled(W.spec, N)
+            assert_same_entries(fusion_matrix_abrr(W, W, lam), abrr_bucketed(W, W, lam))
+    for W, V in [(irrep_sl2(a, qp4), irrep_sl2(b, qp4)) for a, b in [(half, half), (1, half), (1, 1)]] \
+            + [(vector_rep_gln(2, qp4), vector_rep_gln(2, qp4))]:
+        lam = SymbolicLambda(W.spec)
+        assert_same_entries(fusion_matrix_abrr(W, V, lam), abrr_bucketed(W, V, lam))
+
+
+@pytest.mark.parametrize("spin, x, step", [
+    # spin 1/2: J[2][1] = R0^21[2][1] / (1 - theta(2, 1)) with R0^21[2][1] = 15/4 and
+    # 1 - theta(2, 1) = 1 - 16 x^2, which vanishes at x = q^lambda = 1/4
+    (Fraction(1, 2), Fraction(1, 4), 1),
+    # spin 1: every drop-1 entry is finite at x = 1/4, a drop-2 denominator is not
+    (Fraction(1), Fraction(1, 4), 2),
+])
+def test_abrr_nongeneric_point_matches_bucketed_reference(qp4, spin, x, step):
+    V = irrep_sl2(spin, qp4)
+    lam = SampledLambda(V.spec, SamplePoint(qp4, (x,)))
+    messages = []
+    for solve in (fusion_matrix_abrr, abrr_bucketed):
+        with pytest.raises(NonGenericLambda) as exc:
+            solve(V, V, lam)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1] == f"ABRR step {step}: 1 - theta vanishes at this lambda"
 
 
 def test_invert_unipotent(qp4):

@@ -184,15 +184,3 @@ def test_conjugation_identity(qp4, qpc):
         ones = MultForm.build(2, 1, qp, {})
         rep = conjugation_identity_check(closed_form_hecke(2, qp), ones, points[:3])
         assert rep["pass"]
-
-
-def test_hecke_and_form_json_roundtrip(qp4, qpc):
-    from dynrx.gauge import form_from_json, form_to_json, hecke_from_json, hecke_to_json
-
-    for qp in (qp4, qpc):
-        R = closed_form_hecke(3, qp)
-        R2 = hecke_from_json(hecke_to_json(R))
-        assert R.equals(R2) and (R2.hq, R2.hp) == (R.hq, R.hp)
-        xi = exact_one_form(3, qp)
-        xi2 = form_from_json(form_to_json(xi))
-        assert all(xi2.value(k) == v for k, v in xi.values)

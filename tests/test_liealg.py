@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from dynrx.liealg import (
     chevalley_residuals,
     coproduct_op,
     dual_rep,
+    flip,
     generate_subrep,
     irrep_sl2,
     tensor,
@@ -17,7 +19,7 @@ from dynrx.liealg import (
     universal_r,
     vector_rep_gln,
 )
-from dynrx.scalars import QParam, classical_q
+from dynrx.scalars import QParam, RatFunc, classical_q
 
 
 def all_zero(mats):
@@ -200,3 +202,23 @@ def test_finrep_json(qp4):
     assert js["dim"] == 2
     assert js["weights"] == [[1], [-1]]
     assert js["matrices"]["f_1"][1][0] == "1"
+
+
+@pytest.mark.parametrize("a, b", [(1, 3), (2, 3), (3, 2), (4, 4)])
+def test_flip_is_conjugation_by_the_flip_permutation(a, b):
+    # P: e_i (x) e_j -> e_j (x) e_i, written out; its inverse is its transpose
+    d = a * b
+    P = [[Fraction(0)] * d for _ in range(d)]
+    for i in range(a):
+        for j in range(b):
+            P[j * a + i][i * b + j] = Fraction(1)
+    Pinv = linalg.mat_transpose(P)
+    rng = random.Random(f"flip-{a}-{b}")
+    x = RatFunc.x()
+    for entry in (lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 5)),
+                  lambda: x * rng.randint(-2, 2) + rng.randint(-2, 2)):
+        M = [[entry() for _ in range(d)] for _ in range(d)]
+        F = flip(M, a, b)
+        assert F == linalg.mat_mul(P, linalg.mat_mul(M, Pinv))
+        assert all(type(v) is type(M[0][0]) for row in F for v in row)
+        assert flip(F, b, a) == M

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dynrx import linalg
-from dynrx.linalg import is_zero_elem, mat_mul, row_reduce_basis
+from dynrx.linalg import mat_mul, row_reduce_basis
 from dynrx.scalars import Poly, RatFunc
 
 
@@ -63,7 +63,7 @@ def test_mat_mul_all_zero_product_stays_ratfunc():
                  ([[Fraction(3), Fraction(0)]], zeros), (zeros, zeros)):
         C = mat_mul(A, B)
         assert len(C) == len(A) and all(len(row) == 2 for row in C)
-        assert all(type(v) is RatFunc and v.is_zero() for row in C for v in row)
+        assert all(type(v) is RatFunc and not v for row in C for v in row)
 
 
 def dense_row_reduce(vectors):
@@ -72,10 +72,10 @@ def dense_row_reduce(vectors):
     for v in vectors:
         w = list(v)
         for b, pc in zip(basis, pivcols):
-            if not is_zero_elem(w[pc]):
+            if w[pc]:
                 c = w[pc]
                 w = [x - c * y for x, y in zip(w, b)]
-        pc = next((j for j, x in enumerate(w) if not is_zero_elem(x)), None)
+        pc = next((j for j, x in enumerate(w) if x), None)
         if pc is not None:
             basis.append([x / w[pc] for x in w])
             pivcols.append(pc)
@@ -245,7 +245,7 @@ def test_mat_det_singular_is_typed_zero(kind):
         for singular in (A[:-1] + [list(A[0])], A[:-1] + [[zero] * n],
                          [row[:-1] + [row[0] + row[0]] for row in A]):
             det = linalg.mat_det(singular)
-            assert is_zero_elem(det) and type(det) is entry_type(kind)
+            assert not det and type(det) is entry_type(kind)
 
 
 def known_rank(rng, kind, n, m, r, density):
@@ -279,4 +279,4 @@ def test_nullspace_spans_kernel_with_unit_free_columns(kind, n, m, r, density):
             assert len(v) == m
             assert all(type(x) is entry_type(kind) for x in v)
             assert [v[c] for c in free] == [zero + (1 if c == fc else 0) for c in free]
-            assert all(is_zero_elem(row[0]) for row in naive_mul(A, [[x] for x in v], zero))
+            assert all(not row[0] for row in naive_mul(A, [[x] for x in v], zero))

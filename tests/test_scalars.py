@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynrx.scalars import (
-    AvoidExhausted,
     Poly,
     PoleError,
     QParam,
@@ -15,7 +14,6 @@ from dynrx.scalars import (
     ScalarDivisionError,
     classical_q,
     random_regular_point,
-    scalar_from_str,
     scalar_to_str,
 )
 
@@ -72,7 +70,7 @@ def test_qparam_validation():
 @given(ratfuncs())
 def test_ratfunc_normalization_roundtrip(f):
     # den monic and num/den coprime, and num/den reproduce the value
-    if f.is_zero():
+    if not f:
         assert f.den == Poly.of(1)
         return
     assert f.den.leading() == 1
@@ -87,7 +85,7 @@ def test_eval_respects_field_ops(f, g, x):
         assert (f + g).eval(x) == fv + gv
         assert (f * g).eval(x) == fv * gv
         assert (f - g).eval(x) == fv - gv
-        if gv != 0 and not g.is_zero():
+        if gv != 0 and g:
             assert (f / g).eval(x) == fv / gv
     except PoleError:
         pass
@@ -108,11 +106,21 @@ def test_substitutions(f, c, k):
         pass
 
 
+def test_ratfunc_truthiness_and_const():
+    x = RatFunc.x()
+    assert not RatFunc.const(0) and not x - x
+    assert RatFunc.const(Fraction(-3, 7)) and x and x - 1
+    for c in (0, 1, Fraction(-3, 7)):
+        a, b = RatFunc.const(c), RatFunc.make(Poly.const(c), Poly.of(1))
+        assert a.num == b.num and a.den == b.den
+        assert [type(v) for v in a.num.coeffs + a.den.coeffs] == \
+            [type(v) for v in b.num.coeffs + b.den.coeffs]
+
+
 def test_serialization():
     assert scalar_to_str(Fraction(5, 6)) == "5/6"
-    assert scalar_from_str("5/6") == Fraction(5, 6)
     f = RatFunc.make(Poly.of(1, 2), Poly.of(Fraction(1, 3), 1))
-    assert RatFunc.from_json(f.to_json()) == f
+    assert f.to_json() == {"num": ["1", "2"], "den": ["1/3", "1"]}
 
 
 def test_sample_point_basics(qp4):
@@ -138,29 +146,3 @@ def test_random_regular_point_reproducible(qp4):
     assert a.coords == b.coords
     c = random_regular_point(qp4, 2, seed=43)
     assert a.coords != c.coords
-
-
-def test_random_regular_point_avoids(qp4):
-    # avoid = [t - 1] means the coordinate must differ from 1
-    f = RatFunc.make(Poly.of(-1, 1), Poly.of(1))
-    pt = random_regular_point(qp4, 1, seed=0, avoid=[f])
-    assert pt.coords[0] != 1
-    # a callable constraint and exhaustion
-    always_zero = lambda p: Fraction(0)
-    with pytest.raises(AvoidExhausted):
-        random_regular_point(qp4, 1, seed=0, avoid=[always_zero], max_tries=5)
-
-
-def test_avoid_shapovalov_determinant(qp4):
-    # point avoiding the zero set of the level-2 determinant, re-checked by evaluation
-    from dynrx.liealg import AlgebraSpec
-    from dynrx.lam import SampledLambda
-    from dynrx.verma import VermaSlice
-
-    spec = AlgebraSpec("sl2", 1, qp4)
-
-    def d2_at(pt):
-        return VermaSlice(spec, SampledLambda(spec, pt), 2).shapovalov_det(2)
-
-    pt = random_regular_point(qp4, 1, seed=3, avoid=[d2_at])
-    assert d2_at(pt) != 0
