@@ -18,12 +18,14 @@ each checkout, and the checkout that goes first moves one place along the list
 from repeat to repeat (with two, they alternate), so drift of the host over
 the run reads the same on each.  Each checkout is appended as its own run.  A
 process that outlives TIMEOUT_S seconds is stopped; that checkout's entry then
-records the timeout and a null median, and is not repeated.
+records the timeout and a null median, and is not repeated.  Each run also
+records `src_lines`, the total line count of the checkout's `src/dynrx/*.py`.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import platform
@@ -65,6 +67,14 @@ ENTRIES = [
 def git(repo: str, *args: str) -> str:
     return subprocess.run(["git", "-C", repo, *args], capture_output=True, text=True,
                           check=True).stdout.strip()
+
+
+def src_lines(repo: str) -> int:
+    total = 0
+    for path in glob.glob(os.path.join(repo, "src", "dynrx", "*.py")):
+        with open(path) as fh:
+            total += sum(1 for _ in fh)
+    return total
 
 
 def time_round(repo: str, argvs: list):
@@ -122,6 +132,7 @@ def main(argv=None) -> int:
         runs[repo] = {
             "sha": git(repo, "rev-parse", "HEAD"),
             "dirty": bool(git(repo, "status", "--porcelain", "--", "src", "tests", "scripts")),
+            "src_lines": src_lines(repo),
             "python": platform.python_version(),
             "nproc": len(os.sched_getaffinity(0)),
             "entries": [],

@@ -247,11 +247,13 @@ class Report:
         }
 
 
-def _first_nonzero_entry(M):
-    for r, row in enumerate(M):
-        for c, x in enumerate(row):
-            if x:
-                return r, c, str(x)
+def _first_difference(lhs, rhs):
+    """(r, c, str(lhs - rhs)) at the first entry, in row-major order, where lhs
+    and rhs differ; None if they are equal."""
+    for r, (lrow, rrow) in enumerate(zip(lhs, rhs)):
+        for c, (x, y) in enumerate(zip(lrow, rrow)):
+            if x != y:
+                return r, c, str(x - y)
     return None
 
 
@@ -304,8 +306,7 @@ def verify_cocycle(V: FinRep, W: FinRep, U: FinRep, lams, method: str = "verma")
         B = embed3(lambda lh: fusion_matrix(V, W, lh, method), [V, W, U], 0, 1, lam, True)
         C = fusion_matrix(V, WU, lam, method)
         D = embed3(lambda lh: fusion_matrix(W, U, lh, method), [V, W, U], 1, 2, lam, False)
-        res = linalg.mat_sub(linalg.mat_mul(A, B), linalg.mat_mul(C, D))
-        bad = _first_nonzero_entry(res)
+        bad = _first_difference(linalg.mat_mul(A, B), linalg.mat_mul(C, D))
         if bad is not None:
             rep.fail(sample=idx, entry=bad[:2], value=bad[2])
     return rep
@@ -328,7 +329,7 @@ def verify_qdyb(V: FinRep, W: FinRep, U: FinRep, lams, method: str = "verma") ->
         R13s = embed3(Rfn(V, U), reps, 0, 2, lam, True)
         R12 = embed3(Rfn(V, W), reps, 0, 1, lam, False)
         rhs = linalg.mat_mul(R23, linalg.mat_mul(R13s, R12))
-        bad = _first_nonzero_entry(linalg.mat_sub(lhs, rhs))
+        bad = _first_difference(lhs, rhs)
         if bad is not None:
             rep.fail(sample=idx, entry=bad[:2], value=bad[2])
     return rep
@@ -456,24 +457,15 @@ def two_point(V: FinRep, lam: LambdaHandle) -> list:
             w = [Fraction(1) if t == i else Fraction(0) for t in range(d)]
             v = [Fraction(1) if t == j else Fraction(0) for t in range(d)]
             comp = compose_intertwiners(lam, V, w, sV, v)
-            acc = zero
-            for (wd, jW, jV), c in comp.terms.items():
-                if jW == jV:  # <x_a, phi_b> = delta_ab
-                    if wd == ():
-                        acc = acc + c
-                    else:
-                        # higher contractions must cancel exactly for B Id to be an intertwiner
-                        pass
-            # exactness check of the higher contractions
             for wd in {wd for (wd, _, _) in comp.terms}:
-                if wd == ():
-                    continue
-                s = zero
+                s = zero  # the contraction <x_a, phi_b> = delta_ab of the wd part
                 for jj in range(d):
                     s = s + comp.terms.get((wd, jj, jj), zero)
-                if s:
+                if wd == ():
+                    B[i][j] = s
+                elif s:
+                    # higher contractions must cancel exactly for B Id to be an intertwiner
                     raise ArithmeticError("two-point contraction is not proportional to Id")
-            B[i][j] = acc
     return B
 
 
@@ -504,23 +496,13 @@ def r00_scalar_check(V: FinRep, W: FinRep, lams, method: str = "verma") -> Repor
 
 
 def _scalar_per_weight(B, W: FinRep):
+    """{weight: s} if B acts on each weight space of W as the scalar s (every
+    column x of that space is s at row x and 0 elsewhere); None otherwise."""
     out = {}
     for wt, idxs in W.weight_spaces().items():
         s = B[idxs[0]][idxs[0]]
-        for y in range(W.dim):
-            for x in range(W.dim):
-                if x in idxs:
-                    want = s if y == x else None
-                    v = B[y][x]
-                    if want is None:
-                        if W.weights[y] == wt and y != x:
-                            if v:
-                                return None
-                        elif W.weights[y] != wt and v:
-                            return None
-                    else:
-                        if v - want:
-                            return None
+        if any(B[y][x] != (s if y == x else 0) for x in idxs for y in range(W.dim)):
+            return None
         out[wt] = s
     return out
 

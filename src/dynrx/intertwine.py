@@ -61,15 +61,6 @@ class IntertwinerExpansion:
     verma: VermaSlice         # slice at mu
     terms: dict = field(default_factory=dict)
 
-    def to_json(self) -> list:
-        from .scalars import RatFunc, scalar_to_str
-
-        out = []
-        for (w, j), c in sorted(self.terms.items(), key=lambda kv: (len(kv[0][0]), kv[0])):
-            val = c.to_json() if isinstance(c, RatFunc) else scalar_to_str(c)
-            out.append({"word": list(w), "v_index": j, "coeff": val})
-        return out
-
 
 def solve_intertwiner(lam: LambdaHandle, v: list, V: FinRep) -> IntertwinerExpansion:
     """The unique expansion with leading term v_mu (x) v killed by all D(e_i)."""

@@ -108,12 +108,7 @@ class SampledLambda(LambdaHandle):
         return c[i] - c[i + 1]
 
     def shifted(self, mu: Weight) -> "SampledLambda":
-        if self.spec.kind == "sl2":
-            # coordinate is q^{lambda(h)}; lambda - mu shifts it by q^{-mu}
-            w = (mu[0],)
-        else:
-            w = mu
-        return SampledLambda(self.spec, self.point.shift(w))
+        return SampledLambda(self.spec, self.point.shift(mu))
 
     def root_qpow2(self, beta: Weight):
         qp = self.qp

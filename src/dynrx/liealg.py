@@ -153,19 +153,6 @@ class FinRep:
             out.setdefault(w, []).append(idx)
         return out
 
-    def depth(self) -> int:
-        return max(self.zdeg) - min(self.zdeg) if self.dim else 0
-
-    def to_json(self) -> dict:
-        from .scalars import scalar_to_str
-
-        mats = {}
-        for i in range(self.spec.nsimple):
-            mats[f"e_{i+1}"] = [[scalar_to_str(x) for x in row] for row in self.e[i]]
-            mats[f"f_{i+1}"] = [[scalar_to_str(x) for x in row] for row in self.f[i]]
-            mats[f"K_{i+1}"] = [[scalar_to_str(x) for x in row] for row in self.K_mat(i)]
-        return {"dim": self.dim, "weights": [list(w) for w in self.weights], "matrices": mats}
-
 
 def trivial_rep(spec: AlgebraSpec) -> FinRep:
     z = (0,) * (1 if spec.kind == "sl2" else spec.n)
@@ -219,11 +206,8 @@ def tensor(V: FinRep, W: FinRep) -> FinRep:
     spec = V.spec
     weights = [wt_add(v, w) for v in V.weights for w in W.weights]
     zdeg = [dv + dw for dv in V.zdeg for dw in W.zdeg]
-    es, fs = [], []
-    idV, idW = eye(V.dim), eye(W.dim)
-    for i in range(spec.nsimple):
-        es.append(linalg.mat_add(kron(V.e[i], W.K_mat(i)), kron(idV, W.e[i])))
-        fs.append(linalg.mat_add(kron(V.f[i], idW), kron(V.K_mat(i, -1), W.f[i])))
+    es = [coproduct_op(V, W, i, "e") for i in range(spec.nsimple)]
+    fs = [coproduct_op(V, W, i, "f") for i in range(spec.nsimple)]
     return FinRep(spec, weights, zdeg, es, fs, name=f"{V.name}(x){W.name}")
 
 
@@ -231,19 +215,16 @@ def dual_rep(V: FinRep) -> FinRep:
     """Left dual *V on V^*: x . phi = phi(S^{-1}(x) .), so the canonical pairing
     <v, phi> = phi(v) is a module map V (x) *V -> C."""
     spec = V.spec
-    qp = spec.qp
     weights = [wt_neg(w) for w in V.weights]
     zdeg = [-d for d in V.zdeg]
     es, fs = [], []
+    rng = range(V.dim)
     for i in range(spec.nsimple):
-        if qp.classical:
-            Sie = linalg.mat_scale(V.e[i], Fraction(-1))          # S^{-1}(e) = -e
-            Sif = linalg.mat_scale(V.f[i], Fraction(-1))
-        else:
-            Sie = linalg.mat_scale(mat_mul(V.K_mat(i, -1), V.e[i]), Fraction(-1))  # -K^{-1} e
-            Sif = linalg.mat_scale(mat_mul(V.f[i], V.K_mat(i, 1)), Fraction(-1))   # -f K
-        es.append(linalg.mat_transpose(Sie))
-        fs.append(linalg.mat_transpose(Sif))
+        K, Kinv = V.K_diag(i), V.K_diag(i, -1)
+        e, f = V.e[i], V.f[i]
+        # the transposes of S^{-1}(e) = -K^{-1} e and S^{-1}(f) = -f K
+        es.append([[-(Kinv[r] * e[r][c]) for r in rng] for c in rng])
+        fs.append([[-(f[r][c] * K[c]) for r in rng] for c in rng])
     return FinRep(spec, weights, zdeg, es, fs, name=f"*{V.name}")
 
 
@@ -347,16 +328,11 @@ def _is_vector_rep(V: FinRep) -> bool:
     )
 
 
-def _q_cartan_factor(V: FinRep, W: FinRep) -> Matrix:
-    """Diagonal factor q^{sum x_i (x) x_i}: s^{2(mu,nu)} on the (mu,nu) weight pair."""
+def _cartan_diag(V: FinRep, W: FinRep) -> list:
+    """Diagonal of the Cartan factor Q = q^{sum x_i (x) x_i} on V (x) W:
+    s^{2(mu,nu)} on the (mu,nu) weight pair."""
     spec = V.spec
-    qp = spec.qp
-    d = V.dim * W.dim
-    Q = zeros(d, d)
-    for i, mu in enumerate(V.weights):
-        for j, nu in enumerate(W.weights):
-            Q[i * W.dim + j][i * W.dim + j] = qp.spow(spec.pairing2(mu, nu))
-    return Q
+    return [spec.qp.spow(spec.pairing2(mu, nu)) for mu in V.weights for nu in W.weights]
 
 
 _universal_r = memo.table("universal_r")
@@ -366,7 +342,7 @@ def universal_r(V: FinRep, W: FinRep) -> Matrix:
     """The universal R-matrix restricted to V (x) W, built once per rep pair.
 
     classical: identity.  gl_N, N >= 3: vector pair closed form.  sl2 and gl2
-    (single simple root, e/f nilpotent): R = (sum_n c_n e^n (x) f^n) Q with Q
+    (single simple root, e/f nilpotent): R = Q (sum_n c_n e^n (x) f^n) with Q
     the Cartan factor and c_n solved from R D(x) = D^op(x) R, degree by degree;
     the solve removes any transcription risk in the series coefficients.
     Every build is checked exactly: R D(x) = D^op(x) R for x = e_i, f_i, K_i
@@ -392,7 +368,7 @@ def _universal_r_impl(V: FinRep, W: FinRep) -> Matrix:
         for gen in ("e", "f", "K"):
             D = coproduct_op(V, W, i, gen)
             Dop = coproduct_op(V, W, i, gen, opposite=True)
-            if not mat_is_zero(mat_sub(mat_mul(R, D), mat_mul(Dop, R))):
+            if mat_mul(R, D) != mat_mul(Dop, R):
                 raise ArithmeticError(f"universal R fails R D(x) = D^op(x) R for {gen}_{i + 1}")
     if linalg.mat_det(R) == 0:
         raise ArithmeticError("universal R not invertible")
@@ -401,20 +377,18 @@ def _universal_r_impl(V: FinRep, W: FinRep) -> Matrix:
 
 def _single_root_r(V: FinRep, W: FinRep) -> Matrix:
     """Ansatz solve with R = Q (sum_n c_n e^n (x) f^n), c_0 = 1; the Cartan
-    factor sits on the left of the nilpotent series."""
-    Q = _q_cartan_factor(V, W)
-    eV, fW = V.e[0], W.f[0]
-    terms = [Q]
+    factor sits on the left of the nilpotent series, so term n is
+    kron(e^n, f^n) with row r scaled by Q's diagonal entry r."""
+    Q = _cartan_diag(V, W)
+    terms = []
     En, Fn = eye(V.dim), eye(W.dim)
-    while True:
-        En = mat_mul(En, eV)
-        Fn = mat_mul(Fn, fW)
-        if mat_is_zero(En) or mat_is_zero(Fn):
-            break
-        terms.append(mat_mul(Q, kron(En, Fn)))
+    while not (mat_is_zero(En) or mat_is_zero(Fn)):
+        terms.append([[Q[r] * x for x in row] for r, row in enumerate(kron(En, Fn))])
+        En = mat_mul(En, V.e[0])
+        Fn = mat_mul(Fn, W.f[0])
     nun = len(terms) - 1
     if nun == 0:
-        return Q
+        return terms[0]
     rows, rhs = [], []
     d = V.dim * W.dim
     for gen in ("e", "f"):
@@ -436,11 +410,8 @@ def _single_root_r(V: FinRep, W: FinRep) -> Matrix:
 
 def r_zero_part(V: FinRep, W: FinRep) -> Matrix:
     """R_0 = R Q^{-1}, the unipotent factor of R = R_0 Q (R from the universal_r table)."""
-    R = universal_r(V, W)
-    Q = _q_cartan_factor(V, W)
-    d = len(Q)
-    Qinv = [[1 / Q[i][i] if i == j else Fraction(0) for j in range(d)] for i in range(d)]
-    return mat_mul(R, Qinv)
+    Q = _cartan_diag(V, W)
+    return [[x / Q[c] for c, x in enumerate(row)] for row in universal_r(V, W)]
 
 
 # ---------------------------------------------------------------------------
@@ -520,10 +491,6 @@ def cg_decompose(V: FinRep, W: FinRep) -> list[tuple[FinRep, Matrix, Matrix]]:
     """Isotypic decomposition of V (x) W into (U, tau_U, taubar_U) triples with
     taubar_U tau_U = Id_U and sum_U tau_U taubar_U = Id."""
     T = tensor(V, W)
-    return cg_decompose_rep(T)
-
-
-def cg_decompose_rep(T: FinRep) -> list[tuple[FinRep, Matrix, Matrix]]:
     hws = highest_weight_vectors(T)
     summands = []
     total = 0

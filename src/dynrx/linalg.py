@@ -76,7 +76,7 @@ def mat_is_zero(A: Matrix) -> bool:
 
 
 def mat_eq(A: Matrix, B: Matrix) -> bool:
-    return mat_is_zero(mat_sub(A, B))
+    return A == B
 
 
 class SingularMatrixError(ValueError):

@@ -2,8 +2,11 @@
 Clebsch-Gordan recoupling oracle and the Elliott-Biedenharn pentagon check.
 
 Normalization: phi_a^{bc} : V_a -> V_b (x) V_c is the intertwiner with
-phi(v_a) = v_b (x) v_{c, b+c-a} + lower first-slot terms, and the 6j-symbol is
-the recoupling coefficient
+phi(v_a) = v_b (x) v_{c, b+c-a} + lower first-slot terms.  It is built from
+one vector: phi(v_a) spans the kernel of e on the weight-2a space of
+V_b (x) V_c (one line, as the product is multiplicity-free), scaled to 1 on
+v_b (x) v_{c, b+c-a}; phi(v_{a,m}) = f^m phi(v_a).  The 6j-symbol is the
+recoupling coefficient
 
     (1 (x) phi_j^{bc}) phi_k^{aj} = sum_n sixj(a,b,n,c,k,j) (phi_n^{ab} (x) 1) phi_k^{nc}.
 
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg, memo
-from .liealg import cg_decompose, irrep_sl2, tensor
+from .liealg import irrep_sl2, tensor
 from .lam import SymbolicLambda
 from .exchange import fusion_inverse
 from .scalars import PoleError, QParam, RatFunc
@@ -60,16 +63,13 @@ def _normalized_intertwiner_impl(b, c, a, qp: QParam):
         raise ValueError(f"inadmissible triple {(a, b, c)}")
     Vb, Vc = irrep_sl2(b, qp), irrep_sl2(c, qp)
     T = tensor(Vb, Vc)
-    hw2 = int(2 * Fraction(a))
-    summand = None
-    for U, tau, taubar in cg_decompose(Vb, Vc):
-        if U.weights[0] == (hw2,):
-            summand = (U, tau)
-            break
-    if summand is None:
-        raise ValueError("highest weight not found in the decomposition")
-    U, tau = summand
-    hw = [tau[r][0] for r in range(T.dim)]
+    # V_b (x) V_c is multiplicity-free, so e kills exactly one line in the
+    # weight-2a space; the pin below fixes the scalar
+    idxs = T.weight_spaces()[(int(2 * Fraction(a)),)]
+    (kernel,) = linalg.nullspace([[row[s] for s in idxs] for row in T.e[0]])
+    hw = [Fraction(0)] * T.dim
+    for s, x in zip(idxs, kernel):
+        hw[s] = x
     m = int(Fraction(b) + Fraction(c) - Fraction(a))
     pin = 0 * Vc.dim + m  # index of v_b (x) v_{c,m}
     if hw[pin] == 0:

@@ -175,3 +175,20 @@ def test_verify_gl4_vector_suites():
     assert payload["pass"] is True
     assert {rep["suite"] for rep in payload["reports"]} == {
         "closed-form", "hecke", "abrr-agreement", "qdyb", "cocycle"}
+
+
+def _readme_cli_lines():
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme) as fh:
+        block = fh.read().partition("## CLI\n\n```\n")[2].partition("```")[0]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("dynrx ")]
+
+
+def test_readme_cli_block_is_found():
+    assert _readme_cli_lines()  # an empty list would leave the test below with no cases
+
+
+@pytest.mark.parametrize("args", _readme_cli_lines(), ids=" ".join)
+def test_readme_cli_command_runs(args):
+    r = run(*args)
+    assert r.returncode == 0 and r.stderr == "", r.stderr

@@ -401,3 +401,68 @@ def test_verma_fusion_finite_where_only_outer_solve_is_singular(qp4, a, b, c):
     J = fusion_matrix(W, V, lam)
     Jx = fusion_matrix(W, V, SymbolicLambda(W.spec))
     assert J == [[RatFunc.coerce(x).eval(c) for x in row] for row in Jx]
+
+
+def _corrupted(fn):
+    """fn returning a copy with its last nonzero entry (row-major order) raised by 1."""
+    def wrapped(*args):
+        M = [list(row) for row in fn(*args)]
+        r, c = [(r, c) for r, row in enumerate(M) for c, x in enumerate(row) if x][-1]
+        M[r][c] += 1
+        return M
+    return wrapped
+
+
+_SYMBOLIC_QDYB_VALUE = (
+    "RatFunc(num=Poly(coeffs=(Fraction(0, 1), Fraction(0, 1), Fraction(225, 1024))), "
+    "den=Poly(coeffs=(Fraction(1, 4096), Fraction(0, 1), Fraction(-17, 256), "
+    "Fraction(0, 1), Fraction(1, 1))))"
+)
+
+
+# Failure records under a one-entry corruption, captured on the implementation
+# that subtracted whole matrices: the first differing entry (row-major) and
+# the string of lhs - rhs there must not change.
+@pytest.mark.parametrize("name, verify, want_sampled, want_symbolic", [
+    ("fusion_matrix", verify_cocycle,
+     [dict(sample=s, entry=(5, 5), value="-1") for s in range(2)],
+     [dict(sample=0, entry=(3, 3), value="RatFunc(num=Poly(coeffs=(Fraction(-1, 1),)), "
+                                         "den=Poly(coeffs=(Fraction(1, 1),)))")]),
+    ("exchange_matrix", verify_qdyb,
+     [dict(sample=0, entry=(3, 7), value="-185761/5169604"),
+      dict(sample=1, entry=(3, 7), value="-63375/57500156")],
+     [dict(sample=0, entry=(3, 5), value=_SYMBOLIC_QDYB_VALUE)]),
+])
+def test_cocycle_qdyb_failure_records_under_corruption(name, verify, want_sampled, want_symbolic,
+                                                       qp4, monkeypatch):
+    import dynrx.exchange as exchange
+
+    monkeypatch.setattr(exchange, name, _corrupted(getattr(exchange, name)))
+    A, B = irrep_sl2(Fraction(1, 2), qp4), irrep_sl2(1, qp4)
+    assert verify(A, B, A, [sampled(A.spec, s) for s in range(2)]).failures == want_sampled
+    G = vector_rep_gln(2, qp4)
+    assert verify(G, G, G, [SymbolicLambda(G.spec)]).failures == want_symbolic
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda B: B[1].__setitem__(2, B[1][2] + 1),  # off-diagonal, inside the weight-0 space
+    lambda B: B[0].__setitem__(1, B[0][1] + 1),  # weight 0 leaking to weight 2
+    lambda B: B[2].__setitem__(2, B[2][2] + 1),  # unequal diagonal on the weight-0 space
+], ids=["off-diagonal", "leak", "unequal-diagonal"])
+def test_r00_scalar_check_rejects_non_scalar_blocks(corrupt, qp4, monkeypatch):
+    import dynrx.exchange as exchange
+
+    A = irrep_sl2(Fraction(1, 2), qp4)
+    W = tensor(A, A)  # weights 2, 0, 0, -2: one two-dimensional weight space
+    lams = [sampled(A.spec, 0)]
+    assert r00_scalar_check(A, W, lams).passed
+    real = exchange.r00_block
+
+    def patched(*args):
+        B = [list(row) for row in real(*args)]
+        corrupt(B)
+        return B
+
+    monkeypatch.setattr(exchange, "r00_block", patched)
+    rep = r00_scalar_check(A, W, lams)
+    assert rep.failures == [dict(sample=0, reason="not scalar on a weight space")]

@@ -147,15 +147,6 @@ def test_compose_degree0_defines_fusion_column(qp4):
         assert J[jw * 2 + jv][0 * 2 + 1] == c
 
 
-def test_expansion_json(qp4):
-    spec = AlgebraSpec("sl2", 1, qp4)
-    lam = SampledLambda(spec, random_regular_point(qp4, 1, seed=3))
-    V = irrep_sl2(Fraction(1, 2), qp4)
-    exp = solve_intertwiner(lam, unit(2, 1), V)
-    js = exp.to_json()
-    assert js[0]["word"] == [] and js[0]["v_index"] == 1
-
-
 def _oracle_cases():
     qp4, qpc = QParam(Fraction(2)), classical_q()
     sl2 = AlgebraSpec("sl2", 1, qp4)

@@ -14,6 +14,7 @@ from dynrx.liealg import (
     flip,
     generate_subrep,
     irrep_sl2,
+    r_zero_part,
     tensor,
     trivial_rep,
     universal_r,
@@ -24,6 +25,11 @@ from dynrx.scalars import QParam, RatFunc, classical_q
 
 def all_zero(mats):
     return all(linalg.mat_is_zero(m) for m in mats)
+
+
+def typed(M):
+    """M's entries with their types, so that equality also compares types."""
+    return [[(type(x), x) for x in row] for row in M]
 
 
 def test_irrep_sl2_examples(qp4, qpc):
@@ -74,6 +80,13 @@ def test_tensor(qp4):
     # coproduct Chevalley relations hold exactly on V_{1/2} (x) V_1 at q = 4
     W = tensor(V, irrep_sl2(1, qp4))
     assert all_zero(chevalley_residuals(W))
+    # the generators of V (x) W are the coproduct's
+    g3 = vector_rep_gln(3, qp4)
+    for A, B in ((V, irrep_sl2(1, qp4)), (irrep_sl2(1, qp4), V), (g3, dual_rep(g3))):
+        T = tensor(A, B)
+        for i in range(A.spec.nsimple):
+            assert typed(T.e[i]) == typed(coproduct_op(A, B, i, "e"))
+            assert typed(T.f[i]) == typed(coproduct_op(A, B, i, "f"))
 
 
 def test_universal_r(qp4, qpc):
@@ -196,12 +209,36 @@ def test_dual_rep_pairing(qp4):
     assert all_zero(chevalley_residuals(sV))
 
 
-def test_finrep_json(qp4):
-    V = irrep_sl2(Fraction(1, 2), qp4)
-    js = V.to_json()
-    assert js["dim"] == 2
-    assert js["weights"] == [[1], [-1]]
-    assert js["matrices"]["f_1"][1][0] == "1"
+@pytest.mark.parametrize("qval", ["4", "1/4", "classical"])
+def test_r_zero_part_is_r_times_inverse_cartan_factor(qval):
+    # reference: R times the inverse of the dense diagonal q^{sum x_i (x) x_i}
+    qp = classical_q() if qval == "classical" else QParam.from_q(Fraction(qval))
+    spins = [Fraction(1, 2), Fraction(1), Fraction(3, 2)]
+    pairs = [(irrep_sl2(a, qp), irrep_sl2(b, qp))
+             for a in spins for b in spins if a * b <= Fraction(3, 2)]  # up to 3/2 (x) 1
+    pairs += [(vector_rep_gln(N, qp),) * 2 for N in (2, 3, 4)]
+    for V, W in pairs:
+        d = V.dim * W.dim
+        diag = [qp.spow(V.spec.pairing2(mu, nu)) for mu in V.weights for nu in W.weights]
+        Qinv = [[1 / diag[r] if r == c else Fraction(0) for c in range(d)] for r in range(d)]
+        assert typed(r_zero_part(V, W)) == typed(linalg.mat_mul(universal_r(V, W), Qinv))
+
+
+@pytest.mark.parametrize("qval", ["4", "1/4", "classical"])
+def test_dual_rep_generators_are_transposed_inverse_antipodes(qval):
+    # *V acts through S^{-1}: e -> (-K^{-1} e)^t and f -> (-f K)^t
+    qp = classical_q() if qval == "classical" else QParam.from_q(Fraction(qval))
+    half = irrep_sl2(Fraction(1, 2), qp)
+    reps = [irrep_sl2(s, qp) for s in (0, Fraction(1, 2), 1, Fraction(3, 2))]
+    reps += [tensor(half, irrep_sl2(1, qp))] + [vector_rep_gln(N, qp) for N in (2, 3, 4)]
+    minus = Fraction(-1)
+    for V in reps:
+        sV = dual_rep(V)
+        for i in range(V.spec.nsimple):
+            Kinv_e = linalg.mat_mul(V.K_mat(i, -1), V.e[i])
+            f_K = linalg.mat_mul(V.f[i], V.K_mat(i))
+            assert typed(sV.e[i]) == typed(linalg.mat_transpose(linalg.mat_scale(Kinv_e, minus)))
+            assert typed(sV.f[i]) == typed(linalg.mat_transpose(linalg.mat_scale(f_K, minus)))
 
 
 @pytest.mark.parametrize("a, b", [(1, 3), (2, 3), (3, 2), (4, 4)])

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from dynrx.liealg import cg_decompose, irrep_sl2, tensor
 from dynrx.scalars import QParam, classical_q
 from dynrx.sixj import (
     admissible,
@@ -26,6 +27,39 @@ def test_normalized_intertwiner_leading_term(qp4):
     Vb, Vc, phi = normalized_intertwiner(Fraction(1, 2), Fraction(1, 2), 0, qp4)
     # phi(v_0) = v_b (x) v_{c, b+c-a} + lower: coefficient at (0, m=1) is 1
     assert phi[0 * 2 + 1][0] == 1
+
+
+def _cg_reference_intertwiners(b, c, qp):
+    """{a: phi_a^{bc}} by the full Clebsch-Gordan decomposition of V_b (x) V_c:
+    each summand's top vector, pinned to 1 at v_b (x) v_{c,b+c-a}, and its f-chain."""
+    Vb, Vc = irrep_sl2(b, qp), irrep_sl2(c, qp)
+    T = tensor(Vb, Vc)
+    out = {}
+    for U, tau, _ in cg_decompose(Vb, Vc):
+        a = Fraction(U.weights[0][0], 2)
+        hw = [tau[r][0] for r in range(T.dim)]
+        scale = 1 / hw[int(b + c - a)]
+        cols = [[x * scale for x in hw]]
+        for _ in range(int(2 * a)):
+            prev = cols[-1]
+            cols.append([sum(T.f[0][r][s] * prev[s] for s in range(T.dim)) for r in range(T.dim)])
+        out[a] = [list(col) for col in zip(*cols)]
+    return out
+
+
+@pytest.mark.parametrize("qval", ["2", "4", "1/3", "classical"])
+def test_normalized_intertwiner_matches_cg_reference(qval):
+    qp = classical_q() if qval == "classical" else QParam.from_q(Fraction(qval))
+    spins = spin_range(Fraction(5, 2))
+    for b in spins:
+        for c in spins:
+            ref = _cg_reference_intertwiners(b, c, qp)
+            for a in spins:
+                if not admissible(a, b, c):
+                    continue
+                _, _, phi = normalized_intertwiner(b, c, a, qp)
+                typed = [[(type(x), x) for x in row] for row in phi]
+                assert typed == [[(type(x), x) for x in row] for row in ref[a]], (a, b, c)
 
 
 def test_trivial_recoupling():
