@@ -45,7 +45,7 @@ from .gauge import (
     gauge_sequence_report,
     random_one_form,
 )
-from .lam import SampledLambda, SymbolicLambda
+from .lam import Lambda
 from .liealg import AlgebraSpec, irrep_sl2, tensor, vector_rep_gln
 from .dynrep import (
     verify_antipode,
@@ -58,7 +58,6 @@ from .scalars import (
     QParam,
     RatFunc,
     classical_q,
-    random_regular_point,
     scalar_to_str,
 )
 from .sixj import pentagon_residuals, sixj_table
@@ -117,12 +116,8 @@ def build_reps(algebra: str, qp: QParam, reps: list):
     return [vector_rep_gln(n, qp) for _ in range(count)]
 
 
-def sample_handles(spec: AlgebraSpec, count: int, seed: int, bits: int):
-    out = []
-    for k in range(count):
-        pt = random_regular_point(spec.qp, spec.ncoords, seed=seed + k, bits=bits)
-        out.append(SampledLambda(spec, pt))
-    return out
+def sample_lambdas(spec: AlgebraSpec, count: int, seed: int, bits: int):
+    return [Lambda.sample(spec, seed + k, bits) for k in range(count)]
 
 
 def matrix_json(M, basis) -> dict:
@@ -190,9 +185,9 @@ def cmd_compute(args) -> int:
     if args.symbolic:
         if spec.kind == "gln" and spec.n > 2:
             raise ConfigError("symbolic mode supports sl2 and gl2 only")
-        lams = [SymbolicLambda(spec)]
+        lams = [Lambda.symbolic(spec)]
     else:
-        lams = sample_handles(spec, args.samples, args.seed, args.bitsize)
+        lams = sample_lambdas(spec, args.samples, args.seed, args.bitsize)
     for lam in lams:
         if args.object == "fusion":
             M = fusion_matrix(W, V, lam, args.method)
@@ -208,12 +203,8 @@ def cmd_compute(args) -> int:
             basis = [str(i) for i in range(W.dim)]
         else:
             raise ConfigError(f"unknown object {args.object!r}")
-        entry = {"matrix": matrix_json(M, basis)}
-        if isinstance(lam, SampledLambda):
-            entry["lambda"] = lam.point.to_json()
-        else:
-            entry["lambda"] = "symbolic"
-        results.append(entry)
+        results.append({"matrix": matrix_json(M, basis),
+                        "lambda": "symbolic" if args.symbolic else lam.to_json()})
     _emit(args, {"config": cfg, "results": results})
     return 0
 
@@ -256,10 +247,9 @@ def _suite_runners(args, qp, reps, lams):
         cfJ = closed_form_fusion(spec.n, qp)
         cfR = closed_form_hecke(spec.n, qp)
         for idx, lam in enumerate(lams):
-            pt = lam.point
-            if not linalg.mat_eq(fusion_matrix(pair[0], pair[1], lam, args.method), cfJ.to_matrix(pt)):
+            if not linalg.mat_eq(fusion_matrix(pair[0], pair[1], lam, args.method), cfJ.to_matrix(lam)):
                 rep.fail(sample=idx, object="J")
-            if not linalg.mat_eq(exchange_matrix(pair[0], pair[1], lam, args.method), cfR.to_matrix(pt)):
+            if not linalg.mat_eq(exchange_matrix(pair[0], pair[1], lam, args.method), cfR.to_matrix(lam)):
                 rep.fail(sample=idx, object="R")
         return [rep]
 
@@ -327,8 +317,7 @@ def _suite_runners(args, qp, reps, lams):
         if (R3.hq, R3.hp) != (c * R0.hq, c * R0.hp):
             rep.fail(identity="type III Hecke parameters")
         # gauge forms live on the N-coordinate torus; draw matching points
-        pts = [random_regular_point(qp, N, seed=args.seed + k, bits=args.bitsize)
-               for k in range(samples)]
+        pts = sample_lambdas(AlgebraSpec("gln", N, qp), samples, args.seed, args.bitsize)
         conj = conjugation_identity_check(closed_form_hecke(N, qp), xi, pts)
         if not conj["pass"]:
             rep.fail(identity="conjugation == type I by d xi", detail=conj["failures"][:1])
@@ -359,7 +348,7 @@ def _suite_runners(args, qp, reps, lams):
     def suite_r00():
         out = [r00_scalar_check(pair[0], pair[1], lams, args.method)]
         if spec.kind == "sl2":
-            W2 = tensor(pair[1], pair[1])
+            W2 = tensor(pair[1], irrep_sl2(1, qp))  # holds every weight of W
             out.append(r00_cross_check(pair[0], pair[1], W2, lams, args.method))
         return out
 
@@ -386,7 +375,7 @@ def cmd_verify(args) -> int:
     qp = parse_q(args.q)
     reps = build_reps(args.algebra, qp, args.reps)
     spec = reps[0].spec
-    lams = sample_handles(spec, args.samples, args.seed, args.bitsize)
+    lams = sample_lambdas(spec, args.samples, args.seed, args.bitsize)
     suites = args.suites or ALL_SUITES
     for s in suites:
         if s not in ALL_SUITES:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from . import linalg
 from .liealg import FinRep, cg_decompose, dual_rep, tensor, trivial_rep, wt_add
-from .lam import LambdaHandle
+from .lam import Lambda
 from .exchange import (
     Report,
     embed3,
@@ -32,7 +32,7 @@ from .exchange import (
 )
 
 
-def compose(A: dict, B, lam: LambdaHandle) -> dict:
+def compose(A: dict, B, lam: Lambda) -> dict:
     """The operator A B at lambda, from A at lambda and B as a function of lambda."""
     out: dict = {}
     for b1, M in A.items():
@@ -48,19 +48,20 @@ def _add_term(op: dict, beta, M) -> None:
 def _bad_blocks(A: dict, B: dict, n: int):
     """Yield, in row-major order, each (r, c) of the n x n grid of blocks
     (one block per matrix-slot entry) where the operators A and B differ."""
-    diffs = [linalg.mat_sub(A[b], B[b]) for b in A.keys() & B.keys()]
-    diffs += [A[b] for b in A.keys() - B.keys()] + [B[b] for b in B.keys() - A.keys()]
-    if not diffs:
+    if not (A or B):
         return
-    k = len(diffs[0]) // n
+    d = len(next(iter((A or B).values())))
+    zero = [[0] * d] * d  # a shift on one side only is compared against zero
+    pairs = [(A.get(b, zero), B.get(b, zero)) for b in A.keys() | B.keys()]
+    k = d // n
     for r in range(n):
         for c in range(n):
-            if any(D[i][j] for D in diffs
+            if any(X[i][j] != Y[i][j] for X, Y in pairs
                    for i in range(r * k, r * k + k) for j in range(c * k, c * k + k)):
                 yield r, c
 
 
-def _placed(op: dict, reps, s0: int, s1: int, lam: LambdaHandle) -> dict:
+def _placed(op: dict, reps, s0: int, s1: int, lam: Lambda) -> dict:
     """An operator on reps[s0] (x) reps[s1], acting on those slots of the triple."""
     return {b: embed3(lambda lh, M=M: M, reps, s0, s1, lam, False) for b, M in op.items()}
 
@@ -69,7 +70,7 @@ def _placed(op: dict, reps, s0: int, s1: int, lam: LambdaHandle) -> dict:
 # the representation pi_U
 
 
-def pi_generator(V: FinRep, U: FinRep, lam: LambdaHandle, method: str = "verma") -> dict:
+def pi_generator(V: FinRep, U: FinRep, lam: Lambda, method: str = "verma") -> dict:
     """pi_U(L^V) on V (x) U: pi(L^V_ab) = (R_{V,U}(lambda) block ab) T^{-1}_{wt b}."""
     R = exchange_matrix(V, U, lam, method)
     zero = lam.zero()
@@ -156,7 +157,7 @@ def verify_coproduct_compat(V: FinRep, W: FinRep, U: FinRep, lams, method: str =
     return rep
 
 
-def antipode_generator(V: FinRep, U: FinRep, lam: LambdaHandle, method: str = "verma",
+def antipode_generator(V: FinRep, U: FinRep, lam: Lambda, method: str = "verma",
                        which: str = "K") -> dict:
     """pi_U of the antipode image of L^V:
     Lbar^V = (:K^(1)(l^1) L^{*V} (K^(1)(l^2))^{-1}:)^{t1}, K from the fused

@@ -22,7 +22,6 @@ from fractions import Fraction
 
 from . import linalg, memo
 from .liealg import (
-    AlgebraSpec,
     FinRep,
     dual_rep,
     flip,
@@ -32,9 +31,9 @@ from .liealg import (
     wt_add,
     wt_sub,
 )
-from .lam import LambdaHandle, SampledLambda, SymbolicLambda
+from .lam import Lambda
 from .intertwine import compose_intertwiners, solve_intertwiner
-from .scalars import NonGenericLambda, QParam, RatFunc, SamplePoint
+from .scalars import NonGenericLambda, QParam, RatFunc
 
 
 def rep_fingerprint(V: FinRep):
@@ -58,12 +57,12 @@ _kmat = memo.table("kmat")
 _kprime = memo.table("kprime")
 
 
-def fusion_matrix(W: FinRep, V: FinRep, lam: LambdaHandle, method: str = "verma"):
+def fusion_matrix(W: FinRep, V: FinRep, lam: Lambda, method: str = "verma"):
     """J_{W,V}(lambda) on W (x) V (W is the first slot)."""
     return _fusion.get((W.key, V.key, lam.key(), method), _fusion_impl, W, V, lam, method)
 
 
-def _fusion_impl(W: FinRep, V: FinRep, lam: LambdaHandle, method: str):
+def _fusion_impl(W: FinRep, V: FinRep, lam: Lambda, method: str):
     if method == "verma":
         return _fusion_verma(W, V, lam)
     if method == "abrr":
@@ -71,7 +70,7 @@ def _fusion_impl(W: FinRep, V: FinRep, lam: LambdaHandle, method: str):
     raise ValueError(f"unknown fusion method {method!r}")
 
 
-def _fusion_verma(W: FinRep, V: FinRep, lam: LambdaHandle):
+def _fusion_verma(W: FinRep, V: FinRep, lam: Lambda):
     """J read off the inner expansion alone, by the formula in the module
     docstring: D(f_i) = f_i (x) 1 + K_i^{-1} (x) f_i and f_i never shortens a
     Verma word, so only the leading term v_nu (x) w of Phi^w reaches degree 0.
@@ -105,7 +104,7 @@ def _fusion_verma(W: FinRep, V: FinRep, lam: LambdaHandle):
                 kinv = [one] * spec.nsimple
             else:
                 nu = inner.mu.shifted(W.weights[iW])
-                kinv = [one / nu.simple_qpow(i) for i in range(spec.nsimple)]
+                kinv = [one / nu.simple(i) for i in range(spec.nsimple)]
             col = iW * dV + iV
             for (u, jV), c in inner.terms.items():
                 img = f_image(u, iW)
@@ -118,7 +117,7 @@ def _fusion_verma(W: FinRep, V: FinRep, lam: LambdaHandle):
     return J
 
 
-def fusion_matrix_abrr(W: FinRep, V: FinRep, lam: LambdaHandle):
+def fusion_matrix_abrr(W: FinRep, V: FinRep, lam: Lambda):
     """J_{W,V} as the unique unipotent weight-zero solution of the ABRR equation
     J = R0^{21} . Theta(J), Theta(X) = D X D^{-1} (trigonometric case only; D
     carries q^{2(lambda+rho)} minus Cartan-square factors).  Theta scales the
@@ -199,23 +198,23 @@ def invert_unipotent(J, W: FinRep, V: FinRep):
     return out
 
 
-def fusion_inverse(W: FinRep, V: FinRep, lam: LambdaHandle, method: str = "verma"):
+def fusion_inverse(W: FinRep, V: FinRep, lam: Lambda, method: str = "verma"):
     """Cached J_{W,V}(lambda)^{-1} (Neumann series of the unipotent part)."""
     return _fusion_inverse.get((W.key, V.key, lam.key(), method), _fusion_inverse_impl,
                                W, V, lam, method)
 
 
-def _fusion_inverse_impl(W: FinRep, V: FinRep, lam: LambdaHandle, method: str):
+def _fusion_inverse_impl(W: FinRep, V: FinRep, lam: Lambda, method: str):
     return invert_unipotent(fusion_matrix(W, V, lam, method), W, V)
 
 
-def exchange_matrix(V: FinRep, W: FinRep, lam: LambdaHandle, method: str = "verma"):
+def exchange_matrix(V: FinRep, W: FinRep, lam: Lambda, method: str = "verma"):
     """R_{V,W}(lambda) = J_{V,W}^{-1}(lambda) R21|_{V(x)W} J21_{W,V}(lambda) on V (x) W."""
     return _exchange.get((V.key, W.key, lam.key(), method), _exchange_matrix_impl,
                          V, W, lam, method)
 
 
-def _exchange_matrix_impl(V: FinRep, W: FinRep, lam: LambdaHandle, method: str):
+def _exchange_matrix_impl(V: FinRep, W: FinRep, lam: Lambda, method: str):
     Jvw = fusion_matrix(V, W, lam, method)
     R21 = flip(universal_r(W, V), W.dim, V.dim)
     J21 = flip(fusion_matrix(W, V, lam, method), W.dim, V.dim)
@@ -261,7 +260,7 @@ def _first_difference(lhs, rhs):
 # triple-slot embedding with weight shifts
 
 
-def embed3(matfn, reps, s0: int, s1: int, lam: LambdaHandle, shift_spectator: bool):
+def embed3(matfn, reps, s0: int, s1: int, lam: Lambda, shift_spectator: bool):
     """Matrix on reps[0](x)reps[1](x)reps[2] acting by matfn(lam') in slots (s0,s1),
     identity in the spectator slot t; lam' = lam - (weight of the spectator vector)
     when shift_spectator is set."""
@@ -376,7 +375,7 @@ def hecke_report(Rmat, V: FinRep, qp: QParam) -> Report:
 # K-matrices and the two-point function
 
 
-def ktilde(V: FinRep, lam: LambdaHandle, method: str = "verma"):
+def ktilde(V: FinRep, lam: Lambda, method: str = "verma"):
     """Ktilde(lambda) = m((J_{*V,V}(lambda)^{-1})^{t2}) on *V.
 
     With this package's dual convention (*V acts through S^{-1}, so the plain
@@ -398,13 +397,13 @@ def ktilde(V: FinRep, lam: LambdaHandle, method: str = "verma"):
     return K
 
 
-def kprime(V: FinRep, lam: LambdaHandle, method: str = "verma"):
+def kprime(V: FinRep, lam: Lambda, method: str = "verma"):
     """K'(lambda) = m(J^{t1}_{V,*V}(lambda)) on *V: K'[r][s] = sum_p J[(p,p)][(r,s)],
     so that <v, K'(lambda) v*> is the two-point pairing."""
     return _kprime.get((V.key, lam.key(), method), _kprime_impl, V, lam, method)
 
 
-def _kprime_impl(V: FinRep, lam: LambdaHandle, method: str):
+def _kprime_impl(V: FinRep, lam: Lambda, method: str):
     sV = dual_rep(V)
     J = fusion_matrix(V, sV, lam, method)
     d = V.dim
@@ -419,12 +418,12 @@ def _kprime_impl(V: FinRep, lam: LambdaHandle, method: str):
     return K
 
 
-def kmat(V: FinRep, lam: LambdaHandle, method: str = "verma"):
+def kmat(V: FinRep, lam: Lambda, method: str = "verma"):
     """K(lambda) = (Ktilde(lambda - h))^{-1} on *V (h = the *V weight acted on)."""
     return _kmat.get((V.key, lam.key(), method), _kmat_impl, V, lam, method)
 
 
-def _kmat_impl(V: FinRep, lam: LambdaHandle, method: str):
+def _kmat_impl(V: FinRep, lam: Lambda, method: str):
     sV = dual_rep(V)
     d = V.dim
     zero = lam.zero()
@@ -443,7 +442,7 @@ def _kmat_impl(V: FinRep, lam: LambdaHandle, method: str):
         raise NonGenericLambda("Ktilde(lambda - h) is singular at this lambda") from exc
 
 
-def two_point(V: FinRep, lam: LambdaHandle) -> list:
+def two_point(V: FinRep, lam: Lambda) -> list:
     """Matrix of B_{lambda,V}: B[i][j] = B(v_i, phi_j), computed from the composed
     intertwiner Phi^{v_i, phi_j} contracted with the canonical pairing."""
     sV = dual_rep(V)
@@ -473,7 +472,7 @@ def two_point(V: FinRep, lam: LambdaHandle) -> list:
 # R^{00} scalarity
 
 
-def r00_block(V: FinRep, W: FinRep, lam: LambdaHandle, method: str = "verma"):
+def r00_block(V: FinRep, W: FinRep, lam: Lambda, method: str = "verma"):
     """End(W) matrix <(v0)* (x) y*, R_{V,W} v0 (x) x> with v0 the highest vector of V."""
     top = max(range(V.dim), key=lambda i: V.zdeg[i])
     R = exchange_matrix(V, W, lam, method)
@@ -540,7 +539,7 @@ def asymptotic_leading(V: FinRep, W: FinRep) -> Report:
     if spec.nsimple != 1:
         raise ValueError("symbolic expansion supports one simple root (sl2/gl2)")
     rep = Report("asymptotic-leading", {"V": V.name, "W": W.name})
-    lam = SymbolicLambda(spec)
+    lam = Lambda.symbolic(spec)
     J = fusion_matrix(V, W, lam)
     R = exchange_matrix(V, W, lam)
     fe = linalg.kron(V.f[0], W.e[0])
@@ -562,17 +561,6 @@ def asymptotic_leading(V: FinRep, W: FinRep) -> Report:
             if coeff != want:
                 rep.fail(matrix="R", entry=(r, c), got=str(coeff), want=str(want))
     return rep
-
-
-def _rho_point(spec: AlgebraSpec, m: int) -> SamplePoint:
-    """lambda = m rho as a SamplePoint (trigonometric coordinates q^{lambda_a})."""
-    qp = spec.qp
-    rho2 = spec.rho2()
-    if spec.kind == "sl2":
-        coords = (qp.spow(m * rho2[0]),)
-    else:
-        coords = tuple(qp.spow(m * r2) for r2 in rho2)
-    return SamplePoint(qp, coords)
 
 
 def asymptotic_alcove(V: FinRep, W: FinRep, direction: str, mgrid, method: str = "verma") -> Report:
@@ -601,7 +589,7 @@ def asymptotic_alcove(V: FinRep, W: FinRep, direction: str, mgrid, method: str =
     prev = None
     q2 = qp.q ** 2
     for m in mgrid:
-        lam = SampledLambda(spec, _rho_point(spec, sgn * m))
+        lam = Lambda(spec, tuple(qp.spow(sgn * m * r2) for r2 in spec.rho2()))  # sgn m rho
         J = fusion_matrix(V, W, lam, method)
         dist = [[abs(J[r][c] - limit[r][c]) for c in range(d)] for r in range(d)]
         if prev is not None:

@@ -3,8 +3,8 @@ gauge transformations I-IV of Hecke-type dynamical R-matrices, and the closed
 gl_N forms of the vector-pair J and R.
 
 J and R are each written once, in Hecke-coefficient form (`closed_form_fusion`,
-`closed_form_hecke`); `HeckeRMatrix.to_matrix` is their matrix view at a sample
-point, or symbolically in x = x_01 for N = 2.
+`closed_form_hecke`); `HeckeRMatrix.to_matrix` is their matrix view at a
+lambda: sampled, or the symbolic gl2 lambda (entries rational in x = x_01).
 
 Form values live in a small exact multiplicative algebra (FormScalar): a
 rational constant, a monomial prod_c q^{e_c lambda_c} (trigonometric case), and
@@ -30,7 +30,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import QParam, RatFunc, SamplePoint
+from .lam import Lambda
+from .scalars import QParam, RatFunc
 
 
 def _x() -> RatFunc:
@@ -141,14 +142,12 @@ class FormScalar:
     def __hash__(self):
         return hash((self.const, self.mono, self.pairs))
 
-    def eval(self, pt: SamplePoint) -> Fraction:
-        qp = self.qp
+    def eval(self, lam: Lambda) -> Fraction:
         out = self.const
         for c, e in self.mono:
-            out *= pt.coords[c] ** e
+            out *= lam.coords[c] ** e
         for (a, b), g in self.pairs:
-            x = pt.coords[a] - pt.coords[b] if qp.classical else pt.coords[a] / pt.coords[b]
-            out *= g.eval(x)
+            out *= g.eval(lam.pair(a, b))
         return out
 
     def single_pair_ratfunc(self, a: int, b: int) -> RatFunc:
@@ -278,30 +277,20 @@ class HeckeRMatrix:
     def beta_ab(self, a, b) -> RatFunc:
         return self._get(self.beta, a, b)
 
-    def to_matrix(self, pt):
-        """The matrix at a SamplePoint; for N = 2, pt = "symbolic" gives RatFunc
-        entries in x = x_01."""
-        N, qp = self.N, self.qp
-        symbolic = not isinstance(pt, SamplePoint)
-        if symbolic and N != 2:
-            raise ValueError("symbolic matrix view only for N = 2")
-        const = RatFunc.const if symbolic else Fraction
-
-        def at(g: RatFunc, a: int, b: int):
-            if symbolic:
-                return g if a < b else _flip_var(qp, g)
-            return g.eval(pt.coords[a] - pt.coords[b] if qp.classical
-                          else pt.coords[a] / pt.coords[b])
-
+    def to_matrix(self, lam: Lambda):
+        """The matrix at lam, each coefficient evaluated at x_ab = lam.pair(a, b):
+        Fractions at a sampled lambda, RatFuncs in x at the symbolic gl2 one."""
+        N = self.N
         d = N * N
-        M = [[const(0)] * d for _ in range(d)]
+        M = [[lam.zero()] * d for _ in range(d)]
         for a in range(N):
-            M[a * N + a][a * N + a] = const(self.alpha_diag[a])
+            M[a * N + a][a * N + a] = lam.scalar(self.alpha_diag[a])
         for a in range(N):
             for b in range(N):
                 if a != b:
-                    M[a * N + b][a * N + b] = at(self.alpha_ab(a, b), a, b)
-                    M[b * N + a][a * N + b] = at(self.beta_ab(a, b), a, b)
+                    x = lam.pair(a, b)
+                    M[a * N + b][a * N + b] = self.alpha_ab(a, b).eval(x)
+                    M[b * N + a][a * N + b] = self.beta_ab(a, b).eval(x)
         return M
 
     def equals(self, other: "HeckeRMatrix") -> bool:
@@ -529,7 +518,7 @@ def conjugation_identity_check(R: HeckeRMatrix, xi: MultForm, points) -> dict:
         xs = [xi.value((a,)) for a in range(N)]
         # weight of v_c is eps_c: lambda - h^{(2)} on v_c (x) v_d shifts lambda_d by -1 etc.
         def xi_at(a, shifted_coord):
-            p = pt if shifted_coord is None else pt.shift(
+            p = pt if shifted_coord is None else pt.shifted(
                 tuple(1 if t == shifted_coord else 0 for t in range(N)))
             return xs[a].eval(p)
         for r in range(d):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from . import linalg
 from .liealg import AlgebraSpec, FinRep, Weight, wt_add, wt_sub
-from .lam import LambdaHandle
+from .lam import Lambda
 from .scalars import NonGenericLambda
 from .verma import VermaSlice, Word
 
@@ -53,23 +53,23 @@ class IntertwinerExpansion:
     """terms[(word, j)] = coefficient of (word . v_mu) (x) x_j in Phi^v_lambda v_lambda."""
 
     spec: AlgebraSpec
-    lam: LambdaHandle
+    lam: Lambda
     V: FinRep
     v: list
     wt_v: Weight
-    mu: LambdaHandle          # handle for lambda - wt(v)
+    mu: Lambda                # lambda - wt(v)
     verma: VermaSlice         # slice at mu
     terms: dict = field(default_factory=dict)
 
 
-def solve_intertwiner(lam: LambdaHandle, v: list, V: FinRep) -> IntertwinerExpansion:
+def solve_intertwiner(lam: Lambda, v: list, V: FinRep) -> IntertwinerExpansion:
     """The unique expansion with leading term v_mu (x) v killed by all D(e_i)."""
     spec = V.spec
     wt_v = vector_weight(V, v)
     mu = lam.shifted(wt_v)
     depth = _solve_depth(V, wt_v, spec)
     verma = VermaSlice(spec, mu, depth)
-    zero, one = lam.zero(), lam.one()
+    zero = lam.zero()
     terms: dict[tuple[Word, int], object] = {}
     for j, c in enumerate(v):
         if c:
@@ -101,10 +101,7 @@ def solve_intertwiner(lam: LambdaHandle, v: list, V: FinRep) -> IntertwinerExpan
                 eimg = verma._e_on_word(i, w)
                 if not eimg:
                     continue
-                if spec.qp.classical:
-                    kscale = one
-                else:
-                    kscale = lam.scalar(spec.qp.qpow(spec.cartan_int(i, V.weights[j])))
+                kscale = lam.scalar(spec.qp.qpow(spec.cartan_int(i, V.weights[j])))
                 for w2, c2 in eimg.items():
                     row_of((i, w2, j))[col] = row_of((i, w2, j))[col] + c2 * kscale
         for (w2, j0), c in prev.items():
@@ -141,10 +138,7 @@ def raising_residual(exp: IntertwinerExpansion) -> dict:
         res: dict[tuple[Word, int], object] = {}
         for (w, j), c in exp.terms.items():
             eimg = exp.verma._e_on_word(i, w)
-            if spec.qp.classical:
-                kscale = exp.lam.one()
-            else:
-                kscale = exp.lam.scalar(spec.qp.qpow(spec.cartan_int(i, exp.V.weights[j])))
+            kscale = exp.lam.scalar(spec.qp.qpow(spec.cartan_int(i, exp.V.weights[j])))
             for w2, c2 in eimg.items():
                 key = (w2, j)
                 res[key] = res.get(key, exp.lam.zero()) + c * c2 * kscale
@@ -164,17 +158,17 @@ class Composition:
     terms[(word, jW, jV)] = coefficient."""
 
     spec: AlgebraSpec
-    lam: LambdaHandle
+    lam: Lambda
     W: FinRep
     V: FinRep
-    nu: LambdaHandle
+    nu: Lambda
     terms: dict
 
     def degree0(self) -> dict:
         return {(jW, jV): c for (wd, jW, jV), c in self.terms.items() if wd == ()}
 
 
-def compose_intertwiners(lam: LambdaHandle, W: FinRep, w: list, V: FinRep, v: list) -> Composition:
+def compose_intertwiners(lam: Lambda, W: FinRep, w: list, V: FinRep, v: list) -> Composition:
     """(Phi^w_{lambda - wt v} (x) 1) Phi^v_lambda applied to v_lambda."""
     spec = V.spec
     inner = solve_intertwiner(lam, v, V)
@@ -207,10 +201,7 @@ def compose_intertwiners(lam: LambdaHandle, W: FinRep, w: list, V: FinRep, v: li
                 key = (w2, jW)
                 nxt[key] = nxt.get(key, lam.zero()) + c * c2
             # K_i^{-1} (x) f_i   (1 (x) f_i classically)
-            if spec.qp.classical:
-                kfac = lam.one()
-            else:
-                kfac = bigv.k_eigen(i, wd, -1)
+            kfac = bigv.k_eigen(i, wd, -1)
             for j2 in range(W.dim):
                 if W.f[i][j2][jW]:
                     key = (wd, j2)

@@ -1,189 +1,131 @@
-"""Lambda handles: the two ways a highest weight enters exact formulas.
+"""The highest weight lambda, as coordinates on the lambda-torus.
 
-A SampledLambda wraps a SamplePoint (all scalars are Fractions).  A
-SymbolicLambda carries one formal variable x (RatFunc scalars): x = q^{lambda}
-for sl2, x = q^{lambda_1 - lambda_2} for gl2 in the trigonometric case, and
-the plain linear coordinate classically.  Shifts lambda -> lambda - mu act on
-x by a q-power scale (trig) or a translation (classical), so every quantity
-built downstream stays a rational function of the original x.
+coords[a] is q^{lambda_a} in the trigonometric case and lambda_a classically
+(sl2 has the one coordinate q^{<lambda, alpha^vee>}, resp. <lambda, alpha^vee>).
+A sampled lambda has Fraction coordinates.  The symbolic lambda has RatFunc
+coordinates in one formal variable x: (x,) for sl2, (x, 1) for gl2 and (x, 0)
+for classical gl2, so x is q^{lambda}, q^{lambda_1 - lambda_2}, or the plain
+linear coordinate.  A shift lambda -> lambda - mu scales (trig) or translates
+(classical) the coordinates, so one set of formulas serves both kinds and every
+quantity built downstream stays a rational function of the original x.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import memo
 from .liealg import AlgebraSpec, Weight
-from .scalars import QParam, RatFunc, SamplePoint
+from .scalars import QParam, RatFunc, scalar_to_str
 
 
-class LambdaHandle:
+@dataclass(frozen=True)
+class Lambda:
     spec: AlgebraSpec
+    coords: tuple
+    seed: int | None = None  # the draw's seed, for replaying a sampled lambda
+
+    def __post_init__(self):
+        if len(self.coords) != self.spec.ncoords:
+            raise ValueError("lambda has the wrong number of coordinates")
+        if not self.qp.classical and not all(self.coords):
+            raise ValueError("trigonometric coordinates must be nonzero")
+
+    @staticmethod
+    def sample(spec: AlgebraSpec, seed: int, bits: int = 16) -> "Lambda":
+        """A reproducible random lambda: coordinates num/den with
+        0 < |num| <= 2^bits and 1 <= den <= 2^bits, drawn once from `seed`."""
+        rng = random.Random(seed)
+        coords = []
+        for _ in range(spec.ncoords):
+            num = 0
+            while num == 0:
+                num = rng.randint(-(2 ** bits), 2 ** bits)
+            den = rng.randint(1, 2 ** bits)
+            coords.append(Fraction(num, den))
+        return Lambda(spec, tuple(coords), seed)
+
+    @staticmethod
+    def symbolic(spec: AlgebraSpec) -> "Lambda":
+        """The univariate symbolic lambda; sl2 and gl2 only."""
+        if spec.kind == "gln" and spec.n != 2:
+            raise ValueError("symbolic lambda supports sl2 and gl2 only (use sample points)")
+        x = RatFunc.x()
+        if spec.kind == "sl2":
+            return Lambda(spec, (x,))
+        return Lambda(spec, (x, RatFunc.const(0 if spec.qp.classical else 1)))
 
     @property
     def qp(self) -> QParam:
         return self.spec.qp
 
+    def scalar(self, c):
+        """Embed a Fraction into the scalar field of the coordinates."""
+        return RatFunc.const(c) if isinstance(self.coords[0], RatFunc) else Fraction(c)
+
     def zero(self):
-        raise NotImplementedError
+        return self.scalar(0)
 
     def one(self):
-        raise NotImplementedError
+        return self.scalar(1)
 
-    def scalar(self, c):
-        """Embed a Fraction into the scalar field of this handle."""
-        raise NotImplementedError
+    def pair(self, a: int, b: int):
+        """x_ab = q^{lambda_a - lambda_b} (trigonometric) or lambda_a - lambda_b."""
+        c = self.coords
+        return c[a] - c[b] if self.qp.classical else c[a] / c[b]
 
-    def simple_qpow(self, i: int):
-        """q^{<lambda, alpha_i^vee>} (trigonometric case)."""
-        raise NotImplementedError
-
-    def simple_lin(self, i: int):
-        """<lambda, alpha_i^vee> (classical case)."""
-        raise NotImplementedError
+    def simple(self, i: int):
+        """q^{<lambda, alpha_i^vee>} (trigonometric) or <lambda, alpha_i^vee>."""
+        return self.coords[0] if self.spec.kind == "sl2" else self.pair(i, i + 1)
 
     def bracket(self, i: int, extra: int = 0):
         """[<lambda, alpha_i^vee> + extra]: the q-number in the trigonometric case,
         the plain value classically."""
         if self.qp.classical:
-            return self.simple_lin(i) + Fraction(extra)
+            return self.simple(i) + Fraction(extra)
         q = self.qp.q
-        s = self.simple_qpow(i)
+        s = self.simple(i)
         return (q ** extra * s - q ** (-extra) / s) / (q - 1 / q)
 
-    def shifted(self, mu: Weight) -> "LambdaHandle":
-        """Handle for lambda - mu."""
-        raise NotImplementedError
+    def shifted(self, mu: Weight) -> "Lambda":
+        """lambda - mu: coords[a] scaled by q^{-mu_a} (trig) or translated by
+        -mu_a (classical).  A coordinate with mu_a = 0 is kept as it is, so a
+        symbolic one costs no RatFunc normalization."""
+        qp = self.qp
+        cs = tuple(c if not m else c - m if qp.classical else c * qp.qpow(-m)
+                   for c, m in zip(self.coords, mu, strict=True))
+        return Lambda(self.spec, cs, self.seed)
 
     def root_qpow2(self, beta: Weight):
         """q^{2 (lambda, beta)} for beta in the root lattice (trigonometric)."""
-        raise NotImplementedError
+        c = self.coords
+        if self.spec.kind == "sl2":
+            # (lambda, beta) = <lambda, alpha^vee> beta[0] / 2
+            return c[0] ** beta[0]
+        out = self.one()
+        for a, b in zip(c, beta):
+            if b:
+                out *= a ** (2 * b)
+        return out
 
     def key(self) -> int:
-        """Interned memo key, computed once per handle; handles for the same
-        lambda share it."""
+        """Interned memo key, computed once per lambda; equal lambdas share it."""
         try:
             return self._key
         except AttributeError:
-            k = memo.intern(self._identity())
-            object.__setattr__(self, "_key", k)  # the dataclass subclasses are frozen
+            k = memo.intern((self.coords, self.qp))
+            object.__setattr__(self, "_key", k)  # the dataclass is frozen
             return k
 
-    def _identity(self):
-        """Hashable value identifying this lambda (and its q)."""
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class SampledLambda(LambdaHandle):
-    spec: AlgebraSpec
-    point: SamplePoint
-
-    def __post_init__(self):
-        if self.point.ncoords != self.spec.ncoords:
-            raise ValueError("sample point has wrong number of coordinates")
-        if self.point.qp != self.spec.qp:
-            raise ValueError("sample point q-parameter mismatch")
-
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
-    def scalar(self, c):
-        return Fraction(c)
-
-    def simple_qpow(self, i: int):
-        c = self.point.coords
-        if self.spec.kind == "sl2":
-            return c[0]
-        return c[i] / c[i + 1]
-
-    def simple_lin(self, i: int):
-        c = self.point.coords
-        if self.spec.kind == "sl2":
-            return c[0]
-        return c[i] - c[i + 1]
-
-    def shifted(self, mu: Weight) -> "SampledLambda":
-        return SampledLambda(self.spec, self.point.shift(mu))
-
-    def root_qpow2(self, beta: Weight):
+    def to_json(self) -> dict:
         qp = self.qp
-        c = self.point.coords
-        if self.spec.kind == "sl2":
-            # (lambda, beta) = lambda(h) * beta[0] / 2; q^{2(lambda,beta)} = x^{beta[0]}
-            return c[0] ** beta[0]
-        out = Fraction(1)
-        for a, b in zip(c, beta):
-            out *= a ** (2 * b)
-        return out
-
-    def _identity(self):
-        return ("pt", self.point.coords, self.qp)
-
-
-@dataclass(frozen=True)
-class SymbolicLambda(LambdaHandle):
-    """Univariate symbolic lambda; only sl2 and gl2 are supported symbolically.
-
-    mult accumulates trigonometric shifts (x -> mult * x), add the classical
-    ones; entries produced under a shifted handle remain RatFuncs in the
-    original variable.
-    """
-
-    spec: AlgebraSpec
-    mult: Fraction = Fraction(1)
-    add: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        if self.spec.kind == "gln" and self.spec.n != 2:
-            raise ValueError("symbolic lambda supports sl2 and gl2 only (use sample points)")
-
-    def _x(self) -> RatFunc:
-        x = RatFunc.x()
-        if self.qp.classical:
-            return x + RatFunc.const(self.add)
-        return x * RatFunc.const(self.mult)
-
-    def zero(self):
-        return RatFunc.const(0)
-
-    def one(self):
-        return RatFunc.const(1)
-
-    def scalar(self, c):
-        return RatFunc.const(c)
-
-    def simple_qpow(self, i: int):
-        return self._x()
-
-    def simple_lin(self, i: int):
-        return self._x()
-
-    def _diff1(self, mu: Weight) -> int:
-        """<mu, alpha^vee> for the single simple root."""
-        return self.spec.cartan_int(0, mu)
-
-    def shifted(self, mu: Weight) -> "SymbolicLambda":
-        d = self._diff1(mu)
-        if self.qp.classical:
-            return SymbolicLambda(self.spec, self.mult, self.add - d)
-        return SymbolicLambda(self.spec, self.mult * self.qp.qpow(-d), self.add)
-
-    def root_qpow2(self, beta: Weight):
-        # beta = n * alpha: q^{2(lambda,beta)} = x^{2n} for gl2, x^{beta[0]} for sl2
-        if self.spec.kind == "sl2":
-            n2 = beta[0]
-        else:
-            n2 = 2 * beta[0]
-        x = self._x()
-        out = RatFunc.const(1)
-        for _ in range(abs(n2)):
-            out = out * x if n2 > 0 else out / x
-        return out
-
-    def _identity(self):
-        return ("sym", self.mult, self.add, self.qp)
+        return {
+            "case": "classical" if qp.classical else "trigonometric",
+            "s": None if qp.s is None else scalar_to_str(qp.s),
+            "coords": [scalar_to_str(c) for c in self.coords],
+            "z": [scalar_to_str(c if qp.classical else c * c) for c in self.coords],
+            "seed": self.seed,
+            "draw_index": 0,  # kept for the schema: every lambda is drawn once
+        }

@@ -4,7 +4,7 @@ interned keys.
 Every cached result lives in a `Table` made by `table(name)`.  `stats()`
 reports hits, misses and size per table; `clear()` empties every table and
 zeroes its counters.  Keys are built from small ints: a rep's structural
-fingerprint and a lambda handle's identity are each interned once per object
+fingerprint and a lambda's coordinates are each interned once per object
 by `intern`, so content-equal objects share a key and a lookup hashes a short
 tuple of ints.  Interned ints survive `clear()`, because objects keep the
 ints they were given.

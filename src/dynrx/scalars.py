@@ -1,19 +1,15 @@
-"""Exact coefficient arithmetic: rationals, q = s^2, univariate rational functions,
-sample points on the lambda-torus and reproducible random sampling.
+"""Exact coefficient arithmetic: rationals, q = s^2 and univariate rational
+functions.
 
-All lambda-dependence in this package is either numeric (a SamplePoint, one
-rational per torus coordinate) or univariate symbolic (a RatFunc in one formal
-variable x).  In the trigonometric case the coordinates are stored as
-q^{lambda_a}, so z_a = q^{2 lambda_a} is their square; in the classical case
-the coordinates are the lambda_a themselves.
+All lambda-dependence in this package is either numeric (one rational per
+torus coordinate) or univariate symbolic (a RatFunc in one formal variable x);
+`lam.Lambda` holds either kind of coordinates.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 Scalar = Fraction  # exact big rationals; gcd-reduced with positive denominator by construction
 
@@ -265,7 +261,7 @@ class RatFunc:
 
     @staticmethod
     def x() -> "RatFunc":
-        return RatFunc.make(Poly.x(), Poly.of(1))
+        return RatFunc(Poly.x(), Poly.of(1))  # already normal: no gcd
 
     @staticmethod
     def coerce(v) -> "RatFunc":
@@ -379,65 +375,3 @@ class RatFunc:
             "num": [scalar_to_str(c) for c in self.num.coeffs],
             "den": [scalar_to_str(c) for c in self.den.coeffs],
         }
-
-
-# ---------------------------------------------------------------------------
-# sample points
-
-
-@dataclass(frozen=True)
-class SamplePoint:
-    """A numeric lambda.  Trigonometric: coords[a] = q^{lambda_a} (so z_a = coords[a]^2);
-    classical: coords[a] = lambda_a.  Carries provenance for reproducibility."""
-
-    qp: QParam
-    coords: tuple[Fraction, ...]
-    seed: int | None = None
-    draw_index: int | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in self.coords))
-        if not self.qp.classical and any(c == 0 for c in self.coords):
-            raise ValueError("trigonometric coordinates must be nonzero")
-
-    @property
-    def ncoords(self) -> int:
-        return len(self.coords)
-
-    def z(self, a: int) -> Fraction:
-        """z_a = q^{2 lambda_a} (trig) or lambda_a (classical)."""
-        return self.coords[a] ** 2 if not self.qp.classical else self.coords[a]
-
-    def shift(self, weight: Sequence[int]) -> "SamplePoint":
-        """lambda -> lambda - weight (weight an integer vector in the coordinate basis)."""
-        if len(weight) != len(self.coords):
-            raise ValueError("weight length mismatch")
-        if self.qp.classical:
-            cs = tuple(c - w for c, w in zip(self.coords, weight))
-        else:
-            cs = tuple(c * self.qp.qpow(-w) for c, w in zip(self.coords, weight))
-        return SamplePoint(self.qp, cs, self.seed, self.draw_index)
-
-    def to_json(self) -> dict:
-        return {
-            "case": "classical" if self.qp.classical else "trigonometric",
-            "s": None if self.qp.s is None else scalar_to_str(self.qp.s),
-            "coords": [scalar_to_str(c) for c in self.coords],
-            "z": [scalar_to_str(self.z(a)) for a in range(self.ncoords)],
-            "seed": self.seed,
-            "draw_index": self.draw_index,
-        }
-
-
-def random_regular_point(qp: QParam, ncoords: int, seed: int, bits: int = 16) -> SamplePoint:
-    """A reproducible random SamplePoint: coordinates num/den with
-    0 < |num| <= 2^bits and 1 <= den <= 2^bits, drawn once from `seed`."""
-    rng = random.Random(seed)
-    coords = []
-    for _ in range(ncoords):
-        num = 0
-        while num == 0:
-            num = rng.randint(-(2 ** bits), 2 ** bits)
-        den = rng.randint(1, 2 ** bits)
-        coords.append(Fraction(num, den))
-    return SamplePoint(qp, tuple(coords), seed=seed, draw_index=0)

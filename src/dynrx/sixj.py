@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import linalg, memo
 from .liealg import irrep_sl2, tensor
-from .lam import SymbolicLambda
+from .lam import Lambda
 from .exchange import fusion_inverse
 from .scalars import PoleError, QParam, RatFunc
 
@@ -106,7 +106,7 @@ def _sixj_fusion_impl(a, b, n, c, k, j, qp: QParam):
     # the coefficient on v_{b,b-n+a} (x) v_{c,c-k+n}: row ib (x) ic of J_bc^(-1) phi
     # at lambda = k (h-eigenvalue 2k), x = q^{2k} (classically x = 2k); the row
     # is combined symbolically first so that removable entry poles cancel
-    row = fusion_inverse(Vb, Vc, SymbolicLambda(Vb.spec))[ib * Vc.dim + ic]
+    row = fusion_inverse(Vb, Vc, Lambda.symbolic(Vb.spec))[ib * Vc.dim + ic]
     x0 = Fraction(2 * k) if qp.classical else qp.spow(int(4 * k))
     acc = RatFunc.const(0)
     for e, cs in zip(row, col):

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import linalg, memo
 from .liealg import AlgebraSpec, Weight, wt_add
-from .lam import LambdaHandle
+from .lam import Lambda
 
 Word = tuple  # tuple of simple-root indices; (i, j, ...) means f_i f_j ... v
 
@@ -138,10 +138,10 @@ class VermaSlice:
     """M^+_lambda truncated at `cutoff`: free A_- module on v_lambda up to that degree.
 
     Elements at a fixed degree are dicts {basis word -> scalar}, implicitly
-    (word) . v_lambda.  lam is a LambdaHandle (sampled or univariate symbolic).
+    (word) . v_lambda.  lam is a Lambda (sampled or univariate symbolic).
     """
 
-    def __init__(self, spec: AlgebraSpec, lam: LambdaHandle, cutoff: int):
+    def __init__(self, spec: AlgebraSpec, lam: Lambda, cutoff: int):
         self.spec = spec
         self.lam = lam
         self.cutoff = cutoff
@@ -190,11 +190,10 @@ class VermaSlice:
         return _clean(out)
 
     def k_eigen(self, i: int, w: Word, sign: int = 1):
-        """Eigenvalue of K_i^{sign} on (w v_lambda) (trig) or of sign*h_i classically."""
-        sh = self.lam.shifted(self.word_weight(w))
+        """Eigenvalue of K_i^{sign} on (w v_lambda); K is 1 classically."""
         if self.spec.qp.classical:
-            return sh.simple_lin(i) * sign
-        return sh.simple_qpow(i) ** sign
+            return self.lam.one()
+        return self.lam.shifted(self.word_weight(w)).simple(i) ** sign
 
     # -- Shapovalov ---------------------------------------------------------
 
@@ -212,10 +211,7 @@ class VermaSlice:
                 elem = {w: self.lam.one()}
                 # S(e_{u_1} ... e_{u_k}) = S(e_{u_k}) ... S(e_{u_1}): apply S(e_{u_1}) first
                 for i in u:
-                    if not self.spec.qp.classical:
-                        elem = {
-                            wd: c * self.k_eigen(i, wd, -1) for wd, c in elem.items()
-                        }
+                    elem = {wd: c * self.k_eigen(i, wd, -1) for wd, c in elem.items()}
                     elem = self.act_e(i, elem)
                     elem = {wd: -c for wd, c in elem.items()}
                     if not elem:

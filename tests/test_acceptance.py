@@ -43,9 +43,9 @@ from dynrx.gauge import (
     gauge_sequence_report,
     random_one_form,
 )
-from dynrx.lam import SampledLambda, SymbolicLambda
+from dynrx.lam import Lambda
 from dynrx.liealg import irrep_sl2, tensor, vector_rep_gln
-from dynrx.scalars import QParam, RatFunc, classical_q, random_regular_point
+from dynrx.scalars import QParam, RatFunc, classical_q
 from dynrx.sixj import pentagon_residuals, sixj_table
 
 QP = QParam(Fraction(2))        # q = 4
@@ -68,7 +68,7 @@ def sym_eq(A, B):
 
 
 def sampled(spec, seed, bits=12):
-    return SampledLambda(spec, random_regular_point(spec.qp, spec.ncoords, seed=seed, bits=bits))
+    return Lambda.sample(spec, seed, bits)
 
 
 def test_criterion_1_closed_form_reproduction():
@@ -77,14 +77,14 @@ def test_criterion_1_closed_form_reproduction():
     for qp in (QP, QPC):
         W2 = vector_rep_gln(2, qp)
         ok = ok and sym_eq(
-            exchange_matrix(W2, W2, SymbolicLambda(W2.spec)),
-            closed_form_hecke(2, qp).to_matrix("symbolic"),
+            exchange_matrix(W2, W2, Lambda.symbolic(W2.spec)),
+            closed_form_hecke(2, qp).to_matrix(Lambda.symbolic(W2.spec)),
         )
         W3 = vector_rep_gln(3, qp)
         cf = closed_form_hecke(3, qp)
         for seed in range(20):
             lam = sampled(W3.spec, seed)
-            ok = ok and linalg.mat_eq(exchange_matrix(W3, W3, lam), cf.to_matrix(lam.point))
+            ok = ok and linalg.mat_eq(exchange_matrix(W3, W3, lam), cf.to_matrix(lam))
     report_line(1, "exchange matrix equals the closed gl_N forms", ok, time.perf_counter() - t0, 10)
 
 
@@ -94,8 +94,8 @@ def test_criterion_2_fusion_closed_form():
     for qp in (QP, QPC):
         W2 = vector_rep_gln(2, qp)
         ok = ok and sym_eq(
-            fusion_matrix(W2, W2, SymbolicLambda(W2.spec)),
-            closed_form_fusion(2, qp).to_matrix("symbolic"),
+            fusion_matrix(W2, W2, Lambda.symbolic(W2.spec)),
+            closed_form_fusion(2, qp).to_matrix(Lambda.symbolic(W2.spec)),
         )
     report_line(2, "gl2 fusion matrix equals the closed form, symbolically", ok,
                 time.perf_counter() - t0, 5)
@@ -152,7 +152,7 @@ def test_criterion_5_hecke_spectrum():
             ok = ok and hecke_report(exchange_matrix(W, W, lam), W, qp).passed
         # symbolic for N = 2
         W2 = vector_rep_gln(2, qp)
-        ok = ok and hecke_report(exchange_matrix(W2, W2, SymbolicLambda(W2.spec)), W2, qp).passed
+        ok = ok and hecke_report(exchange_matrix(W2, W2, Lambda.symbolic(W2.spec)), W2, qp).passed
     report_line(5, "Hecke spectrum {q} on V_aa and {q, -1/q} on V_ab", ok,
                 time.perf_counter() - t0, 5)
 

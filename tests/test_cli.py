@@ -158,6 +158,16 @@ def test_golden_stdout(args, digest):
     assert hashlib.sha256(r.stdout).hexdigest() == digest
 
 
+@pytest.mark.parametrize("reps, w2", [((), "V_1/2(x)V_1"), (("--reps", "1", "1/2"), "V_1/2(x)V_1")])
+def test_r00_cross_check_passes_for_half_integer_w(reps, w2):
+    # W2 = W (x) V_1 shares every weight of W, also for a half-integer W
+    r = run("verify", "--suites", "r00", "--algebra", "sl2", "--q", "4", *reps)
+    assert r.returncode == 0, r.stderr
+    reports = json.loads(r.stdout)["reports"]
+    assert [(rep["suite"], rep["pass"]) for rep in reports] == [("r00", True), ("r00-cross", True)]
+    assert reports[1]["config"]["W2"] == w2
+
+
 @pytest.mark.parametrize("samples, used", [("25", 20), ("3", 3)])
 def test_gauge_report_records_effective_samples(samples, used):
     # under sl2 the gauge suite runs the N = 2 calculus; it draws at most 20 points

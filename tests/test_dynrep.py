@@ -4,6 +4,7 @@ import pytest
 
 from dynrx import linalg
 from dynrx.dynrep import (
+    _bad_blocks,
     antipode_generator,
     compose,
     morphism_rigidity_check,
@@ -13,13 +14,12 @@ from dynrx.dynrep import (
     verify_product_relation,
     verify_rll,
 )
-from dynrx.lam import SampledLambda
+from dynrx.lam import Lambda
 from dynrx.liealg import cg_decompose, irrep_sl2, tensor, trivial_rep, vector_rep_gln
-from dynrx.scalars import random_regular_point
 
 
 def sampled(spec, seed, bits=8):
-    return SampledLambda(spec, random_regular_point(spec.qp, spec.ncoords, seed=seed, bits=bits))
+    return Lambda.sample(spec, seed, bits)
 
 
 def ops_equal(A, B):
@@ -38,19 +38,40 @@ def diag(entries):
             for r, x in enumerate(entries)]
 
 
+def test_bad_blocks_compares_entries_and_one_sided_shifts():
+    # 2 x 2 grid of 2 x 2 blocks; a shift on one side only counts against zero
+    eye, zero = linalg.eye(4), [[Fraction(0)] * 4 for _ in range(4)]
+
+    def with_entry(M, r, c, v):
+        M = [row[:] for row in M]
+        M[r][c] = v
+        return M
+
+    def bad(A, B):
+        return list(_bad_blocks(A, B, 2))
+
+    assert bad({}, {}) == [] and bad({(0,): eye}, {(0,): eye}) == []
+    assert bad({(0,): eye}, {(0,): with_entry(eye, 1, 2, Fraction(5))}) == [(0, 1)]
+    assert bad({(0,): eye, (2,): zero}, {(0,): eye}) == []
+    off = with_entry(with_entry(zero, 3, 0, Fraction(1)), 0, 3, Fraction(-2))
+    assert bad({(0,): eye, (2,): off}, {(0,): eye}) == [(0, 1), (1, 0)]
+    assert bad({(0,): eye}, {(0,): eye, (-2,): off}) == [(0, 1), (1, 0)]
+    assert bad({(2,): off}, {(-2,): off}) == [(0, 1), (1, 0)]
+
+
 def test_diffop_composition_shifts(qp4):
     # (f T_b)(g T_d) = f g(.-b) T_{b+d}: check against hand substitution
     V = irrep_sl2(Fraction(1, 2), qp4)
     lam = sampled(V.spec, 0)
 
     def fco(lh):
-        return diag([lh.simple_qpow(0), Fraction(1)])
+        return diag([lh.simple(0), Fraction(1)])
 
     C = compose({(2,): fco(lam)}, lambda lh: {(-2,): fco(lh)}, lam)
     assert set(C) == {(0,)}
     got = C[(0,)]
-    x = lam.simple_qpow(0)
-    xs = lam.shifted((2,)).simple_qpow(0)
+    x = lam.simple(0)
+    xs = lam.shifted((2,)).simple(0)
     assert got[0][0] == x * xs and got[1][1] == 1
     assert got[0][1] == got[1][0] == 0
 
@@ -77,7 +98,7 @@ def test_bigrading_relations(qp4):
     L = pi_generator(V, U, lam)
 
     def f(lh):
-        return lh.simple_qpow(0) + 3  # an arbitrary rational function of lambda
+        return lh.simple(0) + 3  # an arbitrary rational function of lambda
 
     def up(lh, wt):  # lambda + wt
         return lh.shifted(tuple(-x for x in wt))

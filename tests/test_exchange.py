@@ -25,7 +25,7 @@ from dynrx.exchange import (
 )
 from dynrx.gauge import closed_form_fusion, closed_form_hecke
 from dynrx.intertwine import compose_intertwiners
-from dynrx.lam import SampledLambda, SymbolicLambda
+from dynrx.lam import Lambda
 from dynrx.liealg import (
     dual_rep,
     irrep_sl2,
@@ -39,14 +39,12 @@ from dynrx.scalars import (
     NonGenericLambda,
     QParam,
     RatFunc,
-    SamplePoint,
     classical_q,
-    random_regular_point,
 )
 
 
 def sampled(spec, seed, bits=10):
-    return SampledLambda(spec, random_regular_point(spec.qp, spec.ncoords, seed=seed, bits=bits))
+    return Lambda.sample(spec, seed, bits)
 
 
 def mats_equal(A, B):
@@ -89,9 +87,9 @@ def test_fusion_unipotent_and_weight_zero(qp4):
 def test_closed_form_symbolic_gl2(qp4, qpc):
     for qp in (qp4, qpc):
         W = vector_rep_gln(2, qp)
-        lam = SymbolicLambda(W.spec)
-        assert mats_equal(fusion_matrix(W, W, lam), closed_form_fusion(2, qp).to_matrix("symbolic"))
-        assert mats_equal(exchange_matrix(W, W, lam), closed_form_hecke(2, qp).to_matrix("symbolic"))
+        lam = Lambda.symbolic(W.spec)
+        assert mats_equal(fusion_matrix(W, W, lam), closed_form_fusion(2, qp).to_matrix(lam))
+        assert mats_equal(exchange_matrix(W, W, lam), closed_form_hecke(2, qp).to_matrix(lam))
 
 
 def test_closed_form_gl3_samples(qp4, qpc):
@@ -100,16 +98,16 @@ def test_closed_form_gl3_samples(qp4, qpc):
         for seed in range(5):
             lam = sampled(W.spec, seed)
             assert linalg.mat_eq(
-                exchange_matrix(W, W, lam), closed_form_hecke(3, qp).to_matrix(lam.point)
+                exchange_matrix(W, W, lam), closed_form_hecke(3, qp).to_matrix(lam)
             )
             assert linalg.mat_eq(
-                fusion_matrix(W, W, lam), closed_form_fusion(3, qp).to_matrix(lam.point)
+                fusion_matrix(W, W, lam), closed_form_fusion(3, qp).to_matrix(lam)
             )
 
 
 def test_two_method_agreement_symbolic(qp4):
     spins = [Fraction(1, 2), Fraction(1), Fraction(3, 2)]
-    lam = SymbolicLambda(irrep_sl2(0, qp4).spec)
+    lam = Lambda.symbolic(irrep_sl2(0, qp4).spec)
     for sa, sb in itertools.product(spins, repeat=2):
         A, B = irrep_sl2(sa, qp4), irrep_sl2(sb, qp4)
         assert mats_equal(fusion_matrix(A, B, lam), fusion_matrix_abrr(A, B, lam))
@@ -207,7 +205,7 @@ def test_abrr_matches_bucketed_reference(qp4, qp_half):
             assert_same_entries(fusion_matrix_abrr(W, W, lam), abrr_bucketed(W, W, lam))
     for W, V in [(irrep_sl2(a, qp4), irrep_sl2(b, qp4)) for a, b in [(half, half), (1, half), (1, 1)]] \
             + [(vector_rep_gln(2, qp4), vector_rep_gln(2, qp4))]:
-        lam = SymbolicLambda(W.spec)
+        lam = Lambda.symbolic(W.spec)
         assert_same_entries(fusion_matrix_abrr(W, V, lam), abrr_bucketed(W, V, lam))
 
 
@@ -220,7 +218,7 @@ def test_abrr_matches_bucketed_reference(qp4, qp_half):
 ])
 def test_abrr_nongeneric_point_matches_bucketed_reference(qp4, spin, x, step):
     V = irrep_sl2(spin, qp4)
-    lam = SampledLambda(V.spec, SamplePoint(qp4, (x,)))
+    lam = Lambda(V.spec, (x,))
     messages = []
     for solve in (fusion_matrix_abrr, abrr_bucketed):
         with pytest.raises(NonGenericLambda) as exc:
@@ -231,7 +229,7 @@ def test_abrr_nongeneric_point_matches_bucketed_reference(qp4, spin, x, step):
 
 def test_invert_unipotent(qp4):
     W = vector_rep_gln(2, qp4)
-    lam = SymbolicLambda(W.spec)
+    lam = Lambda.symbolic(W.spec)
     J = fusion_matrix(W, W, lam)
     Ji = invert_unipotent(J, W, W)
     # rank-one nilpotent: J^{-1} = 2 Id - J entrywise
@@ -279,7 +277,7 @@ def test_cocycle_qdyb_trivial_slot(qp4):
 
 def test_cocycle_qdyb_symbolic_gl2(qp4):
     W = vector_rep_gln(2, qp4)
-    lam = SymbolicLambda(W.spec)
+    lam = Lambda.symbolic(W.spec)
     assert verify_cocycle(W, W, W, [lam]).passed
     assert verify_qdyb(W, W, W, [lam]).passed
 
@@ -295,7 +293,7 @@ def test_qdyb_mixed_sl2_triple(qp4):
 def test_k_matrices(qp4):
     for spin in (Fraction(1, 2), Fraction(1)):
         V = irrep_sl2(spin, qp4)
-        lam = SymbolicLambda(V.spec)
+        lam = Lambda.symbolic(V.spec)
         K, Kp, B = kmat(V, lam), kprime(V, lam), two_point(V, lam)
         assert mats_equal(K, Kp)
         assert mats_equal(B, Kp)
@@ -316,11 +314,9 @@ def test_two_point_classical_limit():
     qp = classical_q()
     V = irrep_sl2(Fraction(1, 2), qp)
     spec = V.spec
-    from dynrx.scalars import SamplePoint
-
     prev = None
     for t in (40, 80, 160):
-        lam = SampledLambda(spec, SamplePoint(qp, (Fraction(t),)))
+        lam = Lambda(spec, (Fraction(t),))
         B = two_point(V, lam)
         dev = max(abs(B[i][j] - (1 if i == j else 0)) for i in range(2) for j in range(2))
         if prev is not None:
@@ -367,14 +363,14 @@ def test_asymptotic_alcove(qp_half):
 
 
 def test_sampled_and_symbolic_direct_calls(qp4):
-    # J through a fresh handle on the same point, and R against the gl2 closed form
+    # J through a fresh lambda on the same coordinates, and R against the gl2 closed form
     W = vector_rep_gln(2, qp4)
     lam = sampled(W.spec, 30)
     J = fusion_matrix(W, W, lam)
-    assert linalg.mat_eq(fusion_matrix(W, W, SampledLambda(W.spec, lam.point)), J)
+    assert linalg.mat_eq(fusion_matrix(W, W, Lambda(W.spec, lam.coords)), J)
     cf = closed_form_hecke(2, qp4)
-    assert linalg.mat_eq(exchange_matrix(W, W, lam), cf.to_matrix(lam.point))
-    assert mats_equal(exchange_matrix(W, W, SymbolicLambda(W.spec)), cf.to_matrix("symbolic"))
+    assert linalg.mat_eq(exchange_matrix(W, W, lam), cf.to_matrix(lam))
+    assert mats_equal(exchange_matrix(W, W, Lambda.symbolic(W.spec)), cf.to_matrix(Lambda.symbolic(W.spec)))
 
 
 @pytest.mark.parametrize("a, b, c", [
@@ -387,7 +383,7 @@ def test_verma_fusion_finite_where_only_outer_solve_is_singular(qp4, a, b, c):
     # at these lambda some Phi^w at mu = lambda - wt v is singular, so the full
     # composition raises; J reads only the inner Phi^v and is finite there
     W, V = irrep_sl2(Fraction(a), qp4), irrep_sl2(Fraction(b), qp4)
-    lam = SampledLambda(W.spec, SamplePoint(qp4, (c,)))
+    lam = Lambda(W.spec, (c,))
     raised = 0
     for iW in range(W.dim):
         for iV in range(V.dim):
@@ -399,7 +395,7 @@ def test_verma_fusion_finite_where_only_outer_solve_is_singular(qp4, a, b, c):
                 raised += 1
     assert raised > 0
     J = fusion_matrix(W, V, lam)
-    Jx = fusion_matrix(W, V, SymbolicLambda(W.spec))
+    Jx = fusion_matrix(W, V, Lambda.symbolic(W.spec))
     assert J == [[RatFunc.coerce(x).eval(c) for x in row] for row in Jx]
 
 
@@ -441,7 +437,7 @@ def test_cocycle_qdyb_failure_records_under_corruption(name, verify, want_sample
     A, B = irrep_sl2(Fraction(1, 2), qp4), irrep_sl2(1, qp4)
     assert verify(A, B, A, [sampled(A.spec, s) for s in range(2)]).failures == want_sampled
     G = vector_rep_gln(2, qp4)
-    assert verify(G, G, G, [SymbolicLambda(G.spec)]).failures == want_symbolic
+    assert verify(G, G, G, [Lambda.symbolic(G.spec)]).failures == want_symbolic
 
 
 @pytest.mark.parametrize("corrupt", [

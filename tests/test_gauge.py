@@ -21,13 +21,13 @@ from dynrx.gauge import (
     random_one_form,
     rho_shift,
 )
-from dynrx.lam import SampledLambda
-from dynrx.liealg import vector_rep_gln
-from dynrx.scalars import QParam, RatFunc, classical_q, random_regular_point
+from dynrx.lam import Lambda
+from dynrx.liealg import AlgebraSpec, vector_rep_gln
+from dynrx.scalars import QParam, RatFunc, classical_q
 
 
 def pts(qp, N, n, bits=8):
-    return [random_regular_point(qp, N, seed=s, bits=bits) for s in range(n)]
+    return [Lambda.sample(AlgebraSpec("gln", N, qp), s, bits) for s in range(n)]
 
 
 def test_form_antisymmetry(qp4):
@@ -103,7 +103,7 @@ def test_type_two_permutation(qp4):
     inv = [0] * 3
     for i, s in enumerate(sigma):
         inv[s] = i
-    pt_inv = type(pt)(pt.qp, tuple(pt.coords[sigma[i]] for i in range(3)))
+    pt_inv = Lambda(pt.spec, tuple(pt.coords[sigma[i]] for i in range(3)))
     Minv = R.to_matrix(pt_inv)
     M2 = R2.to_matrix(pt)
     N = 3
@@ -146,9 +146,8 @@ def test_gauge_preserves_qdyb(qp4, qpc):
         for step in [None] + steps:
             if step is not None:
                 current = apply_gauge(current, step)
-            for pt in pts(qp, N, 3, bits=6):
-                lam = SampledLambda(W.spec, pt)
-                fn = lambda lh, cur=current: cur.to_matrix(lh.point)
+            for lam in pts(qp, N, 3, bits=6):
+                fn = lambda lh, cur=current: cur.to_matrix(lh)
                 reps3 = [W, W, W]
                 lhs = linalg.mat_mul(
                     embed3(fn, reps3, 0, 1, lam, True),

@@ -4,16 +4,14 @@ import pytest
 
 from dynrx import linalg
 from dynrx.intertwine import compose_intertwiners, raising_residual, solve_intertwiner
-from dynrx.lam import SampledLambda, SymbolicLambda
+from dynrx.lam import Lambda
 from dynrx.liealg import AlgebraSpec, dual_rep, irrep_sl2, tensor, trivial_rep, vector_rep_gln
 from dynrx.scalars import (
     NonGenericLambda,
     Poly,
     QParam,
     RatFunc,
-    SamplePoint,
     classical_q,
-    random_regular_point,
 )
 from dynrx.verma import VermaSlice
 
@@ -24,7 +22,7 @@ def unit(dim, i):
 
 def test_trivial_module_embedding(qp4):
     spec = AlgebraSpec("sl2", 1, qp4)
-    lam = SymbolicLambda(spec)
+    lam = Lambda.symbolic(spec)
     V = trivial_rep(spec)
     exp = solve_intertwiner(lam, unit(1, 0), V)
     assert set(exp.terms) == {((), 0)}
@@ -33,7 +31,7 @@ def test_trivial_module_embedding(qp4):
 def test_two_term_expansion_and_residual(qp4):
     # V = V_{1/2}, v = lowest vector, q = 4, sampled lambda with x = q^lambda = 4
     spec = AlgebraSpec("sl2", 1, qp4)
-    lam = SampledLambda(spec, SamplePoint(qp4, (Fraction(4),)))  # t = x^2 = 16
+    lam = Lambda(spec, (Fraction(4),))  # t = x^2 = 16
     V = irrep_sl2(Fraction(1, 2), qp4)
     exp = solve_intertwiner(lam, unit(2, 1), V)
     assert set(exp.terms) == {((), 1), ((0,), 0)}
@@ -49,7 +47,7 @@ def test_residual_zero_at_random_points(qp4):
     spec = AlgebraSpec("sl2", 1, qp4)
     V = tensor(irrep_sl2(Fraction(1, 2), qp4), irrep_sl2(1, qp4))
     for seed in range(20):
-        lam = SampledLambda(spec, random_regular_point(qp4, 1, seed=seed))
+        lam = Lambda.sample(spec, seed)
         for i in range(V.dim):
             exp = solve_intertwiner(lam, unit(V.dim, i), V)
             assert raising_residual(exp) == {}
@@ -59,7 +57,7 @@ def test_gl3_residual_zero(qp4):
     spec = AlgebraSpec("gln", 3, qp4)
     V = vector_rep_gln(3, qp4)
     for seed in range(5):
-        lam = SampledLambda(spec, random_regular_point(qp4, 3, seed=seed))
+        lam = Lambda.sample(spec, seed)
         for i in range(3):
             exp = solve_intertwiner(lam, unit(3, i), V)
             assert raising_residual(exp) == {}
@@ -67,7 +65,7 @@ def test_gl3_residual_zero(qp4):
 
 def test_linearity_in_normalization_vector(qp4):
     spec = AlgebraSpec("sl2", 1, qp4)
-    lam = SampledLambda(spec, random_regular_point(qp4, 1, seed=9))
+    lam = Lambda.sample(spec, 9)
     V = irrep_sl2(1, qp4)
     e1 = solve_intertwiner(lam, unit(3, 1), V)
     scaled = solve_intertwiner(lam, [Fraction(0), Fraction(5), Fraction(0)], V)
@@ -80,7 +78,7 @@ def test_coefficient_denominators_divide_shapovalov(qp4):
     # symbolic sl2: every coefficient's denominator divides a power of the
     # product of the Shapovalov determinants up to the depth
     spec = AlgebraSpec("sl2", 1, qp4)
-    lam = SymbolicLambda(spec)
+    lam = Lambda.symbolic(spec)
     V = irrep_sl2(Fraction(3, 2), qp4)
     exp = solve_intertwiner(lam, unit(4, 3), V)
     depth = 3
@@ -104,7 +102,7 @@ def test_classical_large_lambda_asymptotics():
     # leading behavior: coefficient of f v_mu (x) e w is -1/(lambda, alpha) + O(1/lambda^2)
     qp = classical_q()
     spec = AlgebraSpec("sl2", 1, qp)
-    lam = SymbolicLambda(spec)
+    lam = Lambda.symbolic(spec)
     V = irrep_sl2(1, qp)
     exp = solve_intertwiner(lam, unit(3, 1), V)  # middle vector
     c = RatFunc.coerce(exp.terms[((0,), 0)])
@@ -116,7 +114,7 @@ def test_nongeneric_lambda_raises():
     # classical lambda(h) = 0 makes the level-1 solve singular for V_{1/2}
     qp = classical_q()
     spec = AlgebraSpec("sl2", 1, qp)
-    lam = SampledLambda(spec, SamplePoint(qp, (Fraction(-1),)))
+    lam = Lambda(spec, (Fraction(-1),))
     V = irrep_sl2(Fraction(1, 2), qp)
     # mu = lambda - wt(v) with v lowest: mu(h) = lambda + 1 = 0 kills [mu(h)]
     with pytest.raises(NonGenericLambda):
@@ -125,7 +123,7 @@ def test_nongeneric_lambda_raises():
 
 def test_compose_with_trivial(qp4):
     spec = AlgebraSpec("sl2", 1, qp4)
-    lam = SampledLambda(spec, random_regular_point(qp4, 1, seed=1))
+    lam = Lambda.sample(spec, 1)
     V = irrep_sl2(Fraction(1, 2), qp4)
     T = trivial_rep(spec)
     comp = compose_intertwiners(lam, T, unit(1, 0), V, unit(2, 1))
@@ -138,7 +136,7 @@ def test_compose_degree0_defines_fusion_column(qp4):
     from dynrx.exchange import fusion_matrix
 
     spec = AlgebraSpec("sl2", 1, qp4)
-    lam = SampledLambda(spec, random_regular_point(qp4, 1, seed=2))
+    lam = Lambda.sample(spec, 2)
     V = irrep_sl2(Fraction(1, 2), qp4)
     J = fusion_matrix(V, V, lam)
     comp = compose_intertwiners(lam, V, unit(2, 0), V, unit(2, 1))
@@ -154,7 +152,7 @@ def _oracle_cases():
     g3, g4 = vector_rep_gln(3, qp4), vector_rep_gln(4, qp4)
 
     def at(V, seed):
-        return SampledLambda(V.spec, random_regular_point(V.spec.qp, V.spec.ncoords, seed=seed))
+        return Lambda.sample(V.spec, seed)
 
     return {
         "sl2 1/2(x)1": (half, one, at(half, 1)),
@@ -164,10 +162,10 @@ def _oracle_cases():
         "gl3 V(x)V*": (g3, dual_rep(g3), at(g3, 5)),
         "gl4 V(x)V": (g4, g4, at(g4, 6)),
         "sl2 1/2(x)(1/2(x)1/2)": (half, tensor(half, half), at(half, 7)),
-        "sl2 symbolic 1(x)1/2": (one, half, SymbolicLambda(sl2)),
+        "sl2 symbolic 1(x)1/2": (one, half, Lambda.symbolic(sl2)),
         "sl2 symbolic classical 1/2(x)1": (
             irrep_sl2(Fraction(1, 2), qpc), irrep_sl2(1, qpc),
-            SymbolicLambda(AlgebraSpec("sl2", 1, qpc))),
+            Lambda.symbolic(AlgebraSpec("sl2", 1, qpc))),
     }
 
 
@@ -203,7 +201,7 @@ def test_fusion_miss_makes_one_inner_solve_per_basis_vector(qp4, monkeypatch):
                         counting("compose", exchange.compose_intertwiners))
     for W, V in [(irrep_sl2(1, qp4), irrep_sl2(Fraction(3, 2), qp4)),
                  (vector_rep_gln(3, qp4), vector_rep_gln(3, qp4))]:
-        lam = SampledLambda(V.spec, random_regular_point(qp4, V.spec.ncoords, seed=31))
+        lam = Lambda.sample(V.spec, 31)
         memo.clear()
         calls.update(solve=0, compose=0)
         exchange.fusion_matrix(W, V, lam)

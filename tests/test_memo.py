@@ -5,9 +5,9 @@ from fractions import Fraction
 
 from dynrx import memo
 from dynrx.exchange import exchange_matrix, fusion_matrix
-from dynrx.lam import SampledLambda, SymbolicLambda
+from dynrx.lam import Lambda
 from dynrx.liealg import irrep_sl2
-from dynrx.scalars import QParam, SamplePoint, random_regular_point
+from dynrx.scalars import QParam
 from dynrx.sixj import pentagon_residuals, sixj_table
 
 
@@ -29,20 +29,20 @@ def test_content_equal_reps_share_a_key(qp4):
     C.e[0][0][1] += 1  # changed before it is first keyed
     assert C.key != A.key
     assert irrep_sl2(1, QParam.from_q(9)).key != A.key
-    lam = SampledLambda(A.spec, SamplePoint(qp4, (Fraction(3, 5),)))
-    again = SampledLambda(A.spec, SamplePoint(qp4, (Fraction(3, 5),)))
+    lam = Lambda(A.spec, (Fraction(3, 5),))
+    again = Lambda(A.spec, (Fraction(3, 5),))
     assert lam.key() == again.key() != lam.shifted((2,)).key()
 
 
 def test_clear_then_recompute_gives_equal_values(qp4):
     V = irrep_sl2(Fraction(1, 2), qp4)
     W = irrep_sl2(1, qp4)
-    lam = SampledLambda(V.spec, SamplePoint(qp4, (Fraction(7, 3),)))
+    lam = Lambda(V.spec, (Fraction(7, 3),))
     qp2 = QParam.from_q(2)
 
     def compute():
         return (fusion_matrix(V, W, lam), fusion_matrix(V, W, lam, "abrr"),
-                exchange_matrix(V, W, lam), exchange_matrix(V, V, SymbolicLambda(V.spec)),
+                exchange_matrix(V, W, lam), exchange_matrix(V, V, Lambda.symbolic(V.spec)),
                 sixj_table(qp2, Fraction(1, 2)).values)
 
     first = copy.deepcopy(compute())
@@ -58,7 +58,7 @@ def test_clear_then_recompute_gives_equal_values(qp4):
 def test_abrr_lookup_never_served_from_verma(qp4):
     memo.clear()
     V = irrep_sl2(Fraction(1, 2), qp4)
-    lam = SampledLambda(V.spec, SamplePoint(qp4, (Fraction(5, 7),)))
+    lam = Lambda(V.spec, (Fraction(5, 7),))
     J = fusion_matrix(V, V, lam, "verma")
     before = memo.stats()["fusion"]
     assert fusion_matrix(V, V, lam, "abrr") == J
@@ -80,7 +80,7 @@ def test_verma_fusion_reads_no_universal_r_and_no_abrr(monkeypatch):
     memo.clear()
     qp = QParam.from_q(4)
     for V in (irrep_sl2(1, qp), vector_rep_gln(3, qp)):
-        lam = SampledLambda(V.spec, random_regular_point(qp, V.spec.ncoords, seed=12))
+        lam = Lambda.sample(V.spec, 12)
         fusion_matrix(V, V, lam)
     st = memo.stats()
     assert st["fusion"]["misses"] == 2

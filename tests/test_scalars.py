@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynrx.lam import Lambda
+from dynrx.liealg import AlgebraSpec
 from dynrx.scalars import (
     Poly,
     PoleError,
     QParam,
     RatFunc,
-    SamplePoint,
     ScalarDivisionError,
     classical_q,
-    random_regular_point,
     scalar_to_str,
 )
 
@@ -124,25 +124,26 @@ def test_serialization():
 
 
 def test_sample_point_basics(qp4):
-    pt = SamplePoint(qp4, (Fraction(3, 2),))
-    assert pt.z(0) == Fraction(9, 4)
-    sh = pt.shift((2,))
+    pt = Lambda(AlgebraSpec("sl2", 1, qp4), (Fraction(3, 2),))
+    assert pt.to_json()["z"] == ["9/4"]
+    sh = pt.shifted((2,))
     assert sh.coords[0] == Fraction(3, 2) / 16  # q^{-2} = 1/16
     with pytest.raises(ValueError):
-        SamplePoint(qp4, (Fraction(0),))
-    ptc = SamplePoint(classical_q(), (Fraction(5),))
-    assert ptc.shift((2,)).coords[0] == 3
+        Lambda(AlgebraSpec("sl2", 1, qp4), (Fraction(0),))
+    ptc = Lambda(AlgebraSpec("sl2", 1, classical_q()), (Fraction(5),))
+    assert ptc.shifted((2,)).coords[0] == 3
 
 
 def test_sample_point_json_s_is_null_when_irrational(qp4):
-    assert SamplePoint(qp4, (Fraction(3, 2),)).to_json()["s"] == "2"
+    assert Lambda(AlgebraSpec("sl2", 1, qp4), (Fraction(3, 2),)).to_json()["s"] == "2"
     # q = 2: q^{1/2} is irrational, written as JSON null
-    assert SamplePoint(QParam.from_q(2), (Fraction(3, 2),)).to_json()["s"] is None
+    assert Lambda(AlgebraSpec("sl2", 1, QParam.from_q(2)), (Fraction(3, 2),)).to_json()["s"] is None
 
 
 def test_random_regular_point_reproducible(qp4):
-    a = random_regular_point(qp4, 2, seed=42)
-    b = random_regular_point(qp4, 2, seed=42)
+    spec = AlgebraSpec("gln", 2, qp4)
+    a = Lambda.sample(spec, 42)
+    b = Lambda.sample(spec, 42)
     assert a.coords == b.coords
-    c = random_regular_point(qp4, 2, seed=43)
+    c = Lambda.sample(spec, 43)
     assert a.coords != c.coords

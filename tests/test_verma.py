@@ -3,18 +3,18 @@ from fractions import Fraction
 import pytest
 
 from dynrx import linalg
-from dynrx.lam import SampledLambda, SymbolicLambda
+from dynrx.lam import Lambda
 from dynrx.liealg import AlgebraSpec
-from dynrx.scalars import Poly, QParam, RatFunc, SamplePoint, classical_q, random_regular_point
+from dynrx.scalars import Poly, QParam, RatFunc, classical_q
 from dynrx.verma import CutoffExceeded, VermaSlice, word_basis
 
 
 def sl2_slice(qp, lam_coord=None, cutoff=3):
     spec = AlgebraSpec("sl2", 1, qp)
     if lam_coord is None:
-        lam = SymbolicLambda(spec)
+        lam = Lambda.symbolic(spec)
     else:
-        lam = SampledLambda(spec, SamplePoint(qp, (Fraction(lam_coord),)))
+        lam = Lambda(spec, (Fraction(lam_coord),))
     return VermaSlice(spec, lam, cutoff)
 
 
@@ -53,7 +53,7 @@ def test_gram_level2_vanishes_at_singular_weight():
     qp = QParam(Fraction(2))
     spec = AlgebraSpec("sl2", 1, qp)
     x = RatFunc.x()
-    lam = SymbolicLambda(spec)
+    lam = Lambda.symbolic(spec)
     M = VermaSlice(spec, lam, 2)
     det2 = M.shapovalov_det(2)
     # singular-vector solve: e f^2 v = [2][l-1] f v, e f v = [l] v; a nontrivial
@@ -67,16 +67,14 @@ def test_gram_level2_vanishes_at_singular_weight():
 def test_gram_invertible_at_regular_points(qp4):
     spec = AlgebraSpec("sl2", 1, qp4)
     for seed in range(5):
-        pt = random_regular_point(qp4, 1, seed=seed)
-        M = VermaSlice(spec, SampledLambda(spec, pt), 3)
+        M = VermaSlice(spec, Lambda.sample(spec, seed), 3)
         for n in range(4):
             assert linalg.mat_det(M.shapovalov_gram(n)) != 0
 
 
 def test_gram_symmetric_classical():
     spec = AlgebraSpec("gln", 3, classical_q())
-    pt = random_regular_point(classical_q(), 3, seed=1)
-    M = VermaSlice(spec, SampledLambda(spec, pt), 3)
+    M = VermaSlice(spec, Lambda.sample(spec, 1), 3)
     for n in range(4):
         G = M.shapovalov_gram(n)
         assert linalg.mat_eq(G, linalg.mat_transpose(G))
@@ -168,8 +166,7 @@ def test_positive_side_dimensions_match(qp4):
     # dim A_+[n] = dim A_-[-n]: the positive/negative word quotients share the
     # same Serre relations, so the Gram matrices are genuinely square for gl3
     spec = AlgebraSpec("gln", 3, qp4)
-    pt = random_regular_point(qp4, 3, seed=2)
-    M = VermaSlice(spec, SampledLambda(spec, pt), 3)
+    M = VermaSlice(spec, Lambda.sample(spec, 2), 3)
     for n in range(4):
         G = M.shapovalov_gram(n)
         assert len(G) == len(M.basis(n))
@@ -181,8 +178,8 @@ def test_gl2_determinant_matches_sl2_under_difference():
     qp = QParam(Fraction(2))
     sl2 = AlgebraSpec("sl2", 1, qp)
     gl2 = AlgebraSpec("gln", 2, qp)
-    d_sl2 = VermaSlice(sl2, SymbolicLambda(sl2), 1).shapovalov_det(1)
-    d_gl2 = VermaSlice(gl2, SymbolicLambda(gl2), 1).shapovalov_det(1)
+    d_sl2 = VermaSlice(sl2, Lambda.symbolic(sl2), 1).shapovalov_det(1)
+    d_gl2 = VermaSlice(gl2, Lambda.symbolic(gl2), 1).shapovalov_det(1)
     assert RatFunc.coerce(d_sl2) == RatFunc.coerce(d_gl2)
 
 
@@ -198,8 +195,7 @@ def test_serre_reduction_in_action(qp4):
     # gl3: f_0 f_1 f_0 acting via words stays inside the reduced basis and the
     # quantum Serre relation holds: f0^2 f1 - [2] f0 f1 f0 + f1 f0^2 = 0 on v
     spec = AlgebraSpec("gln", 3, qp4)
-    pt = random_regular_point(qp4, 3, seed=5)
-    M = VermaSlice(spec, SampledLambda(spec, pt), 3)
+    M = VermaSlice(spec, Lambda.sample(spec, 5), 3)
     v = {(): M.lam.one()}
     f0, f1 = (lambda e: M.act_f(0, e)), (lambda e: M.act_f(1, e))
     lhs = f0(f0(f1(v)))
