@@ -2,8 +2,10 @@
 run the identity-verification suites, emit machine-readable reports.
 
 Exit codes: 0 all identities hold exactly; 1 mathematical failure; 2 invalid
-usage/config; 3 a sampled lambda is non-generic (a determinant or denominator
-the computation divides by vanishes there); the sampled point is not redrawn.
+usage/config, including an odd power of q^{1/2} asked for at a q whose square
+root is irrational (an sl2 R at q = 2); 3 a sampled lambda is non-generic (a
+determinant or denominator the computation divides by vanishes there); the
+sampled point is not redrawn.
 The Verma fusion matrix J exits 3 only where the inner intertwiner's solve is
 singular: it never solves the outer intertwiner, so a lambda where only that
 solve is singular still gives J.
@@ -54,6 +56,7 @@ from .dynrep import (
     verify_rll,
 )
 from .scalars import (
+    IrrationalHalfPower,
     NonGenericLambda,
     QParam,
     RatFunc,
@@ -337,6 +340,8 @@ def _suite_runners(args, qp, reps, lams):
 
     def suite_asymptotics():
         if qp.classical:
+            if spec.nsimple != 1:
+                raise ConfigError("classical asymptotics expand in one simple root: sl2 or gl2")
             return [asymptotic_leading(pair[0], pair[1])]
         if abs(qp.q) >= 1:
             raise ConfigError("trigonometric asymptotics need |q| < 1")
@@ -421,7 +426,7 @@ def main(argv=None) -> int:
         if args.command == "compute":
             return cmd_compute(args)
         return cmd_verify(args)
-    except ConfigError as exc:
+    except (ConfigError, IrrationalHalfPower) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NonGenericLambda as exc:

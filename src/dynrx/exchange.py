@@ -182,19 +182,26 @@ def invert_unipotent(J, W: FinRep, V: FinRep):
     strictly triangular in the first-slot Z-degree."""
     d = len(J)
     dV = V.dim
-    one_mat = linalg.eye(d)
-    N = linalg.mat_sub(J, one_mat)
+    N = [[x - 1 if r == c else x for c, x in enumerate(row)] for r, row in enumerate(J)]
     for r in range(d):
         for c in range(d):
             if N[r][c] and W.zdeg[r // dV] >= W.zdeg[c // dV]:
                 raise NotUnipotent("J - Id is not strictly first-slot triangular")
-    out = one_mat
+    # the identity typed entry by entry like N, so that the sum adds only nonzero
+    # entries of each power and every entry ends with the type of 1 - N + N^2 - ...
+    units = {}  # type -> (its zero, its one)
+    for row in N:
+        for x in row:
+            if type(x) not in units:
+                z = x - x
+                units[type(x)] = (z, z + 1)
+    out = [[units[type(x)][r == c] for c, x in enumerate(row)] for r, row in enumerate(N)]
     P = N
-    sign = -1
+    step = linalg.mat_sub
     while not linalg.mat_is_zero(P):
-        out = linalg.mat_add(out, linalg.mat_scale(P, Fraction(sign)))
+        out = step(out, P)
         P = linalg.mat_mul(P, N)
-        sign = -sign
+        step = linalg.mat_add if step is linalg.mat_sub else linalg.mat_sub
     return out
 
 

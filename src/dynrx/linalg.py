@@ -4,6 +4,14 @@ Works over any field type supporting +, -, * and /, in practice Fraction and
 RatFunc.  A zero test is truthiness: `not x` holds exactly when x is zero, for
 both types.  A typed one is `zero + 1`.  No pivoting heuristics beyond "first
 nonzero": everything is exact.
+
+`mat_mul`, `mat_add` and `mat_sub` do no arithmetic on an exact zero, and each
+entry keeps the type that plain arithmetic gives it (a RatFunc operand makes a
+RatFunc).  `mat_mul` multiplies only nonzero pairs; an entry with no nonzero
+term gets a zero of the type of A[i][0] * B[0][c], made once per pair of types
+per call.  `mat_add` and `mat_sub` return the other operand (negated for
+0 - b) where one operand is a zero of the other's type, and add or subtract
+otherwise.
 """
 
 from __future__ import annotations
@@ -21,16 +29,45 @@ def eye(n: int, one=Fraction(1), zero=Fraction(0)) -> Matrix:
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
+def _add(a, b):
+    if type(a) is type(b):
+        if not b:
+            return a
+        if not a:
+            return b
+    return a + b
+
+
+def _sub(a, b):
+    if type(a) is type(b):
+        if not b:
+            return a
+        if not a:
+            return -b
+    return a - b
+
+
 def mat_add(A: Matrix, B: Matrix) -> Matrix:
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+    return [[_add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def mat_sub(A: Matrix, B: Matrix) -> Matrix:
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+    return [[_sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
 
 def mat_scale(A: Matrix, c) -> Matrix:
     return [[a * c for a in row] for row in A]
+
+
+def _zero_row(a, row):
+    """Per entry b of row, a zero of the type of a * b: (a - a) * b, one
+    product per type of b."""
+    za = a - a
+    by_type = {}
+    for b in row:
+        if type(b) not in by_type:
+            by_type[type(b)] = za * b
+    return [by_type[type(b)] for b in row]
 
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
@@ -38,6 +75,7 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     increasing inner index."""
     m = len(B[0])
     B_nz = [[(c, b) for c, b in enumerate(row) if b] for row in B]
+    zero_rows = {}  # type(A[i][0]) -> the zero of each column c, typed like A[i][0] * B[0][c]
     out = []
     for Ai in A:
         acc = [None] * m
@@ -47,8 +85,10 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
             for c, b in Br:
                 s = acc[c]
                 acc[c] = a * b if s is None else s + a * b
-        # an entry with no nonzero term gets a zero of the right type
-        out.append([Ai[0] * B[0][c] if s is None else s for c, s in enumerate(acc)])
+        zr = zero_rows.get(type(Ai[0]))
+        if zr is None:
+            zr = zero_rows[type(Ai[0])] = _zero_row(Ai[0], B[0])
+        out.append([z if s is None else s for s, z in zip(acc, zr)])
     return out
 
 

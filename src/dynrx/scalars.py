@@ -26,6 +26,11 @@ class NonGenericLambda(ValueError):
     """A lambda value hit the zero set of a required determinant/denominator."""
 
 
+class IrrationalHalfPower(ValueError):
+    """An odd power of s = q^{1/2} was asked for at a q whose square root is
+    irrational."""
+
+
 def scalar_to_str(a: Fraction) -> str:
     return str(a)  # "p/q" with q > 0, "/1" omitted
 
@@ -96,7 +101,8 @@ class QParam:
         if k % 2 == 0:
             return self._q ** (k // 2)
         if self.s is None:
-            raise ValueError("q^{1/2} is irrational for this q; odd half-powers unavailable")
+            raise IrrationalHalfPower(f"q^{{1/2}} is irrational for q = {self._q}; "
+                                      "odd half-powers unavailable")
         return self.s ** k
 
     def qnum(self, n: int) -> Fraction:

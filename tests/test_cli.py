@@ -51,6 +51,11 @@ def test_usage_errors_exit_two():
     (("verify", "--suites", "qdyb", "--samples", "-1"), None),
     (("compute", "--object", "sixj-table", "--max-spin", "-1"), None),
     (("compute", "--object", "sixj-table", "--max-spin", "1/3"), None),
+    # an sl2 R at q = 2 needs q^{1/2} = sqrt 2
+    (("compute", "--q", "2", "--object", "exchange"), None),
+    (("verify", "--suites", "qdyb", "--q", "2"), None),
+    # classical asymptotics expand in one simple root
+    (("verify", "--suites", "asymptotics", "--algebra", "gl3", "--q", "classical"), None),
 ])
 def test_bad_config_exits_two_without_traceback(args, env):
     r = run(*args, env=env)
@@ -148,6 +153,15 @@ GOLDEN = [
     (("verify", "--suites", "rll", "product", "coproduct", "antipode", "--algebra", "gl2",
       "--q", "4", "--samples", "2", "--seed", "5"),
      "27df83d2803ffe38f3bf24fda7e68e43adf447be67d6b6a47f35d23070cf5f0e"),
+    # symbolic J^-1, R and K (RatFunc entries, so every zero stays a RatFunc zero)
+    # and the sl2 relation suites: outputs of the kernels that skip exact zeros
+    (("compute", "--object", "exchange", "--symbolic", "--algebra", "sl2", "--q", "classical"),
+     "394cd62c9833372125fc530a27a1ca5843a6345d271bf1cdbd215e6a7c100f0a"),
+    (("compute", "--object", "kmatrix", "--symbolic", "--algebra", "gl2", "--q", "3"),
+     "91ec2d5950210af4db2809a2904ed4f7637f0358f921c2424d2cf6951eaf970e"),
+    (("verify", "--suites", "rll", "product", "coproduct", "antipode", "--algebra", "sl2",
+      "--reps", "1/2", "1", "--q", "4", "--samples", "1", "--seed", "3"),
+     "d0720fc8aade898f1c5cbca48f5443415af83181c2003dcb3112773a77d01e3c"),
 ]
 
 

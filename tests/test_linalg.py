@@ -5,8 +5,11 @@ from fractions import Fraction
 import pytest
 
 from dynrx import linalg
+from dynrx.exchange import fusion_matrix, invert_unipotent
+from dynrx.lam import Lambda
+from dynrx.liealg import irrep_sl2, vector_rep_gln
 from dynrx.linalg import mat_mul, row_reduce_basis
-from dynrx.scalars import Poly, RatFunc
+from dynrx.scalars import Poly, QParam, RatFunc, classical_q
 
 
 def naive_mul(A, B, zero):
@@ -280,3 +283,143 @@ def test_nullspace_spans_kernel_with_unit_free_columns(kind, n, m, r, density):
             assert all(type(x) is entry_type(kind) for x in v)
             assert [v[c] for c in free] == [zero + (1 if c == fc else 0) for c in free]
             assert all(not row[0] for row in naive_mul(A, [[x] for x in v], zero))
+
+
+# References: the dense kernels as they were before they skipped arithmetic on
+# exact zeros.  The kernels must give every entry the same value and the same
+# type (Fraction or RatFunc) as these.
+
+
+def ref_mat_add(A, B):
+    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+def ref_mat_sub(A, B):
+    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+def ref_mat_mul(A, B):
+    m = len(B[0])
+    B_nz = [[(c, b) for c, b in enumerate(row) if b] for row in B]
+    out = []
+    for Ai in A:
+        acc = [None] * m
+        for a, Br in zip(Ai, B_nz):
+            if not Br or not a:
+                continue
+            for c, b in Br:
+                s = acc[c]
+                acc[c] = a * b if s is None else s + a * b
+        out.append([Ai[0] * B[0][c] if s is None else s for c, s in enumerate(acc)])
+    return out
+
+
+def ref_invert_unipotent(J):
+    """The Neumann series over whole matrices, from a Fraction identity."""
+    one_mat = linalg.eye(len(J))
+    N = ref_mat_sub(J, one_mat)
+    out, P, sign = one_mat, N, -1
+    while not linalg.mat_is_zero(P):
+        out = ref_mat_add(out, [[x * Fraction(sign) for x in row] for row in P])
+        P = ref_mat_mul(P, N)
+        sign = -sign
+    return out
+
+
+def assert_same_entries(got, want):
+    assert len(got) == len(want)
+    for rg, rw in zip(got, want):
+        assert len(rg) == len(rw)
+        for g, w in zip(rg, rw):
+            assert type(g) is type(w) and g == w, (g, w)
+
+
+def kind_matrix(rng, kind, n, m, density):
+    """Random sparse matrix: all Fraction, all RatFunc, or each entry of either type."""
+    F = random_fractions(rng, n, m, density)
+    R = random_ratfuncs(rng, n, m, density)
+    pick = {"fraction": lambda: False, "ratfunc": lambda: True,
+            "patch": lambda: rng.random() < 0.5}[kind]
+    return [[r if pick() else f for f, r in zip(rf, rr)] for rf, rr in zip(F, R)]
+
+
+def with_zero_lines(rng, M, rows=(), cols=()):
+    """M with the given rows and columns replaced by zeros of random type."""
+    def zero():
+        return RatFunc.const(0) if rng.random() < 0.5 else Fraction(0)
+    return [[zero() if i in rows or j in cols else x for j, x in enumerate(row)]
+            for i, row in enumerate(M)]
+
+
+KIND_PAIRS = [("fraction", "fraction"), ("ratfunc", "ratfunc"), ("fraction", "ratfunc"),
+              ("ratfunc", "fraction"), ("patch", "patch"), ("patch", "fraction")]
+
+
+@pytest.mark.parametrize("ka, kb", KIND_PAIRS)
+@pytest.mark.parametrize("density", [0.3, 0.7])
+def test_mat_mul_matches_reference_values_and_types(ka, kb, density):
+    rng = random.Random(f"mul{ka}{kb}{density}")
+    for n, k, m in SHAPES:
+        for _ in range(2):
+            A = kind_matrix(rng, ka, n, k, density)
+            B = kind_matrix(rng, kb, k, m, density)
+            cases = [(A, B),
+                     (with_zero_lines(rng, A, cols={0}), B),  # zero first column of A
+                     (A, with_zero_lines(rng, B, rows={0})),  # zero first row of B
+                     (with_zero_lines(rng, A, rows={n - 1}, cols={k - 1}),
+                      with_zero_lines(rng, B, rows={0}, cols={0, m - 1}))]
+            for X, Y in cases:
+                assert_same_entries(mat_mul(X, Y), ref_mat_mul(X, Y))
+
+
+@pytest.mark.parametrize("ka, kb", KIND_PAIRS)
+def test_mat_add_and_sub_match_reference_values_and_types(ka, kb):
+    rng = random.Random(f"add{ka}{kb}")
+    for n, m in [(4, 4), (3, 6), (1, 5), (6, 1)]:
+        for density in (0.3, 0.8):
+            A = with_zero_lines(rng, kind_matrix(rng, ka, n, m, density), rows={0})
+            B = with_zero_lines(rng, kind_matrix(rng, kb, n, m, density), cols={0})
+            for X, Y in ((A, B), (B, A), (A, A)):
+                assert_same_entries(linalg.mat_add(X, Y), ref_mat_add(X, Y))
+                assert_same_entries(linalg.mat_sub(X, Y), ref_mat_sub(X, Y))
+
+
+def real_fusion_matrices():
+    qp4 = QParam(Fraction(2))
+    out = []
+    A, B = irrep_sl2(Fraction(1, 2), qp4), irrep_sl2(1, qp4)
+    out.append(("sl2 1/2 (x) 1 sampled", A, B, fusion_matrix(A, B, Lambda.sample(A.spec, 5, 10))))
+    for qp in (qp4, classical_q()):
+        W = vector_rep_gln(2, qp)
+        out.append((f"gl2 symbolic q={qp.q}", W, W, fusion_matrix(W, W, Lambda.symbolic(W.spec))))
+    W = vector_rep_gln(3, qp4)
+    out.append(("gl3 V (x) V sampled", W, W, fusion_matrix(W, W, Lambda.sample(W.spec, 3, 10))))
+    # first slots with three and four weights, so that N^2 and N^3 are nonzero
+    A, B = irrep_sl2(1, qp4), irrep_sl2(Fraction(1, 2), qp4)
+    out.append(("sl2 1 (x) 1/2 symbolic", A, B, fusion_matrix(A, B, Lambda.symbolic(A.spec))))
+    A, B = irrep_sl2(Fraction(3, 2), qp4), irrep_sl2(1, qp4)
+    out.append(("sl2 3/2 (x) 1 sampled", A, B, fusion_matrix(A, B, Lambda.sample(A.spec, 7, 10))))
+    return out
+
+
+def in_other_type(x):
+    """A Fraction as a constant RatFunc; a RatFunc zero as Fraction(0)."""
+    if isinstance(x, Fraction):
+        return RatFunc.const(x)
+    return x if x else Fraction(0)
+
+
+def test_invert_unipotent_matches_reference_on_real_fusion_matrices():
+    squares_zero = []
+    for name, W, V, J in real_fusion_matrices():
+        d = len(J)
+        # the same J with every other entry in the other type where that type can hold it
+        mixed = [[in_other_type(x) if (r + c) % 2 else x for c, x in enumerate(row)]
+                 for r, row in enumerate(J)]
+        for M in (J, mixed):
+            Ji = invert_unipotent(M, W, V)
+            assert_same_entries(Ji, ref_invert_unipotent(M))
+            assert linalg.mat_mul(M, Ji) == linalg.eye(d), name
+        N = ref_mat_sub(J, linalg.eye(d))
+        squares_zero.append(linalg.mat_is_zero(ref_mat_mul(N, N)))
+    assert not all(squares_zero)  # the series is longer than 1 - N somewhere
