@@ -22,7 +22,8 @@ RUNS = [
     ("gl2", "4", ["vector"], ["closed-form", "hecke", "abrr-agreement", "qdyb",
                               "cocycle", "gauge", "rll", "product", "coproduct",
                               "antipode"], 5),
-    ("gl3", "4", ["vector"], ["closed-form", "hecke", "abrr-agreement", "qdyb"], 5),
+    ("gl3", "4", ["vector"], ["closed-form", "hecke", "abrr-agreement", "qdyb", "product",
+                              "coproduct", "antipode"], 5),
     ("gl4", "4", ["vector"], ["closed-form", "hecke", "abrr-agreement", "qdyb",
                               "cocycle"], 5),
     ("gl2", "classical", ["vector"], ["closed-form", "hecke", "gauge"], 5),

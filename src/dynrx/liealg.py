@@ -301,33 +301,6 @@ def coproduct_op(V: FinRep, W: FinRep, i: int, gen: str, opposite: bool = False)
 # universal R-matrix
 
 
-class UnsupportedPair(ValueError):
-    pass
-
-
-def _gln_vector_r(N: int, qp: QParam) -> Matrix:
-    q = qp.q
-    d = N * N
-    R = zeros(d, d)
-    for a in range(N):
-        for b in range(N):
-            R[a * N + b][a * N + b] = q if a == b else Fraction(1)
-    for a in range(N):
-        for b in range(a + 1, N):
-            # (q - q^-1) E_ab (x) E_ba maps v_b (x) v_a -> v_a (x) v_b
-            R[a * N + b][b * N + a] = q - 1 / q
-    return R
-
-
-def _is_vector_rep(V: FinRep) -> bool:
-    N = V.spec.n
-    return (
-        V.spec.kind == "gln"
-        and V.dim == N
-        and all(V.weights[a] == tuple(1 if b == a else 0 for b in range(N)) for a in range(N))
-    )
-
-
 def _cartan_diag(V: FinRep, W: FinRep) -> list:
     """Diagonal of the Cartan factor Q = q^{sum x_i (x) x_i} on V (x) W:
     s^{2(mu,nu)} on the (mu,nu) weight pair."""
@@ -341,10 +314,11 @@ _universal_r = memo.table("universal_r")
 def universal_r(V: FinRep, W: FinRep) -> Matrix:
     """The universal R-matrix restricted to V (x) W, built once per rep pair.
 
-    classical: identity.  gl_N, N >= 3: vector pair closed form.  sl2 and gl2
-    (single simple root, e/f nilpotent): R = Q (sum_n c_n e^n (x) f^n) with Q
-    the Cartan factor and c_n solved from R D(x) = D^op(x) R, degree by degree;
-    the solve removes any transcription risk in the series coefficients.
+    classical: identity.  Otherwise R = Q (1 + sum_beta Theta_beta), with Q the
+    Cartan factor and Theta_beta in U_q(n+)_beta (x) U_q(n-)_{-beta}, so on
+    V (x) W it lies in span{e_u} (x) span{f_w} over the words u, w of letter
+    content beta; its coefficients are solved from R D(f_i) = D^op(f_i) R
+    (`_word_ansatz_r`), with no root vectors or series coefficients transcribed.
     Every build is checked exactly: R D(x) = D^op(x) R for x = e_i, f_i, K_i
     on every simple root i, and det R != 0.
     """
@@ -355,15 +329,7 @@ def universal_r(V: FinRep, W: FinRep) -> Matrix:
 
 def _universal_r_impl(V: FinRep, W: FinRep) -> Matrix:
     spec = V.spec
-    qp = spec.qp
-    if qp.classical:
-        R = eye(V.dim * W.dim)
-    elif spec.kind == "gln" and spec.n >= 3:
-        if not (_is_vector_rep(V) and _is_vector_rep(W)):
-            raise UnsupportedPair("gl_N (N>=3) universal R implemented for the vector pair only")
-        R = _gln_vector_r(spec.n, qp)
-    else:
-        R = _single_root_r(V, W)
+    R = eye(V.dim * W.dim) if spec.qp.classical else _word_ansatz_r(V, W)
     for i in range(spec.nsimple):
         for gen in ("e", "f", "K"):
             D = coproduct_op(V, W, i, gen)
@@ -375,36 +341,62 @@ def _universal_r_impl(V: FinRep, W: FinRep) -> Matrix:
     return R
 
 
-def _single_root_r(V: FinRep, W: FinRep) -> Matrix:
-    """Ansatz solve with R = Q (sum_n c_n e^n (x) f^n), c_0 = 1; the Cartan
-    factor sits on the left of the nilpotent series, so term n is
-    kron(e^n, f^n) with row r scaled by Q's diagonal entry r."""
+def _word_spans(X: list, dim: int) -> dict:
+    """{beta: a basis of span{X_u : u a word of letter content beta}} for every
+    content beta != 0 with a nonzero word, X_u the product of the X_i along u.
+    Each level is the previous level's basis times each X_i, zero products
+    dropped, row-reduced per content on the flattened matrices."""
+    spans = {}
+    level = {(0,) * len(X): [eye(dim)]}
+    while level:
+        products = {}
+        for beta, mats in level.items():
+            for i, Xi in enumerate(X):
+                gamma = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                for M in mats:
+                    P = mat_mul(M, Xi)
+                    if not mat_is_zero(P):
+                        products.setdefault(gamma, []).append([x for row in P for x in row])
+        level = {}
+        for gamma, flat in products.items():
+            basis, _ = linalg.row_reduce_basis(flat)
+            level[gamma] = spans[gamma] = [[b[r * dim:(r + 1) * dim] for r in range(dim)]
+                                           for b in basis]
+    return spans
+
+
+def _word_ansatz_r(V: FinRep, W: FinRep) -> Matrix:
+    """R = Q (1 + sum_beta sum_{A, B} c_{A,B} A (x) B), A and B over the bases of
+    span{e_u} on V and span{f_w} on W for each letter content beta; the c_{A,B}
+    are solved from R D(f_i) = D^op(f_i) R for every simple root i.  The Cartan
+    factor sits on the left, so each term is kron(A, B) with row r scaled by
+    Q's diagonal entry r."""
     Q = _cartan_diag(V, W)
-    terms = []
-    En, Fn = eye(V.dim), eye(W.dim)
-    while not (mat_is_zero(En) or mat_is_zero(Fn)):
-        terms.append([[Q[r] * x for x in row] for r, row in enumerate(kron(En, Fn))])
-        En = mat_mul(En, V.e[0])
-        Fn = mat_mul(Fn, W.f[0])
-    nun = len(terms) - 1
-    if nun == 0:
-        return terms[0]
+
+    def cartan_times(M):
+        return [[Q[r] * x for x in row] for r, row in enumerate(M)]
+
+    R = cartan_times(eye(V.dim * W.dim))
+    Es, Fs = _word_spans(V.e, V.dim), _word_spans(W.f, W.dim)
+    terms = [cartan_times(kron(A, B)) for beta in Es if beta in Fs
+             for A in Es[beta] for B in Fs[beta]]
+    if not terms:
+        return R
     rows, rhs = [], []
     d = V.dim * W.dim
-    for gen in ("e", "f"):
-        D = coproduct_op(V, W, 0, gen)
-        Dop = coproduct_op(V, W, 0, gen, opposite=True)
-        mats = [mat_sub(mat_mul(T, D), mat_mul(Dop, T)) for T in terms]
+    for i in range(V.spec.nsimple):
+        D = coproduct_op(V, W, i, "f")
+        Dop = coproduct_op(V, W, i, "f", opposite=True)
+        mats = [mat_sub(mat_mul(T, D), mat_mul(Dop, T)) for T in [R] + terms]
         for r in range(d):
             for c in range(d):
-                row = [mats[n][r][c] for n in range(1, nun + 1)]
-                if any(x != 0 for x in row) or mats[0][r][c] != 0:
+                row = [M[r][c] for M in mats[1:]]
+                if any(row) or mats[0][r][c]:
                     rows.append(row)
                     rhs.append([-mats[0][r][c]])
     sol = linalg.solve_linear(rows, rhs)
-    R = terms[0]
-    for n in range(1, nun + 1):
-        R = linalg.mat_add(R, linalg.mat_scale(terms[n], sol[n - 1][0]))
+    for T, (c,) in zip(terms, sol):
+        R = linalg.mat_add(R, linalg.mat_scale(T, c))
     return R
 
 

@@ -201,6 +201,25 @@ def test_verify_gl4_vector_suites():
         "closed-form", "hecke", "abrr-agreement", "qdyb", "cocycle"}
 
 
+@pytest.mark.parametrize("args", [
+    ("--suites", "product", "coproduct", "antipode", "--samples", "2"),
+    ("--suites", "cocycle", "qdyb", "abrr-agreement", "k-matrix", "--method", "abrr"),
+], ids=" ".join)
+def test_verify_gl3_suites_on_pairs_beyond_the_vector_pair(args):
+    # V (x) V*, (V (x) V) (x) V and the other pairs these suites build need the universal R
+    r = run("verify", "--algebra", "gl3", "--q", "4", *args)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["pass"] is True
+
+
+@pytest.mark.parametrize("algebra", ["gl3", "gl4"])
+def test_compute_kmatrix_by_abrr_equals_verma(algebra):
+    args = ("compute", "--object", "kmatrix", "--algebra", algebra, "--q", "4", "--samples", "2")
+    abrr, verma = run(*args, "--method", "abrr"), run(*args, "--method", "verma")
+    assert abrr.returncode == 0 and verma.returncode == 0, abrr.stderr + verma.stderr
+    assert json.loads(abrr.stdout)["results"] == json.loads(verma.stdout)["results"]
+
+
 def _readme_cli_lines():
     readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
     with open(readme) as fh:

@@ -6,7 +6,7 @@ import pytest
 from dynrx import linalg
 from dynrx.liealg import (
     NotCompletelyReducible,
-    UnsupportedPair,
+    _cartan_diag,
     cg_decompose,
     chevalley_residuals,
     coproduct_op,
@@ -20,7 +20,7 @@ from dynrx.liealg import (
     universal_r,
     vector_rep_gln,
 )
-from dynrx.scalars import QParam, RatFunc, classical_q
+from dynrx.scalars import IrrationalHalfPower, QParam, RatFunc, classical_q
 
 
 def all_zero(mats):
@@ -116,24 +116,122 @@ def test_universal_r(qp4, qpc):
         )
     # invertible, and weight preserving
     assert linalg.mat_det(R) != 0
-    # unsupported pair
-    with pytest.raises(UnsupportedPair):
-        V3 = vector_rep_gln(3, qp4)
-        universal_r(tensor(V3, V3), V3)
+
+
+def commutes_with_every_generator(R, V, W):
+    """R D(x) = D^op(x) R for x = e_i, f_i, K_i on every simple root, and det R != 0."""
+    for i in range(V.spec.nsimple):
+        for gen in ("e", "f", "K"):
+            D = coproduct_op(V, W, i, gen)
+            Dop = coproduct_op(V, W, i, gen, opposite=True)
+            if linalg.mat_mul(R, D) != linalg.mat_mul(Dop, R):
+                return False
+    return linalg.mat_det(R) != 0
+
+
+def test_universal_r_on_gln_pairs_beyond_the_vector_pair(qp4):
+    # the word ansatz covers every pair: no gl_N pair is special-cased
+    V3, V4 = vector_rep_gln(3, qp4), vector_rep_gln(4, qp4)
+    for V, W in ((tensor(V3, V3), V3), (V3, dual_rep(V3)), (V4, dual_rep(V4))):
+        R = universal_r(V, W)
+        assert len(R) == V.dim * W.dim
+        assert commutes_with_every_generator(R, V, W)
+
+
+# References for universal_r, kept from before the word ansatz: the sl2/gl2
+# series solve and the transcribed gl_N vector-pair literal.
+
+
+def reference_single_root_r(V, W):
+    """R = Q (sum_n c_n e^n (x) f^n), c_0 = 1, solved from R D(x) = D^op(x) R
+    for x = e and f."""
+    Q = _cartan_diag(V, W)
+    terms = []
+    En, Fn = linalg.eye(V.dim), linalg.eye(W.dim)
+    while not (linalg.mat_is_zero(En) or linalg.mat_is_zero(Fn)):
+        terms.append([[Q[r] * x for x in row] for r, row in enumerate(linalg.kron(En, Fn))])
+        En = linalg.mat_mul(En, V.e[0])
+        Fn = linalg.mat_mul(Fn, W.f[0])
+    nun = len(terms) - 1
+    if nun == 0:
+        return terms[0]
+    rows, rhs = [], []
+    d = V.dim * W.dim
+    for gen in ("e", "f"):
+        D = coproduct_op(V, W, 0, gen)
+        Dop = coproduct_op(V, W, 0, gen, opposite=True)
+        mats = [linalg.mat_sub(linalg.mat_mul(T, D), linalg.mat_mul(Dop, T)) for T in terms]
+        for r in range(d):
+            for c in range(d):
+                row = [mats[n][r][c] for n in range(1, nun + 1)]
+                if any(x != 0 for x in row) or mats[0][r][c] != 0:
+                    rows.append(row)
+                    rhs.append([-mats[0][r][c]])
+    sol = linalg.solve_linear(rows, rhs)
+    R = terms[0]
+    for n in range(1, nun + 1):
+        R = linalg.mat_add(R, linalg.mat_scale(terms[n], sol[n - 1][0]))
+    return R
+
+
+def reference_gln_vector_r(N, qp):
+    """q on v_a (x) v_a, 1 on v_a (x) v_b, and (q - q^-1) E_ab (x) E_ba for a < b."""
+    q = qp.q
+    R = linalg.zeros(N * N, N * N)
+    for a in range(N):
+        for b in range(N):
+            R[a * N + b][a * N + b] = q if a == b else Fraction(1)
+    for a in range(N):
+        for b in range(a + 1, N):
+            R[a * N + b][b * N + a] = q - 1 / q
+    return R
+
+
+def reference_pairs(qp):
+    """(V, W, reference R builder) for every pair the references support."""
+    half, one, three_half = (irrep_sl2(Fraction(s), qp) for s in ("1/2", "1", "3/2"))
+    out = [(V, W, reference_single_root_r)
+           for V, W in ((half, half), (one, half), (half, one), (three_half, one), (one, one),
+                        (irrep_sl2(0, qp), one), (half, three_half))]
+    V2 = vector_rep_gln(2, qp)
+    gl2 = [(V2, V2), (V2, dual_rep(V2)), (dual_rep(V2), V2), (tensor(V2, V2), V2),
+           (V2, tensor(V2, dual_rep(V2)))]
+    out += [(V, W, reference_single_root_r) for V, W in gl2]
+    for N in (3, 4):
+        VN = vector_rep_gln(N, qp)
+        out.append((VN, VN, lambda V, W: reference_gln_vector_r(V.spec.n, qp)))
+    return out
+
+
+@pytest.mark.parametrize("qval", ["4", "1/3", "1/4"])
+def test_universal_r_matches_the_references(qval):
+    from dynrx import memo
+
+    memo.clear()
+    qp = QParam.from_q(Fraction(qval))
+    for V, W, reference in reference_pairs(qp):
+        try:
+            want = reference(V, W)
+        except IrrationalHalfPower:
+            # an odd half-power of q at q = 1/3 (sl2 spin 1/2 (x) 1/2): the same from both
+            with pytest.raises(IrrationalHalfPower):
+                universal_r(V, W)
+            continue
+        assert typed(universal_r(V, W)) == typed(want), (V.name, W.name)
 
 
 def test_universal_r_checks_every_simple_root(qp4, monkeypatch):
     from dynrx import liealg, memo
 
     V = vector_rep_gln(3, qp4)
-    good = liealg._gln_vector_r(3, qp4)
+    good = liealg._word_ansatz_r(V, V)
     bad = [list(row) for row in good]
-    bad[1 * 3 + 2][2 * 3 + 1] += 1  # the v_2 (x) v_1 -> v_1 (x) v_2 entry
+    bad[2 * 3 + 2][2 * 3 + 2] += 1  # v_3 (x) v_3: only e_2, f_2 reach it
     memo.clear()
-    monkeypatch.setattr(liealg, "_gln_vector_r", lambda N, qp: bad)
-    with pytest.raises(ArithmeticError):
+    monkeypatch.setattr(liealg, "_word_ansatz_r", lambda V, W: bad)
+    with pytest.raises(ArithmeticError, match="_2$"):
         universal_r(V, V)
-    monkeypatch.setattr(liealg, "_gln_vector_r", lambda N, qp: good)
+    monkeypatch.setattr(liealg, "_word_ansatz_r", lambda V, W: good)
     assert universal_r(V, V) == good
 
 
