@@ -1,10 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dynrx import cli, memo
 
 CLI = [sys.executable, "-m", "dynrx.cli"]
 
@@ -235,3 +241,63 @@ def test_readme_cli_block_is_found():
 def test_readme_cli_command_runs(args):
     r = run(*args)
     assert r.returncode == 0 and r.stderr == "", r.stderr
+
+
+# The CLI contract over the option grammar, in process: every run exits 0, 1,
+# 2 or 3 without an escaping exception, and prints exactly the documented
+# top-level keys (nothing for 2 and 3).
+
+QS = ["4", "2", "1/4", "1/3", "classical", "-4"]
+OBJECTS = ["fusion", "exchange", "kmatrix", "twopoint", "sixj-table"]
+
+
+@st.composite
+def cli_argv(draw, command, algebra):
+    if algebra == "sl2":
+        reps = draw(st.lists(st.sampled_from(["0", "1/2", "1"]), max_size=3))
+    else:
+        reps = ["vector"] * draw(st.integers(0, 3))
+    argv = [command, "--algebra", algebra, "--q", draw(st.sampled_from(QS)),
+            "--samples", str(draw(st.integers(1, 2))), "--seed", str(draw(st.integers(0, 99))),
+            "--bitsize", str(draw(st.integers(1, 16))),
+            "--method", draw(st.sampled_from(["verma", "abrr"])),
+            "--max-spin", draw(st.sampled_from(["0", "1/2", "1"])),
+            "--format", draw(st.sampled_from(["json", "pretty", "csv"]))]
+    if reps:
+        argv += ["--reps", *reps]
+    if command == "compute":
+        argv += ["--object", draw(st.sampled_from(OBJECTS))]
+        if draw(st.booleans()):
+            argv.append("--symbolic")
+    else:
+        argv += ["--suites", *draw(st.lists(st.sampled_from(cli.ALL_SUITES), min_size=1,
+                                            max_size=2, unique=True))]
+    return argv
+
+
+# one case per command and algebra, so that each is drawn from, whatever the
+# derandomised search favours
+@pytest.mark.parametrize("command", ["compute", "verify"])
+@pytest.mark.parametrize("algebra", ["sl2", "gl2", "gl3", "gl4"])
+@settings(derandomize=True, max_examples=10, deadline=None, database=None)
+@given(data=st.data())
+def test_cli_contract_on_the_option_grammar(command, algebra, data):
+    argv = data.draw(cli_argv(command, algebra), label="argv")
+    memo.clear()
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    assert rc in (0, 1, 2, 3)
+    if rc >= 2:
+        prefix = "config error: " if rc == 2 else "non-generic lambda: "
+        assert out.getvalue() == "" and err.getvalue().startswith(prefix)
+        return
+    if "sixj-table" in argv and "csv" in argv:
+        assert rc == 0 and out.getvalue().startswith("a,b,n,c,k,j,value\r\n")
+        return
+    payload = json.loads(out.getvalue())
+    if argv[0] == "verify":
+        assert set(payload) == {"config", "reports", "pass"} and payload["pass"] is (rc == 0)
+    else:
+        assert rc == 0
+        assert set(payload) == {"config", "table" if "sixj-table" in argv else "results"}
