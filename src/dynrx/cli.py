@@ -160,6 +160,7 @@ def config_dict(args) -> dict:
         "samples": getattr(args, "samples", None),
         "seed": args.seed,
         "bitsize": args.bitsize,
+        "method": args.method,
     }
 
 

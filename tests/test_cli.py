@@ -134,40 +134,41 @@ def test_verify_failure_exit_one(tmp_path):
 
 # sha256 of stdout for fixed configurations, each captured before a refactor
 # of the code it runs (the exact kernels, the difference-operator suites):
-# refactors must leave every output byte unchanged.
+# refactors must leave every output byte unchanged.  Re-captured once when the
+# emitted config gained "method"; each payload was otherwise byte-identical.
 GOLDEN = [
     (("compute", "--algebra", "gl4", "--q", "4", "--samples", "2", "--seed", "5",
       "--method", "verma"),
-     "e4c24aec5e7dfd9ff6a052f6ebf4bf2298bdcad9e5351f4587c254760acee3eb"),
+     "1702cc398f3af025fc615b14e4906875934954a0eec0dd3626a5fe1b374b03f8"),
     (("compute", "--algebra", "gl3", "--q", "4", "--samples", "3", "--seed", "5",
       "--method", "verma"),
-     "e2bc79e02386c9c0356dfb8151945dff37b09ab1db57c4f2b875f4a5731ba419"),
+     "91abddb17a1c41c9caafc4f7fd9d56eaaeb7cbef4da68635109ff28d02309660"),
     (("compute", "--algebra", "gl4", "--object", "exchange", "--q", "4", "--samples", "1",
       "--seed", "2", "--method", "abrr"),
-     "7119941edba16a0f3b04ccca6bea22e3754a643db890311ec46f99d81f76719e"),
+     "ab2be5b82d7fec69772d2e9a8309bd2cc0a717e9380a803f568b4ec65b420a80"),
     (("compute", "--algebra", "sl2", "--object", "sixj-table", "--q", "2", "--max-spin", "1",
       "--format", "csv"),
      "c519652273e2b84c62cb8c404f3fbb439929bc9268ce795ba82c053c88ad8c80"),
     (("compute", "--algebra", "gl2", "--object", "exchange", "--symbolic", "--q", "4"),
-     "e2ffb5e7c0f675583ef794a0400036fb058fcc2099bf666b3edf19798e02c608"),
+     "e9d8dca9579fcad2c09048c49fd00e506fbc081ed1cf9b802f07ee8ac4e340ac"),
     (("compute", "--algebra", "sl2", "--reps", "1/2", "1/2", "--q", "2", "--samples", "1",
       "--seed", "7"),
-     "e91b7d4de785046acf339980e0d8462f597c27f65139bde00feea28d267d0c37"),
+     "2c4ce503c797a3fc3040b1d570bb9774dbee4d7c2484a165c11d67af98080e55"),
     (("verify", "--suites", "closed-form", "hecke", "qdyb", "--algebra", "gl3", "--q", "4",
       "--samples", "2", "--seed", "5"),
-     "a0d8f953ebd16db2ce6f508104cf043249442d802efd6ca652241ea4a96b15b2"),
+     "9767493aec4929e532fce352176161ab0cba987e30b8cf8b4dcce1705b01742a"),
     (("verify", "--suites", "rll", "product", "coproduct", "antipode", "--algebra", "gl2",
       "--q", "4", "--samples", "2", "--seed", "5"),
-     "27df83d2803ffe38f3bf24fda7e68e43adf447be67d6b6a47f35d23070cf5f0e"),
+     "04a0917594e3066ebd5ccd241a8a4152f7ee0466bad9c157b4f6ab0367cc5413"),
     # symbolic J^-1, R and K (RatFunc entries, so every zero stays a RatFunc zero)
     # and the sl2 relation suites: outputs of the kernels that skip exact zeros
     (("compute", "--object", "exchange", "--symbolic", "--algebra", "sl2", "--q", "classical"),
-     "394cd62c9833372125fc530a27a1ca5843a6345d271bf1cdbd215e6a7c100f0a"),
+     "3ffeffb48996b3d8d6b67e80cdf9ef14bb6b4f50b1ea96d7ffd76884e2ed9fa5"),
     (("compute", "--object", "kmatrix", "--symbolic", "--algebra", "gl2", "--q", "3"),
-     "91ec2d5950210af4db2809a2904ed4f7637f0358f921c2424d2cf6951eaf970e"),
+     "a40949783b4bf87706f3156fcb11a4f9c8ded333eff0040c63dd533e33688da1"),
     (("verify", "--suites", "rll", "product", "coproduct", "antipode", "--algebra", "sl2",
       "--reps", "1/2", "1", "--q", "4", "--samples", "1", "--seed", "3"),
-     "d0720fc8aade898f1c5cbca48f5443415af83181c2003dcb3112773a77d01e3c"),
+     "9ba96d0883a127797ded4d3ff6bb856b74d80f2ad3271683ced1554b2c186f35"),
 ]
 
 
@@ -223,7 +224,11 @@ def test_compute_kmatrix_by_abrr_equals_verma(algebra):
     args = ("compute", "--object", "kmatrix", "--algebra", algebra, "--q", "4", "--samples", "2")
     abrr, verma = run(*args, "--method", "abrr"), run(*args, "--method", "verma")
     assert abrr.returncode == 0 and verma.returncode == 0, abrr.stderr + verma.stderr
-    assert json.loads(abrr.stdout)["results"] == json.loads(verma.stdout)["results"]
+    a, v = json.loads(abrr.stdout), json.loads(verma.stdout)
+    assert a["results"] == v["results"]
+    # the emitted config names the route, and only that differs
+    assert (a["config"].pop("method"), v["config"].pop("method")) == ("abrr", "verma")
+    assert a["config"] == v["config"]
 
 
 def _readme_cli_lines():
