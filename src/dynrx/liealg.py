@@ -372,18 +372,18 @@ def _word_ansatz_r(V: FinRep, W: FinRep) -> Matrix:
     factor sits on the left, so each term is kron(A, B) with row r scaled by
     Q's diagonal entry r."""
     Q = _cartan_diag(V, W)
+    d = V.dim * W.dim
 
     def cartan_times(M):
-        return [[Q[r] * x for x in row] for r, row in enumerate(M)]
+        return [[Q[r] * x if x else x for x in row] for r, row in enumerate(M)]
 
-    R = cartan_times(eye(V.dim * W.dim))
+    R = cartan_times(eye(d))
     Es, Fs = _word_spans(V.e, V.dim), _word_spans(W.f, W.dim)
     terms = [cartan_times(kron(A, B)) for beta in Es if beta in Fs
              for A in Es[beta] for B in Fs[beta]]
     if not terms:
         return R
     rows, rhs = [], []
-    d = V.dim * W.dim
     for i in range(V.spec.nsimple):
         D = coproduct_op(V, W, i, "f")
         Dop = coproduct_op(V, W, i, "f", opposite=True)
@@ -395,9 +395,9 @@ def _word_ansatz_r(V: FinRep, W: FinRep) -> Matrix:
                     rows.append(row)
                     rhs.append([-mats[0][r][c]])
     sol = linalg.solve_linear(rows, rhs)
-    for T, (c,) in zip(terms, sol):
-        R = linalg.mat_add(R, linalg.mat_scale(T, c))
-    return R
+    # sum_k c_k T_k as one product: the row (c_k) times the flattened terms
+    S = mat_mul([[c for (c,) in sol]], [[x for row in T for x in row] for T in terms])[0]
+    return linalg.mat_add(R, [S[r * d:(r + 1) * d] for r in range(d)])
 
 
 def r_zero_part(V: FinRep, W: FinRep) -> Matrix:
