@@ -25,7 +25,7 @@ RUNS = [
     ("gl3", "4", ["vector"], ["closed-form", "hecke", "abrr-agreement", "qdyb", "product",
                               "coproduct", "antipode"], 5),
     ("gl4", "4", ["vector"], ["closed-form", "hecke", "abrr-agreement", "qdyb",
-                              "cocycle"], 5),
+                              "cocycle", "product", "coproduct", "antipode"], 5),
     ("gl2", "classical", ["vector"], ["closed-form", "hecke", "gauge"], 5),
     ("gl3", "classical", ["vector"], ["closed-form", "hecke"], 5),
 ]

@@ -209,12 +209,18 @@ def test_verify_gl4_vector_suites():
 
 
 @pytest.mark.parametrize("args", [
-    ("--suites", "product", "coproduct", "antipode", "--samples", "2"),
-    ("--suites", "cocycle", "qdyb", "abrr-agreement", "k-matrix", "--method", "abrr"),
+    ("--algebra", "gl3", "--suites", "product", "coproduct", "antipode", "--samples", "2"),
+    ("--algebra", "gl3", "--suites", "product", "coproduct", "antipode", "--method", "abrr",
+     "--samples", "1"),
+    ("--algebra", "gl3", "--suites", "cocycle", "qdyb", "abrr-agreement", "k-matrix",
+     "--method", "abrr"),
+    ("--algebra", "gl4", "--suites", "product", "coproduct", "antipode", "--method", "abrr",
+     "--samples", "1"),
+    ("--algebra", "gl4", "--suites", "cocycle", "k-matrix", "--method", "abrr", "--samples", "2"),
 ], ids=" ".join)
-def test_verify_gl3_suites_on_pairs_beyond_the_vector_pair(args):
+def test_verify_gln_suites_on_pairs_beyond_the_vector_pair(args):
     # V (x) V*, (V (x) V) (x) V and the other pairs these suites build need the universal R
-    r = run("verify", "--algebra", "gl3", "--q", "4", *args)
+    r = run("verify", "--q", "4", *args)
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout)["pass"] is True
 
