@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -37,6 +38,7 @@ from .exchange import (
     verify_qdyb,
 )
 from .gauge import (
+    apply_gauge,
     closed_form_fusion,
     closed_form_hecke,
     conjugation_identity_check,
@@ -101,7 +103,7 @@ def check_options(args) -> None:
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     if args.bitsize < 0:
         raise ConfigError(f"--bitsize must be nonnegative, got {args.bitsize}")
-    if args.method == "abrr" and args.q == "classical":
+    if args.method == "abrr" and parse_q(args.q).classical:
         raise ConfigError("--method abrr applies to the trigonometric case; "
                           "classical J uses --method verma")
 
@@ -295,12 +297,10 @@ def _suite_runners(args, qp, reps, lams):
         return [rep]
 
     def suite_gauge():
-        import random as _random
-
         N = spec.n if spec.kind == "gln" else 2
         samples = min(args.samples, 20)  # the conjugation check draws at most 20 points
         rep = Report("gauge", {"N": N, "samples": samples})
-        rng = _random.Random(args.seed)
+        rng = random.Random(args.seed)
         for t in range(30):
             xi = random_one_form(N, qp, rng)
             if not d_operator(d_operator(xi)).is_trivial():
@@ -308,14 +308,12 @@ def _suite_runners(args, qp, reps, lams):
         xi = exact_one_form(N, qp)
         phi = exact_two_form(N, qp)
         dxi = d_operator(xi)
-        if not all(dxi.value(k) == phi.value(k) for k, _ in phi.values):
+        if not all(dxi.value(k) == phi.value(k) for k in phi.values):
             rep.fail(identity="d xi* == phi*")
         _, _, ok = gauge_sequence_report(N, qp)
         if not ok:
             rep.fail(identity="three-step gauge sequence")
         R0 = example_hecke(N, qp)
-        from .gauge import apply_gauge
-
         c = Fraction(3)
         R3 = apply_gauge(R0, ("III", c))
         if (R3.hq, R3.hp) != (c * R0.hq, c * R0.hp):
@@ -323,8 +321,8 @@ def _suite_runners(args, qp, reps, lams):
         # gauge forms live on the N-coordinate torus; draw matching points
         pts = sample_lambdas(AlgebraSpec("gln", N, qp), samples, args.seed, args.bitsize)
         conj = conjugation_identity_check(closed_form_hecke(N, qp), xi, pts)
-        if not conj["pass"]:
-            rep.fail(identity="conjugation == type I by d xi", detail=conj["failures"][:1])
+        if not conj.passed:
+            rep.fail(identity="conjugation == type I by d xi", detail=conj.failures[:1])
         return [rep]
 
     def suite_rll():

@@ -27,15 +27,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
+from .exchange import Report
 from .lam import Lambda
 from .scalars import QParam, RatFunc
-
-
-def _x() -> RatFunc:
-    return RatFunc.x()
 
 
 def _flip_var(qp: QParam, g: RatFunc) -> RatFunc:
@@ -43,15 +40,27 @@ def _flip_var(qp: QParam, g: RatFunc) -> RatFunc:
     return g.subst_scale(Fraction(-1)) if qp.classical else g.subst_inv()
 
 
-@dataclass(frozen=True)
+def _shift_pair(qp: QParam, g: RatFunc, dmu) -> RatFunc:
+    """g(x_ab) under lambda -> lambda + mu: x_ab -> x_ab q^{dmu} (trig) or
+    x_ab + dmu (classical), with dmu = mu_a - mu_b."""
+    dmu = Fraction(dmu)
+    if qp.classical:
+        return g.subst_translate(dmu)
+    if dmu.denominator != 1:
+        raise ValueError("type IV shift needs integer coordinate differences")
+    return g.subst_scale(qp.qpow(int(dmu)))
+
+
+@dataclass(frozen=True, eq=False)
 class FormScalar:
     """const * prod_c q^{mono[c] * lambda_c} * prod_{(a,b)} pairs[(a,b)](x_ab),
-    with pairs keyed by sorted index pairs a < b."""
+    with pairs keyed by sorted index pairs a < b.  Equality is equality of
+    values, so a FormScalar is not hashable."""
 
     qp: QParam
     const: Fraction = Fraction(1)
-    mono: tuple = ()   # sorted ((coord, exponent), ...), trig only
-    pairs: tuple = ()  # sorted (((a, b), RatFunc), ...) with a < b
+    mono: dict = field(default_factory=dict)   # coord -> nonzero exponent, trig only
+    pairs: dict = field(default_factory=dict)  # (a, b) with a < b -> RatFunc in x_ab
 
     @staticmethod
     def one(qp: QParam) -> "FormScalar":
@@ -68,33 +77,26 @@ class FormScalar:
             raise ValueError("pair needs distinct indices")
         if a > b:
             a, b, g = b, a, _flip_var(qp, g)
-        return FormScalar(qp, Fraction(1), (), (((a, b), g),))
+        return FormScalar(qp, Fraction(1), {}, {(a, b): g})
 
     @staticmethod
     def of_mono(qp: QParam, exps: dict) -> "FormScalar":
         if qp.classical:
             raise ValueError("monomial factors q^{e lambda_c} are trigonometric only")
-        mono = tuple(sorted((c, e) for c, e in exps.items() if e != 0))
-        return FormScalar(qp, Fraction(1), mono, ())
-
-    def _mono_dict(self):
-        return dict(self.mono)
-
-    def _pair_dict(self):
-        return {k: v for k, v in self.pairs}
+        return FormScalar(qp, Fraction(1), {c: e for c, e in exps.items() if e != 0})
 
     def __mul__(self, other: "FormScalar") -> "FormScalar":
-        m = self._mono_dict()
-        for c, e in other.mono:
-            m[c] = m.get(c, 0) + e
-        p = self._pair_dict()
-        for k, g in other.pairs:
-            p[k] = p[k] * g if k in p else g
+        mono = dict(self.mono)
+        for c, e in other.mono.items():
+            mono[c] = mono.get(c, 0) + e
+        pairs = dict(self.pairs)
+        for k, g in other.pairs.items():
+            pairs[k] = pairs[k] * g if k in pairs else g
         return FormScalar(
             self.qp,
             self.const * other.const,
-            tuple(sorted((c, e) for c, e in m.items() if e != 0)),
-            tuple(sorted((k, g) for k, g in p.items() if g != RatFunc.const(1))),
+            {c: e for c, e in mono.items() if e != 0},
+            {k: g for k, g in pairs.items() if g != RatFunc.const(1)},
         )
 
     def inv(self) -> "FormScalar":
@@ -103,32 +105,28 @@ class FormScalar:
         return FormScalar(
             self.qp,
             1 / self.const,
-            tuple((c, -e) for c, e in self.mono),
-            tuple((k, RatFunc.const(1) / g) for k, g in self.pairs),
+            {c: -e for c, e in self.mono.items()},
+            {k: RatFunc.const(1) / g for k, g in self.pairs.items()},
         )
 
     def delta(self, c: int) -> "FormScalar":
         """delta_c: value(lambda) / value(lambda with lambda_c -> lambda_c - 1)."""
         qp = self.qp
         out = FormScalar.of_const(qp, self.const / self.const)  # exact one
-        md = self._mono_dict()
-        if c in md:
-            out = out * FormScalar.of_const(qp, qp.qpow(md[c]))
-        for (a, b), g in self.pairs:
-            if c == a:
-                gs = g.subst_translate(-1) if qp.classical else g.subst_scale(1 / qp.q)
-            elif c == b:
-                gs = g.subst_translate(1) if qp.classical else g.subst_scale(qp.q)
-            else:
-                continue
-            out = out * FormScalar(qp, Fraction(1), (), (((a, b), g / gs),))
+        if c in self.mono:
+            out = out * FormScalar.of_const(qp, qp.qpow(self.mono[c]))
+        for (a, b), g in self.pairs.items():
+            if c in (a, b):
+                # lambda_c -> lambda_c - 1 shifts x_ab by mu_a - mu_b = -1 (c = a) or +1 (c = b)
+                gs = _shift_pair(qp, g, -1 if c == a else 1)
+                out = out * FormScalar(qp, Fraction(1), {}, {(a, b): g / gs})
         return out
 
     def is_one(self) -> bool:
         if self.mono:
             return False
         acc = self.const
-        for _, g in self.pairs:
+        for g in self.pairs.values():
             if g.num.degree != 0 or g.den.degree != 0:  # not a nonzero constant
                 return False
             acc *= g.num.coeffs[0] / g.den.coeffs[0]
@@ -139,14 +137,11 @@ class FormScalar:
             return NotImplemented
         return (self * other.inv()).is_one()
 
-    def __hash__(self):
-        return hash((self.const, self.mono, self.pairs))
-
     def eval(self, lam: Lambda) -> Fraction:
         out = self.const
-        for c, e in self.mono:
+        for c, e in self.mono.items():
             out *= lam.coords[c] ** e
-        for (a, b), g in self.pairs:
+        for (a, b), g in self.pairs.items():
             out *= g.eval(lam.pair(a, b))
         return out
 
@@ -154,9 +149,10 @@ class FormScalar:
         """The value as a RatFunc in x_ab; requires support on exactly that pair."""
         if self.mono:
             raise ValueError("form value has monomial lambda-dependence")
+        key = (min(a, b), max(a, b))
         g = RatFunc.const(self.const)
-        for (p, q_), h in self.pairs:
-            if (p, q_) == tuple(sorted((a, b))):
+        for k, h in self.pairs.items():
+            if k == key:
                 g = g * (h if a < b else _flip_var(self.qp, h))
             elif h != RatFunc.const(1):
                 raise ValueError("form value involves another coordinate pair")
@@ -171,24 +167,20 @@ class MultForm:
     N: int
     degree: int
     qp: QParam
-    values: tuple  # ((sorted tuple, FormScalar), ...)
+    values: dict  # sorted k-subset -> FormScalar
 
     @staticmethod
     def build(N: int, degree: int, qp: QParam, mapping: dict) -> "MultForm":
-        vals = []
-        for subset in itertools.combinations(range(N), degree):
-            vals.append((subset, mapping.get(subset, FormScalar.one(qp))))
-        return MultForm(N, degree, qp, tuple(vals))
-
-    def _lookup(self):
-        return {k: v for k, v in self.values}
+        return MultForm(N, degree, qp, {
+            subset: mapping.get(subset, FormScalar.one(qp))
+            for subset in itertools.combinations(range(N), degree)})
 
     def value(self, idxs) -> FormScalar:
         idxs = tuple(idxs)
         if len(set(idxs)) != len(idxs):
             raise ValueError("repeated indices")
         srt = tuple(sorted(idxs))
-        v = self._lookup()[srt]
+        v = self.values[srt]
         # parity of the permutation sorting idxs
         perm = [srt.index(i) for i in idxs]
         inversions = sum(
@@ -196,30 +188,18 @@ class MultForm:
         )
         return v if inversions % 2 == 0 else v.inv()
 
-    def __mul__(self, other: "MultForm") -> "MultForm":
-        ov = other._lookup()
-        return MultForm(
-            self.N, self.degree, self.qp,
-            tuple((k, v * ov[k]) for k, v in self.values),
-        )
-
-    def inv(self) -> "MultForm":
-        return MultForm(self.N, self.degree, self.qp,
-                        tuple((k, v.inv()) for k, v in self.values))
-
     def is_trivial(self) -> bool:
-        return all(v.is_one() for _, v in self.values)
+        return all(v.is_one() for v in self.values.values())
 
 
 def d_operator(phi: MultForm) -> MultForm:
     """(d phi)_{a_1..a_{k+1}} = prod_i (delta_{a_i} phi_{..hat a_i..})^{(-1)^i}."""
     out = {}
-    look = phi._lookup()
     for subset in itertools.combinations(range(phi.N), phi.degree + 1):
         acc = FormScalar.one(phi.qp)
         for i, a in enumerate(subset):
             rest = tuple(x for x in subset if x != a)
-            f = look[rest].delta(a)
+            f = phi.values[rest].delta(a)
             acc = acc * (f.inv() if i % 2 == 0 else f)  # exponent (-1)^{i+1} with i 1-based
         out[subset] = acc
     return MultForm.build(phi.N, phi.degree + 1, phi.qp, out)
@@ -260,22 +240,10 @@ class HeckeRMatrix:
     N: int
     qp: QParam
     alpha_diag: tuple        # length N, Fractions
-    alpha: tuple             # ((a, b), RatFunc in x_ab) for a != b
-    beta: tuple              # ((a, b), RatFunc in x_ab) for a != b
+    alpha: dict              # (a, b) -> RatFunc in x_ab, for a != b
+    beta: dict               # (a, b) -> RatFunc in x_ab, for a != b
     hq: Fraction = Fraction(1)
     hp: Fraction = Fraction(1)
-
-    def _get(self, table, a, b) -> RatFunc:
-        for k, v in table:
-            if k == (a, b):
-                return v
-        raise KeyError((a, b))
-
-    def alpha_ab(self, a, b) -> RatFunc:
-        return self._get(self.alpha, a, b)
-
-    def beta_ab(self, a, b) -> RatFunc:
-        return self._get(self.beta, a, b)
 
     def to_matrix(self, lam: Lambda):
         """The matrix at lam, each coefficient evaluated at x_ab = lam.pair(a, b):
@@ -289,30 +257,26 @@ class HeckeRMatrix:
             for b in range(N):
                 if a != b:
                     x = lam.pair(a, b)
-                    M[a * N + b][a * N + b] = self.alpha_ab(a, b).eval(x)
-                    M[b * N + a][a * N + b] = self.beta_ab(a, b).eval(x)
+                    M[a * N + b][a * N + b] = self.alpha[(a, b)].eval(x)
+                    M[b * N + a][a * N + b] = self.beta[(a, b)].eval(x)
         return M
 
-    def equals(self, other: "HeckeRMatrix") -> bool:
-        if self.N != other.N:
-            return False
-        if tuple(self.alpha_diag) != tuple(other.alpha_diag):
-            return False
-        for a in range(self.N):
-            for b in range(self.N):
-                if a == b:
-                    continue
-                if self.alpha_ab(a, b) != other.alpha_ab(a, b):
-                    return False
-                if self.beta_ab(a, b) != other.beta_ab(a, b):
-                    return False
-        return True
+
+def _hecke(N: int, qp: QParam, coeffs, diag: tuple, hq=Fraction(1), hp=Fraction(1)):
+    """The HeckeRMatrix with alpha_aa = diag[a] and (alpha_ab, beta_ab) = coeffs(a, b)
+    for a != b."""
+    alpha, beta = {}, {}
+    for a in range(N):
+        for b in range(N):
+            if a != b:
+                alpha[(a, b)], beta[(a, b)] = coeffs(a, b)
+    return HeckeRMatrix(N, qp, diag, alpha, beta, hq, hp)
 
 
 def _pairpow_ratfunc(qp: QParam, shift: int, forward: bool) -> RatFunc:
     """q^{2(lambda_a - lambda_b + shift)} as RatFunc in x_ab (forward) or the
     classical difference."""
-    x = _x()
+    x = RatFunc.x()
     if qp.classical:
         return (x + RatFunc.const(shift)) if forward else (RatFunc.const(shift) - x)
     out = x * x if forward else RatFunc.const(1) / (x * x)
@@ -323,51 +287,38 @@ def example_hecke(N: int, qp: QParam) -> HeckeRMatrix:
     """The reference Hecke solution: beta_ab = (q^-2 - 1)/(q^{2(lambda_b-lambda_a)} - 1),
     alpha_aa = 1, alpha_ab = beta_ab + q^-2 (classically beta_ab = 1/(lambda_a-lambda_b),
     alpha_ab = beta_ab + 1)."""
-    alpha, beta = [], []
     one = RatFunc.const(1)
-    for a in range(N):
-        for b in range(N):
-            if a == b:
-                continue
-            if qp.classical:
-                bb = one / _x()  # 1/(lambda_a - lambda_b)
-                aa = bb + one
-            else:
-                u = _pairpow_ratfunc(qp, 0, forward=False)  # q^{2(lambda_b-lambda_a)}
-                bb = RatFunc.const(qp.qpow(-2) - 1) / (u - one)
-                aa = bb + RatFunc.const(qp.qpow(-2))
-            alpha.append(((a, b), aa))
-            beta.append(((a, b), bb))
-    hq = Fraction(1)
+
+    def coeffs(a, b):
+        if qp.classical:
+            bb = one / RatFunc.x()  # 1/(lambda_a - lambda_b)
+            return bb + one, bb
+        u = _pairpow_ratfunc(qp, 0, forward=False)  # q^{2(lambda_b-lambda_a)}
+        bb = RatFunc.const(qp.qpow(-2) - 1) / (u - one)
+        return bb + RatFunc.const(qp.qpow(-2)), bb
+
     hp = Fraction(1) if qp.classical else qp.qpow(-2)
-    return HeckeRMatrix(N, qp, tuple(Fraction(1) for _ in range(N)),
-                        tuple(alpha), tuple(beta), hq, hp)
+    return _hecke(N, qp, coeffs, (Fraction(1),) * N, Fraction(1), hp)
 
 
 def closed_form_hecke(N: int, qp: QParam) -> HeckeRMatrix:
     """The closed gl_N exchange matrix R of the vector pair, in Hecke-coefficient form."""
-    alpha, beta = [], []
     one = RatFunc.const(1)
-    for a in range(N):
-        for b in range(N):
-            if a == b:
-                continue
-            u = _pairpow_ratfunc(qp, a - b, forward=False)  # q^{2(lambda_b-lambda_a+a-b)} in x_ab
-            if qp.classical:
-                bb = one / (RatFunc.const(0) - u)  # 1/(lambda_a-lambda_b+b-a)
-                aa = one if a < b else (u - one) * (u + one) / (u * u)
-            else:
-                bb = RatFunc.const(qp.qpow(-1) - qp.q) / (u - one)
-                if a < b:
-                    aa = one
-                else:
-                    aa = (u - RatFunc.const(qp.qpow(2))) * (u - RatFunc.const(qp.qpow(-2))) / ((u - one) * (u - one))
-            alpha.append(((a, b), aa))
-            beta.append(((a, b), bb))
+
+    def coeffs(a, b):
+        u = _pairpow_ratfunc(qp, a - b, forward=False)  # q^{2(lambda_b-lambda_a+a-b)} in x_ab
+        if qp.classical:
+            bb = one / (RatFunc.const(0) - u)  # 1/(lambda_a-lambda_b+b-a)
+            return (one if a < b else (u - one) * (u + one) / (u * u)), bb
+        bb = RatFunc.const(qp.qpow(-1) - qp.q) / (u - one)
+        if a < b:
+            return one, bb
+        q2, qm2 = RatFunc.const(qp.qpow(2)), RatFunc.const(qp.qpow(-2))
+        return (u - q2) * (u - qm2) / ((u - one) * (u - one)), bb
+
     diag = Fraction(1) if qp.classical else qp.q
-    hq = diag
     hp = Fraction(1) if qp.classical else qp.qpow(-1)
-    return HeckeRMatrix(N, qp, tuple(diag for _ in range(N)), tuple(alpha), tuple(beta), hq, hp)
+    return _hecke(N, qp, coeffs, (diag,) * N, diag, hp)
 
 
 def closed_form_fusion(N: int, qp: QParam) -> HeckeRMatrix:
@@ -375,20 +326,17 @@ def closed_form_fusion(N: int, qp: QParam) -> HeckeRMatrix:
     diagonal 1, alpha_ab = 1, and beta_ab = (q^-1 - q)/(u - 1) with
     u = q^{2(lambda_a-lambda_b+b-a)} for a < b (classically
     -1/(lambda_a-lambda_b+b-a)); beta_ab = 0 for a > b."""
-    alpha, beta = [], []
     one, zero = RatFunc.const(1), RatFunc.const(0)
-    for a in range(N):
-        for b in range(N):
-            if a == b:
-                continue
-            if a > b:
-                bb = zero
-            else:
-                u = _pairpow_ratfunc(qp, b - a, forward=True)  # q^{2(lambda_a-lambda_b+b-a)}
-                bb = (zero - one) / u if qp.classical else RatFunc.const(qp.qpow(-1) - qp.q) / (u - one)
-            alpha.append(((a, b), one))
-            beta.append(((a, b), bb))
-    return HeckeRMatrix(N, qp, tuple(Fraction(1) for _ in range(N)), tuple(alpha), tuple(beta))
+
+    def coeffs(a, b):
+        if a > b:
+            return one, zero
+        u = _pairpow_ratfunc(qp, b - a, forward=True)  # q^{2(lambda_a-lambda_b+b-a)}
+        if qp.classical:
+            return one, (zero - one) / u
+        return one, RatFunc.const(qp.qpow(-1) - qp.q) / (u - one)
+
+    return _hecke(N, qp, coeffs, (Fraction(1),) * N)
 
 
 class NotClosedError(ValueError):
@@ -404,51 +352,30 @@ def apply_gauge(R: HeckeRMatrix, transform) -> HeckeRMatrix:
             raise ValueError("type I needs a 2-form")
         if not is_closed(phi):
             raise NotClosedError("type I requires a closed 2-form")
-        alpha = []
-        for (a, b), g in R.alpha:
-            f = phi.value((a, b)).single_pair_ratfunc(a, b)
-            alpha.append(((a, b), g * f))
-        return HeckeRMatrix(R.N, qp, R.alpha_diag, tuple(alpha), R.beta, R.hq, R.hp)
+        return replace(R, alpha={(a, b): g * phi.value((a, b)).single_pair_ratfunc(a, b)
+                                 for (a, b), g in R.alpha.items()})
     if kind == "II":
         sigma = transform[1]  # sigma[i] = image of i
         inv = [0] * R.N
         for i, s in enumerate(sigma):
             inv[s] = i
-        alpha = []
-        beta = []
-        for a in range(R.N):
-            for b in range(R.N):
-                if a != b:
-                    alpha.append(((a, b), R.alpha_ab(inv[a], inv[b])))
-                    beta.append(((a, b), R.beta_ab(inv[a], inv[b])))
-        diag = tuple(R.alpha_diag[inv[a]] for a in range(R.N))
-        return HeckeRMatrix(R.N, qp, diag, tuple(alpha), tuple(beta), R.hq, R.hp)
+        return _hecke(R.N, qp,
+                      lambda a, b: (R.alpha[(inv[a], inv[b])], R.beta[(inv[a], inv[b])]),
+                      tuple(R.alpha_diag[i] for i in inv), R.hq, R.hp)
     if kind == "III":
         c = Fraction(transform[1])
-        alpha = tuple((k, g * RatFunc.const(c)) for k, g in R.alpha)
-        beta = tuple((k, g * RatFunc.const(c)) for k, g in R.beta)
-        diag = tuple(x * c for x in R.alpha_diag)
-        return HeckeRMatrix(R.N, qp, diag, alpha, beta, c * R.hq, c * R.hp)
+        return replace(R, alpha_diag=tuple(x * c for x in R.alpha_diag),
+                       alpha={k: g * RatFunc.const(c) for k, g in R.alpha.items()},
+                       beta={k: g * RatFunc.const(c) for k, g in R.beta.items()},
+                       hq=c * R.hq, hp=c * R.hp)
     if kind == "IV":
         mu = transform[1]
-        alpha = []
-        beta = []
-        for (a, b), g in R.alpha:
-            alpha.append(((a, b), _shift_pair(qp, g, mu[a] - mu[b])))
-        for (a, b), g in R.beta:
-            beta.append(((a, b), _shift_pair(qp, g, mu[a] - mu[b])))
-        return HeckeRMatrix(R.N, qp, R.alpha_diag, tuple(alpha), tuple(beta), R.hq, R.hp)
+
+        def shift(table):
+            return {(a, b): _shift_pair(qp, g, mu[a] - mu[b]) for (a, b), g in table.items()}
+
+        return replace(R, alpha=shift(R.alpha), beta=shift(R.beta))
     raise ValueError(f"unknown gauge transformation {kind!r}")
-
-
-def _shift_pair(qp: QParam, g: RatFunc, dmu) -> RatFunc:
-    """g(x_ab) under lambda -> lambda + mu: x_ab -> x_ab q^{mu_a - mu_b} (trig)."""
-    dmu = Fraction(dmu)
-    if qp.classical:
-        return g.subst_translate(dmu)
-    if dmu.denominator != 1:
-        raise ValueError("type IV shift needs integer coordinate differences")
-    return g.subst_scale(qp.qpow(int(dmu)))
 
 
 def rho_shift(N: int) -> tuple:
@@ -501,26 +428,28 @@ def gauge_sequence_report(N: int, qp: QParam):
     R = apply_gauge(R, ("III", Fraction(1) if qp.classical else qp.q))
     R = apply_gauge(R, ("I", exact_two_form(N, qp)))
     target = closed_form_hecke(N, qp)
-    return R, target, R.equals(target)
+    return R, target, R == target
 
 
-def conjugation_identity_check(R: HeckeRMatrix, xi: MultForm, points) -> dict:
+def conjugation_identity_check(R: HeckeRMatrix, xi: MultForm, points) -> Report:
     """Two-path check: the diagonal sandwich
     (xi^(1)(lambda-h^(2)))^{-1} (xi^(2)(lambda))^{-1} R(lambda) xi^(1)(lambda) xi^(2)(lambda-h^(1))
     equals the type-I transformation of R by d xi, exactly at each sample point."""
     dxi = d_operator(xi)
     N = R.N
-    failures = []
+    d = N * N
+    xs = [xi.value((a,)) for a in range(N)]
+    rep = Report("conjugation", {"N": N, "samples": len(points)})
     for idx, pt in enumerate(points):
         M = R.to_matrix(pt)
-        d = N * N
         conj = [[Fraction(0)] * d for _ in range(d)]
-        xs = [xi.value((a,)) for a in range(N)]
+
         # weight of v_c is eps_c: lambda - h^{(2)} on v_c (x) v_d shifts lambda_d by -1 etc.
         def xi_at(a, shifted_coord):
             p = pt if shifted_coord is None else pt.shifted(
                 tuple(1 if t == shifted_coord else 0 for t in range(N)))
             return xs[a].eval(p)
+
         for r in range(d):
             c, dd = divmod(r, N)
             for col in range(d):
@@ -539,6 +468,6 @@ def conjugation_identity_check(R: HeckeRMatrix, xi: MultForm, points) -> dict:
         for r in range(d):
             for col in range(d):
                 if conj[r][col] != T[r][col]:
-                    failures.append({"sample": idx, "entry": (r, col),
-                                     "conjugated": str(conj[r][col]), "gauged": str(T[r][col])})
-    return {"suite": "conjugation", "pass": not failures, "failures": failures}
+                    rep.fail(sample=idx, entry=(r, col),
+                             conjugated=str(conj[r][col]), gauged=str(T[r][col]))
+    return rep

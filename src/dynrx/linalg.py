@@ -92,10 +92,6 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     return out
 
 
-def mat_transpose(A: Matrix) -> Matrix:
-    return [list(col) for col in zip(*A)]
-
-
 def kron(A: Matrix, B: Matrix) -> Matrix:
     n, m = len(A), len(A[0])
     p, q = len(B), len(B[0])

@@ -217,7 +217,7 @@ def test_criterion_9_gauge_calculus():
         for N in (2, 3):
             xi, phi = exact_one_form(N, qp), exact_two_form(N, qp)
             dxi = d_operator(xi)
-            ok = ok and all(dxi.value(k) == phi.value(k) for k, _ in phi.values)
+            ok = ok and all(dxi.value(k) == phi.value(k) for k in phi.values)
             ok = ok and gauge_sequence_report(N, qp)[2]
         R = example_hecke(2, qp)
         c = Fraction(3)

@@ -52,6 +52,10 @@ def test_usage_errors_exit_two():
     (("compute", "--symbolic", "--method", "abrr", "--q", "classical"), None),
     (("verify", "--suites", "cocycle", "--method", "abrr", "--q", "classical",
       "--samples", "1"), None),
+    # q = 1 written as a number is the classical case too
+    (("compute", "--q", "1", "--method", "abrr"), None),
+    (("verify", "--suites", "cocycle", "--q", "1", "--method", "abrr"), None),
+    (("compute", "--q", "2/2", "--method", "abrr", "--object", "exchange"), None),
     (("compute", "--bitsize", "-3"), None),
     (("verify", "--suites", "qdyb", "--samples", "0"), None),
     (("verify", "--suites", "qdyb", "--samples", "-1"), None),
@@ -258,7 +262,7 @@ def test_readme_cli_command_runs(args):
 # 2 or 3 without an escaping exception, and prints exactly the documented
 # top-level keys (nothing for 2 and 3).
 
-QS = ["4", "2", "1/4", "1/3", "classical", "-4"]
+QS = ["4", "2", "1/4", "1/3", "classical", "1", "-4"]
 OBJECTS = ["fusion", "exchange", "kmatrix", "twopoint", "sixj-table"]
 
 

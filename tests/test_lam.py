@@ -112,8 +112,8 @@ def _ref_symbolic_matrix(R):
     for a in range(N):
         for b in range(N):
             if a != b:
-                M[a * N + b][a * N + b] = at(R.alpha_ab(a, b), a, b)
-                M[b * N + a][a * N + b] = at(R.beta_ab(a, b), a, b)
+                M[a * N + b][a * N + b] = at(R.alpha[(a, b)], a, b)
+                M[b * N + a][a * N + b] = at(R.beta[(a, b)], a, b)
     return M
 
 
