@@ -292,8 +292,8 @@ def _suite_runners(args, qp, reps, lams):
             if tf.get(*key) != to.get(*key):
                 rep.fail(key=[str(x) for x in key], fusion=str(tf.get(*key)),
                          oracle=str(to.get(*key)))
-        for bad in pentagon_residuals(qp, max_spin):
-            rep.fail(pentagon=[str(x) for x in bad[0]])
+        for labels, lhs, rhs in pentagon_residuals(qp, max_spin):
+            rep.fail(pentagon=[str(x) for x in labels], lhs=str(lhs), rhs=str(rhs))
         return [rep]
 
     def suite_gauge():

@@ -316,3 +316,33 @@ def test_cli_contract_on_the_option_grammar(command, algebra, data):
     else:
         assert rc == 0
         assert set(payload) == {"config", "table" if "sixj-table" in argv else "results"}
+
+
+def test_sixj_failure_records_under_corruption(monkeypatch):
+    # one perturbed 6j-symbol: one table mismatch naming its key, and pentagon
+    # records that carry both sides of the failed identity
+    from dynrx import sixj
+
+    real = sixj._sixj_fusion_impl
+    target = (1, 1, 0, 1, 1, 2)  # (1/2, 1/2, 0; 1/2, 1/2, 1) in doubled spins
+
+    def corrupted(*args):
+        value = real(*args)
+        return value + 1 if args[:6] == target else value
+
+    monkeypatch.setattr(sixj, "_sixj_fusion_impl", corrupted)
+    memo.clear()
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            rc = cli.main(["verify", "--suites", "sixj", "--q", "2", "--max-spin", "1/2"])
+    finally:
+        memo.clear()  # the corrupted value must not reach later tests
+    assert rc == 1
+    (rep,) = json.loads(out.getvalue())["reports"]
+    tables = [f for f in rep["failures"] if "key" in f]
+    pentagons = [f for f in rep["failures"] if "pentagon" in f]
+    assert tables == [dict(key=["1/2", "1/2", "0", "1/2", "1/2", "1"], fusion="41/20",
+                           oracle="21/20")]
+    assert pentagons and all(set(f) == {"pentagon", "lhs", "rhs"} for f in pentagons)
+    assert all(f["lhs"] != f["rhs"] for f in pentagons)

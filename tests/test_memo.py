@@ -22,6 +22,31 @@ def test_sixj_inverts_each_fusion_matrix_once():
     assert st["fusion_inverse"]["hits"] > 0
 
 
+def test_pentagon_reads_every_symbol_through_the_sixj_table(monkeypatch):
+    from dynrx import sixj
+
+    real, calls = sixj.sixj_fusion, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sixj, "sixj_fusion", counted)
+    memo.clear()
+    qp = QParam.from_q(2)
+    sixj_table(qp, Fraction(1))
+    assert memo.stats()["sixj"] == {"hits": 0, "misses": 99, "size": 99}
+    assert pentagon_residuals(qp, Fraction(1)) == []
+    st = memo.stats()["sixj"]
+    # no cache in front of the table: each lookup is one hit or one miss
+    assert st["misses"] == 727 and st["hits"] == 6746
+    assert st["hits"] + st["misses"] == len(calls)
+    for name in ("sixj", "phi"):
+        keys = memo.table(name).data
+        assert keys and all(type(x) is int for key in keys for x in key[:-2])
+        assert all(key[-2:] == (qp.q, qp.classical) for key in keys)
+
+
 def test_content_equal_reps_share_a_key(qp4):
     A, B = irrep_sl2(1, qp4), irrep_sl2(1, qp4)
     assert A is not B and A.key == B.key
