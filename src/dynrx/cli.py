@@ -147,8 +147,11 @@ def _emit(args, payload: dict, csv_rows=None):
     else:
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write --output: {exc}") from exc
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 

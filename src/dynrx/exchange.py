@@ -276,28 +276,27 @@ def embed3(matfn, reps, s0: int, s1: int, lam: Lambda, shift_spectator: bool):
     d = dims[0] * dims[1] * dims[2]
     zero = lam.zero()
     out = [[zero for _ in range(d)] for _ in range(d)]
-    cache = {}
-    for it in range(dims[t]):
-        wt = reps[t].weights[it]
-        key = wt if shift_spectator else None
-        if key not in cache:
-            cache[key] = matfn(lam.shifted(wt) if shift_spectator else lam)
-        M = cache[key]
-        dA, dB = dims[s0], dims[s1]
-        for ia in range(dA):
-            for ib in range(dB):
-                for ja in range(dA):
-                    for jb in range(dB):
-                        v = M[ia * dB + ib][ja * dB + jb]
-                        if not v:
-                            continue
-                        ridx = [0, 0, 0]
-                        cidx = [0, 0, 0]
-                        ridx[s0], ridx[s1], ridx[t] = ia, ib, it
-                        cidx[s0], cidx[s1], cidx[t] = ja, jb, it
-                        r = (ridx[0] * dims[1] + ridx[1]) * dims[2] + ridx[2]
-                        c = (cidx[0] * dims[1] + cidx[1]) * dims[2] + cidx[2]
-                        out[r][c] = v
+    if shift_spectator:
+        blocks = [(matfn(lam.shifted(wt)), its) for wt, its in reps[t].weight_spaces().items()]
+    else:
+        blocks = [(matfn(lam), range(dims[t]))]
+    dA, dB = dims[s0], dims[s1]
+    for M, its in blocks:
+        for it in its:
+            for ia in range(dA):
+                for ib in range(dB):
+                    for ja in range(dA):
+                        for jb in range(dB):
+                            v = M[ia * dB + ib][ja * dB + jb]
+                            if not v:
+                                continue
+                            ridx = [0, 0, 0]
+                            cidx = [0, 0, 0]
+                            ridx[s0], ridx[s1], ridx[t] = ia, ib, it
+                            cidx[s0], cidx[s1], cidx[t] = ja, jb, it
+                            r = (ridx[0] * dims[1] + ridx[1]) * dims[2] + ridx[2]
+                            c = (cidx[0] * dims[1] + cidx[1]) * dims[2] + cidx[2]
+                            out[r][c] = v
     return out
 
 
@@ -435,14 +434,11 @@ def _kmat_impl(V: FinRep, lam: Lambda, method: str):
     d = V.dim
     zero = lam.zero()
     M = [[zero for _ in range(d)] for _ in range(d)]
-    cache = {}
-    for k in range(d):
-        mu = sV.weights[k]
-        if mu not in cache:
-            cache[mu] = ktilde(V, lam.shifted(mu), method)
-        col = cache[mu]
-        for i in range(d):
-            M[i][k] = col[i][k]
+    for mu, ks in sV.weight_spaces().items():
+        col = ktilde(V, lam.shifted(mu), method)
+        for k in ks:
+            for i in range(d):
+                M[i][k] = col[i][k]
     try:
         return linalg.mat_inv(M)
     except linalg.SingularMatrixError as exc:

@@ -24,30 +24,6 @@ def vector_weight(V: FinRep, vec: list) -> Weight:
     return wts.pop()
 
 
-def _solve_depth(V: FinRep, wt_v: Weight, spec: AlgebraSpec) -> int:
-    """Largest simple-root height by which a V-weight exceeds wt_v."""
-    best = 0
-    for nu in V.weights:
-        try:
-            h = spec.height(wt_sub(nu, wt_v))
-        except ValueError:
-            continue
-        if h > best and _in_positive_cone(spec, wt_sub(nu, wt_v)):
-            best = h
-    return best
-
-
-def _in_positive_cone(spec: AlgebraSpec, beta: Weight) -> bool:
-    if spec.kind == "sl2":
-        return beta[0] >= 0 and beta[0] % 2 == 0
-    acc = 0
-    for a in range(spec.n - 1):
-        acc += beta[a]
-        if acc < 0:
-            return False
-    return acc + beta[-1] == 0
-
-
 @dataclass
 class IntertwinerExpansion:
     """terms[(word, j)] = coefficient of (word . v_mu) (x) x_j in Phi^v_lambda v_lambda."""
@@ -67,7 +43,8 @@ def solve_intertwiner(lam: Lambda, v: list, V: FinRep) -> IntertwinerExpansion:
     spec = V.spec
     wt_v = vector_weight(V, v)
     mu = lam.shifted(wt_v)
-    depth = _solve_depth(V, wt_v, spec)
+    # the largest simple-root height by which a V-weight exceeds wt_v
+    depth = max(spec.height(wt_sub(nu, wt_v)) or 0 for nu in V.weights)
     verma = VermaSlice(spec, mu, depth)
     zero = lam.zero()
     terms: dict[tuple[Word, int], object] = {}
@@ -75,6 +52,7 @@ def solve_intertwiner(lam: Lambda, v: list, V: FinRep) -> IntertwinerExpansion:
         if c:
             terms[((), j)] = c + zero
     prev: dict[tuple[Word, int], object] = dict(terms)
+    K = [[lam.scalar(x) for x in V.K_diag(i)] for i in range(spec.nsimple)]
     for k in range(1, depth + 1):
         unknowns = []
         for w in verma.basis(k):
@@ -101,9 +79,8 @@ def solve_intertwiner(lam: Lambda, v: list, V: FinRep) -> IntertwinerExpansion:
                 eimg = verma._e_on_word(i, w)
                 if not eimg:
                     continue
-                kscale = lam.scalar(spec.qp.qpow(spec.cartan_int(i, V.weights[j])))
                 for w2, c2 in eimg.items():
-                    row_of((i, w2, j))[col] = row_of((i, w2, j))[col] + c2 * kscale
+                    row_of((i, w2, j))[col] = row_of((i, w2, j))[col] + c2 * K[i][j]
         for (w2, j0), c in prev.items():
             for i in range(spec.nsimple):
                 col_e = V.e[i]
@@ -132,16 +109,15 @@ def solve_intertwiner(lam: Lambda, v: list, V: FinRep) -> IntertwinerExpansion:
 
 def raising_residual(exp: IntertwinerExpansion) -> dict:
     """D(e_i) applied to the expansion, per generator: must be exactly empty."""
-    spec = exp.spec
     out = {}
-    for i in range(spec.nsimple):
+    for i in range(exp.spec.nsimple):
+        K = [exp.lam.scalar(x) for x in exp.V.K_diag(i)]
         res: dict[tuple[Word, int], object] = {}
         for (w, j), c in exp.terms.items():
             eimg = exp.verma._e_on_word(i, w)
-            kscale = exp.lam.scalar(spec.qp.qpow(spec.cartan_int(i, exp.V.weights[j])))
             for w2, c2 in eimg.items():
                 key = (w2, j)
-                res[key] = res.get(key, exp.lam.zero()) + c * c2 * kscale
+                res[key] = res.get(key, exp.lam.zero()) + c * c2 * K[j]
             for j1 in range(exp.V.dim):
                 if exp.V.e[i][j1][j]:
                     key = (w, j1)
@@ -176,7 +152,7 @@ def compose_intertwiners(lam: Lambda, W: FinRep, w: list, V: FinRep, v: list) ->
     outer = solve_intertwiner(mu, w, W)
     nu = mu.shifted(outer.wt_v)
     # depth needed for Delta(f_word) applications: inner words have height <= depth_inner
-    depth = _solve_depth(V, inner.wt_v, spec) + _solve_depth(W, outer.wt_v, spec)
+    depth = inner.verma.cutoff + outer.verma.cutoff
     bigv = VermaSlice(spec, nu, depth)
     # group inner terms by word
     by_word: dict[Word, dict[int, object]] = {}

@@ -5,6 +5,7 @@ Coproduct convention, fixed once for the whole package:
     D(f_i) = f_i (x) 1 + K_i^{-1} (x) f_i,
     D(K_i) = K_i (x) K_i,
 antipode S(e_i) = -e_i K_i^{-1}, S(f_i) = -K_i f_i, S(K_i) = K_i^{-1}.
+D is written once, in `tensor`; D^op = tau D is D on the flipped pair.
 Everything downstream (universal R, fusion, exchange) is consistent with this
 choice; consistency is enforced by tests, not trusted.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from . import linalg, memo
 from .linalg import Matrix, kron, mat_mul, mat_sub, mat_is_zero, eye, zeros
@@ -21,6 +23,7 @@ from .scalars import QParam
 Weight = tuple  # integer tuples; length 1 for sl2 (h-eigenvalue), N for gl_N (eps basis)
 
 MAX_GLN = 4
+MAX_SL2_DIM = 64
 
 
 def wt_add(a: Weight, b: Weight) -> Weight:
@@ -91,20 +94,13 @@ class AlgebraSpec:
         """2*(rho, beta); integer for beta in the root lattice."""
         return self.pairing2(self.rho2(), beta) // 2
 
-    def height(self, beta: Weight) -> int:
-        """Number of simple roots summing to beta (beta in the positive cone)."""
+    def height(self, beta: Weight) -> int | None:
+        """sum n_i when beta = sum n_i alpha_i with every n_i >= 0, else None."""
         if self.kind == "sl2":
-            if beta[0] % 2:
-                raise ValueError("not in the root lattice")
-            return beta[0] // 2
-        # beta = sum n_i alpha_i: n_i = beta_1 + ... + beta_i partial sums
-        ns = []
-        acc = 0
-        for a in range(self.n - 1):
-            acc += beta[a]
-            ns.append(acc)
-        if acc + beta[-1] != 0:
-            raise ValueError("not in the root lattice")
+            return beta[0] // 2 if beta[0] >= 0 and beta[0] % 2 == 0 else None
+        ns = list(accumulate(beta[:-1]))  # n_i = beta_1 + ... + beta_i
+        if min(ns) < 0 or ns[-1] + beta[-1]:
+            return None
         return sum(ns)
 
 
@@ -160,7 +156,7 @@ def trivial_rep(spec: AlgebraSpec) -> FinRep:
     return FinRep(spec, [z], [0], [zero] * spec.nsimple, [zero] * spec.nsimple, name="triv")
 
 
-def irrep_sl2(spin, qp: QParam, max_dim: int = 64) -> FinRep:
+def irrep_sl2(spin, qp: QParam) -> FinRep:
     """The (2a+1)-dimensional irreducible of U_q(sl2): basis v_n = f^n v (n = 0..2a),
     e v_n = [n][2a-n+1] v_{n-1}, K v_n = q^{2a-2n} v_n."""
     a2 = Fraction(spin) * 2
@@ -168,7 +164,7 @@ def irrep_sl2(spin, qp: QParam, max_dim: int = 64) -> FinRep:
         raise ValueError("spin must be a nonnegative half-integer")
     a2 = int(a2)
     dim = a2 + 1
-    if dim > max_dim:
+    if dim > MAX_SL2_DIM:
         raise ValueError(f"spin {spin} exceeds the configured dimension bound")
     spec = AlgebraSpec("sl2", 1, qp)
     weights = [(a2 - 2 * n,) for n in range(dim)]
@@ -206,8 +202,10 @@ def tensor(V: FinRep, W: FinRep) -> FinRep:
     spec = V.spec
     weights = [wt_add(v, w) for v in V.weights for w in W.weights]
     zdeg = [dv + dw for dv in V.zdeg for dw in W.zdeg]
-    es = [coproduct_op(V, W, i, "e") for i in range(spec.nsimple)]
-    fs = [coproduct_op(V, W, i, "f") for i in range(spec.nsimple)]
+    idV, idW = eye(V.dim), eye(W.dim)
+    es = [linalg.mat_add(kron(V.e[i], W.K_mat(i)), kron(idV, W.e[i])) for i in range(spec.nsimple)]
+    fs = [linalg.mat_add(kron(V.f[i], idW), kron(V.K_mat(i, -1), W.f[i]))
+          for i in range(spec.nsimple)]
     return FinRep(spec, weights, zdeg, es, fs, name=f"{V.name}(x){W.name}")
 
 
@@ -281,22 +279,6 @@ def chevalley_residuals(V: FinRep) -> list:
     return out
 
 
-def coproduct_op(V: FinRep, W: FinRep, i: int, gen: str, opposite: bool = False) -> Matrix:
-    """Matrix of D(e_i)/D(f_i)/D(K_i) (or the opposite coproduct) on V (x) W."""
-    idV, idW = eye(V.dim), eye(W.dim)
-    if gen == "K":
-        return kron(V.K_mat(i), W.K_mat(i))
-    if gen == "e":
-        if opposite:
-            return linalg.mat_add(kron(V.K_mat(i), W.e[i]), kron(V.e[i], idW))
-        return linalg.mat_add(kron(V.e[i], W.K_mat(i)), kron(idV, W.e[i]))
-    if gen == "f":
-        if opposite:
-            return linalg.mat_add(kron(V.f[i], W.K_mat(i, -1)), kron(idV, W.f[i]))
-        return linalg.mat_add(kron(V.f[i], idW), kron(V.K_mat(i, -1), W.f[i]))
-    raise ValueError(gen)
-
-
 # ---------------------------------------------------------------------------
 # universal R-matrix
 
@@ -328,12 +310,15 @@ def universal_r(V: FinRep, W: FinRep) -> Matrix:
 
 
 def _universal_r_impl(V: FinRep, W: FinRep) -> Matrix:
+    """D(x) is read from V (x) W, and D^op(x) = tau D(x) from W (x) V, flipped."""
     spec = V.spec
-    R = eye(V.dim * W.dim) if spec.qp.classical else _word_ansatz_r(V, W)
+    T, Top = tensor(V, W), tensor(W, V)
+    fs = [(T.f[i], flip(Top.f[i], W.dim, V.dim)) for i in range(spec.nsimple)]
+    R = eye(V.dim * W.dim) if spec.qp.classical else _word_ansatz_r(V, W, fs)
     for i in range(spec.nsimple):
-        for gen in ("e", "f", "K"):
-            D = coproduct_op(V, W, i, gen)
-            Dop = coproduct_op(V, W, i, gen, opposite=True)
+        K = T.K_mat(i)  # D(K_i) = D^op(K_i)
+        e_pair = (T.e[i], flip(Top.e[i], W.dim, V.dim))
+        for gen, (D, Dop) in (("e", e_pair), ("f", fs[i]), ("K", (K, K))):
             if mat_mul(R, D) != mat_mul(Dop, R):
                 raise ArithmeticError(f"universal R fails R D(x) = D^op(x) R for {gen}_{i + 1}")
     if linalg.mat_det(R) == 0:
@@ -365,12 +350,12 @@ def _word_spans(X: list, dim: int) -> dict:
     return spans
 
 
-def _word_ansatz_r(V: FinRep, W: FinRep) -> Matrix:
+def _word_ansatz_r(V: FinRep, W: FinRep, fs: list) -> Matrix:
     """R = Q (1 + sum_beta sum_{A, B} c_{A,B} A (x) B), A and B over the bases of
     span{e_u} on V and span{f_w} on W for each letter content beta; the c_{A,B}
-    are solved from R D(f_i) = D^op(f_i) R for every simple root i.  The Cartan
-    factor sits on the left, so each term is kron(A, B) with row r scaled by
-    Q's diagonal entry r."""
+    are solved from R D(f_i) = D^op(f_i) R, fs holding the (D(f_i), D^op(f_i))
+    pair on V (x) W for every simple root i.  The Cartan factor sits on the
+    left, so each term is kron(A, B) with row r scaled by Q's diagonal entry r."""
     Q = _cartan_diag(V, W)
     d = V.dim * W.dim
 
@@ -384,9 +369,7 @@ def _word_ansatz_r(V: FinRep, W: FinRep) -> Matrix:
     if not terms:
         return R
     rows, rhs = [], []
-    for i in range(V.spec.nsimple):
-        D = coproduct_op(V, W, i, "f")
-        Dop = coproduct_op(V, W, i, "f", opposite=True)
+    for D, Dop in fs:
         mats = [mat_sub(mat_mul(T, D), mat_mul(Dop, T)) for T in [R] + terms]
         for r in range(d):
             for c in range(d):

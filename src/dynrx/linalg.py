@@ -25,7 +25,8 @@ def zeros(n: int, m: int, zero=Fraction(0)) -> Matrix:
     return [[zero for _ in range(m)] for _ in range(n)]
 
 
-def eye(n: int, one=Fraction(1), zero=Fraction(0)) -> Matrix:
+def eye(n: int) -> Matrix:
+    one, zero = Fraction(1), Fraction(0)
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 

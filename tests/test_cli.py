@@ -66,6 +66,8 @@ def test_usage_errors_exit_two():
     (("verify", "--suites", "qdyb", "--q", "2"), None),
     # classical asymptotics expand in one simple root
     (("verify", "--suites", "asymptotics", "--algebra", "gl3", "--q", "classical"), None),
+    # an --output path that cannot be written
+    (("compute", "--samples", "1", "--output", "/nonexistent/dir/x.json"), None),
 ])
 def test_bad_config_exits_two_without_traceback(args, env):
     r = run(*args, env=env)

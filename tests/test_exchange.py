@@ -251,9 +251,7 @@ def test_exchange_weight_zero_invariant(qp4):
     W = irrep_sl2(1, qp4)
     lam = sampled(V.spec, 6)
     R = exchange_matrix(V, W, lam)
-    from dynrx.liealg import coproduct_op
-
-    DK = coproduct_op(V, W, 0, "K")
+    DK = linalg.kron(V.K_mat(0), W.K_mat(0))
     assert linalg.mat_eq(linalg.mat_mul(R, DK), linalg.mat_mul(DK, R))
 
 

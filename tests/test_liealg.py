@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,8 +9,8 @@ from dynrx.liealg import (
     NotCompletelyReducible,
     _cartan_diag,
     cg_decompose,
+    AlgebraSpec,
     chevalley_residuals,
-    coproduct_op,
     dual_rep,
     flip,
     generate_subrep,
@@ -34,6 +35,27 @@ def typed(M):
 
 def transpose(M):
     return [list(col) for col in zip(*M)]
+
+
+# Reference for the coproduct, kept from before `tensor` became the only place
+# it is written: D(x) and D^op(x) on V (x) W, each written out.
+
+
+def coproduct_op(V, W, i, gen, opposite=False):
+    """Matrix of D(e_i)/D(f_i)/D(K_i) (or the opposite coproduct) on V (x) W."""
+    idV, idW = linalg.eye(V.dim), linalg.eye(W.dim)
+    kron = linalg.kron
+    if gen == "K":
+        return kron(V.K_mat(i), W.K_mat(i))
+    if gen == "e":
+        if opposite:
+            return linalg.mat_add(kron(V.K_mat(i), W.e[i]), kron(V.e[i], idW))
+        return linalg.mat_add(kron(V.e[i], W.K_mat(i)), kron(idV, W.e[i]))
+    if gen == "f":
+        if opposite:
+            return linalg.mat_add(kron(V.f[i], W.K_mat(i, -1)), kron(idV, W.f[i]))
+        return linalg.mat_add(kron(V.f[i], idW), kron(V.K_mat(i, -1), W.f[i]))
+    raise ValueError(gen)
 
 
 def test_irrep_sl2_examples(qp4, qpc):
@@ -91,6 +113,62 @@ def test_tensor(qp4):
         for i in range(A.spec.nsimple):
             assert typed(T.e[i]) == typed(coproduct_op(A, B, i, "e"))
             assert typed(T.f[i]) == typed(coproduct_op(A, B, i, "f"))
+
+
+def test_tensor_and_its_flip_are_the_written_out_coproducts(qp4):
+    # D(x) on A (x) B is tensor(A, B)'s; D^op(x) = tau D(x) is tensor(B, A)'s, flipped
+    half, one = irrep_sl2(Fraction(1, 2), qp4), irrep_sl2(1, qp4)
+    g3, g4 = vector_rep_gln(3, qp4), vector_rep_gln(4, qp4)
+    pairs = [(half, one), (one, half), (g3, dual_rep(g3)), (tensor(g3, g3), g3),
+             (g4, dual_rep(g4))]
+    for A, B in pairs:
+        T, Top = tensor(A, B), tensor(B, A)
+        for i in range(A.spec.nsimple):
+            for gen, X, Xop in (("e", T.e[i], Top.e[i]), ("f", T.f[i], Top.f[i])):
+                assert typed(X) == typed(coproduct_op(A, B, i, gen))
+                assert typed(flip(Xop, B.dim, A.dim)) == typed(
+                    coproduct_op(A, B, i, gen, opposite=True))
+
+
+# References for AlgebraSpec.height, kept from before it returned None off the
+# positive cone: the partial-sum height and the separate cone test.
+
+
+def reference_height(spec, beta):
+    if spec.kind == "sl2":
+        if beta[0] % 2:
+            raise ValueError("not in the root lattice")
+        return beta[0] // 2
+    ns = []
+    acc = 0
+    for a in range(spec.n - 1):
+        acc += beta[a]
+        ns.append(acc)
+    if acc + beta[-1] != 0:
+        raise ValueError("not in the root lattice")
+    return sum(ns)
+
+
+def reference_in_positive_cone(spec, beta):
+    if spec.kind == "sl2":
+        return beta[0] >= 0 and beta[0] % 2 == 0
+    acc = 0
+    for a in range(spec.n - 1):
+        acc += beta[a]
+        if acc < 0:
+            return False
+    return acc + beta[-1] == 0
+
+
+def test_height_matches_the_references(qp4):
+    specs = [AlgebraSpec("sl2", 1, qp4)] + [AlgebraSpec("gln", N, qp4) for N in (2, 3, 4)]
+    checked = 0
+    for spec in specs:
+        for beta in itertools.product(range(-4, 5), repeat=spec.ncoords):
+            want = reference_height(spec, beta) if reference_in_positive_cone(spec, beta) else None
+            assert spec.height(beta) == want, (spec.kind, spec.n, beta)
+            checked += 1
+    assert checked == 9 + 9 ** 2 + 9 ** 3 + 9 ** 4
 
 
 def test_universal_r(qp4, qpc):
@@ -228,15 +306,34 @@ def test_universal_r_checks_every_simple_root(qp4, monkeypatch):
     from dynrx import liealg, memo
 
     V = vector_rep_gln(3, qp4)
-    good = liealg._word_ansatz_r(V, V)
+    good = universal_r(V, V)
     bad = [list(row) for row in good]
     bad[2 * 3 + 2][2 * 3 + 2] += 1  # v_3 (x) v_3: only e_2, f_2 reach it
     memo.clear()
-    monkeypatch.setattr(liealg, "_word_ansatz_r", lambda V, W: bad)
+    monkeypatch.setattr(liealg, "_word_ansatz_r", lambda *args: bad)
     with pytest.raises(ArithmeticError, match="_2$"):
         universal_r(V, V)
-    monkeypatch.setattr(liealg, "_word_ansatz_r", lambda V, W: good)
+    monkeypatch.setattr(liealg, "_word_ansatz_r", lambda *args: good)
     assert universal_r(V, V) == good
+
+
+def test_universal_r_builds_each_tensor_product_once(qp4, monkeypatch):
+    # D is read from tensor(V, W) and D^op from tensor(W, V), one build each
+    from dynrx import liealg, memo
+
+    V = vector_rep_gln(4, qp4)
+    W = dual_rep(V)
+    calls = []
+    real = liealg.tensor
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    memo.clear()
+    monkeypatch.setattr(liealg, "tensor", counted)
+    universal_r(V, W)
+    assert calls == [(V, W), (W, V)]
 
 
 def test_universal_r_mixed_pairs_consistent(qp4):
