@@ -26,6 +26,8 @@ RUNS = [
                               "coproduct", "antipode"], 5),
     ("gl4", "4", ["vector"], ["closed-form", "hecke", "abrr-agreement", "qdyb",
                               "cocycle", "product", "coproduct", "antipode"], 5),
+    ("gl3", "4", ["vector"], ["rll", "two-point", "r00", "k-matrix"], 2),
+    ("gl4", "4", ["vector"], ["rll", "two-point", "r00", "k-matrix"], 2),
     ("gl2", "classical", ["vector"], ["closed-form", "hecke", "gauge"], 5),
     ("gl3", "classical", ["vector"], ["closed-form", "hecke"], 5),
 ]

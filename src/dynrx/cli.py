@@ -106,6 +106,19 @@ def check_options(args) -> None:
     if args.method == "abrr" and parse_q(args.q).classical:
         raise ConfigError("--method abrr applies to the trigonometric case; "
                           "classical J uses --method verma")
+    if args.output and not _writable(args.output):
+        raise ConfigError(f"cannot write --output {args.output!r}")
+
+
+def _writable(path: str) -> bool:
+    """Whether `path` can be opened for writing; the file is neither created nor
+    truncated, so a bad path is rejected before anything is computed."""
+    import os
+
+    if os.path.exists(path):
+        return not os.path.isdir(path) and os.access(path, os.W_OK)
+    parent = os.path.dirname(path) or "."
+    return os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)
 
 
 def build_reps(algebra: str, qp: QParam, reps: list):

@@ -592,7 +592,7 @@ def asymptotic_alcove(V: FinRep, W: FinRep, direction: str, mgrid, method: str =
     prev = None
     q2 = qp.q ** 2
     for m in mgrid:
-        lam = Lambda(spec, tuple(qp.spow(sgn * m * r2) for r2 in spec.rho2()))  # sgn m rho
+        lam = Lambda(spec, tuple(qp.spow(sgn * m * r2) for r2 in spec.rho2))  # sgn m rho
         J = fusion_matrix(V, W, lam, method)
         dist = [[abs(J[r][c] - limit[r][c]) for c in range(d)] for r in range(d)]
         if prev is not None:

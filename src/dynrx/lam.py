@@ -77,8 +77,12 @@ class Lambda:
         return c[a] - c[b] if self.qp.classical else c[a] / c[b]
 
     def simple(self, i: int):
-        """q^{<lambda, alpha_i^vee>} (trigonometric) or <lambda, alpha_i^vee>."""
-        return self.coords[0] if self.spec.kind == "sl2" else self.pair(i, i + 1)
+        """q^{<lambda, alpha_i^vee>} (trigonometric) or <lambda, alpha_i^vee>, read
+        off the coroot: its +1 coordinate, over (minus) its -1 coordinate if any."""
+        co = self.spec.coroots[i]
+        if -1 in co:
+            return self.pair(co.index(1), co.index(-1))
+        return self.coords[co.index(1)]
 
     def bracket(self, i: int, extra: int = 0):
         """[<lambda, alpha_i^vee> + extra]: the q-number in the trigonometric case,
@@ -99,16 +103,13 @@ class Lambda:
         return Lambda(self.spec, cs, self.seed)
 
     def root_qpow2(self, beta: Weight):
-        """q^{2 (lambda, beta)} for beta in the root lattice (trigonometric)."""
-        c = self.coords
-        if self.spec.kind == "sl2":
-            # (lambda, beta) = <lambda, alpha^vee> beta[0] / 2
-            return c[0] ** beta[0]
-        out = self.one()
-        for a, b in zip(c, beta):
+        """q^{2 (lambda, beta)} = prod_a coords[a]^{gram2[a] beta_a} for beta in the
+        root lattice (trigonometric)."""
+        out = None
+        for a, g, b in zip(self.coords, self.spec.gram2, beta):
             if b:
-                out *= a ** (2 * b)
-        return out
+                out = a ** (g * b) if out is None else out * a ** (g * b)
+        return self.one() if out is None else out
 
     def key(self) -> int:
         """Interned memo key, computed once per lambda; equal lambdas share it."""

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 
 from . import linalg, memo
 from .linalg import Matrix, kron, mat_mul, mat_sub, mat_is_zero, eye, zeros
@@ -40,7 +39,10 @@ def wt_neg(a: Weight) -> Weight:
 
 @dataclass(frozen=True)
 class AlgebraSpec:
-    """kind 'sl2' or 'gln'; for gln, n is N (2 <= N <= 4)."""
+    """kind 'sl2' or 'gln'; for gln, n is N (2 <= N <= 4).  The kind is read once,
+    into root data: `roots` (the simple roots in weight coordinates, in echelon
+    form), `gram2` (the diagonal of 2( , )) and `rho2` (2 rho); the `coroots` and
+    the `cartan` matrix a_ij are derived from them, and the rest from all five."""
 
     kind: str
     n: int
@@ -50,58 +52,73 @@ class AlgebraSpec:
         if self.kind == "sl2":
             if self.n != 1:
                 raise ValueError("sl2 has rank 1")
+            roots, gram2, rho2 = ((2,),), (1,), (2,)  # (mu, nu) = m n / 2
         elif self.kind == "gln":
             if not 2 <= self.n <= MAX_GLN:
                 raise ValueError(f"gl_N supported only for 2 <= N <= {MAX_GLN}")
+            N = self.n
+            roots = tuple(tuple(int(a == i) - int(a == i + 1) for a in range(N))
+                          for i in range(N - 1))  # eps_i - eps_{i+1}
+            gram2, rho2 = (2,) * N, tuple(N + 1 - 2 * a for a in range(1, N + 1))
         else:
             raise ValueError(f"unknown algebra kind {self.kind!r}")
+        self.__dict__.update(roots=roots, gram2=gram2, rho2=rho2)  # the dataclass is frozen
+        # alpha^vee = 2 alpha / (alpha, alpha), in the coordinates dual to the weights
+        self.__dict__["coroots"] = tuple(tuple(2 * g * x // self.pairing2(al, al)
+                                               for g, x in zip(gram2, al)) for al in roots)
+        self.__dict__["cartan"] = tuple(tuple(self.cartan_int(i, al) for al in roots)
+                                        for i in range(len(roots)))  # <alpha_j, alpha_i^vee>
 
     @property
     def nsimple(self) -> int:
-        return 1 if self.kind == "sl2" else self.n - 1
+        return len(self.roots)
 
     @property
     def ncoords(self) -> int:
         """Number of lambda-torus coordinates."""
-        return 1 if self.kind == "sl2" else self.n
+        return len(self.gram2)
 
     def simple_root(self, i: int) -> Weight:
-        if self.kind == "sl2":
-            return (2,)
-        r = [0] * self.n
-        r[i], r[i + 1] = 1, -1
-        return tuple(r)
+        return self.roots[i]
 
     def cartan_int(self, i: int, mu: Weight) -> int:
-        """<mu, alpha_i^vee> (simply laced, so = (mu, alpha_i))."""
-        if self.kind == "sl2":
-            return mu[0]
-        return mu[i] - mu[i + 1]
+        """<mu, alpha_i^vee>, read off the coroot."""
+        return sum(m * c for m, c in zip(mu, self.coroots[i]))
 
     def pairing2(self, mu: Weight, nu: Weight) -> int:
         """2*(mu, nu) under the standard invariant form; always an integer."""
-        if self.kind == "sl2":
-            return mu[0] * nu[0]  # (mu,nu) = m n / 2
-        return 2 * sum(a * b for a, b in zip(mu, nu))
-
-    def rho2(self) -> Weight:
-        """2*rho in the weight coordinates."""
-        if self.kind == "sl2":
-            return (2,)
-        return tuple(self.n + 1 - 2 * a for a in range(1, self.n + 1))
+        return sum(g * a * b for g, a, b in zip(self.gram2, mu, nu))
 
     def rho_pairing2(self, beta: Weight) -> int:
         """2*(rho, beta); integer for beta in the root lattice."""
-        return self.pairing2(self.rho2(), beta) // 2
+        return self.pairing2(self.rho2, beta) // 2
 
     def height(self, beta: Weight) -> int | None:
-        """sum n_i when beta = sum n_i alpha_i with every n_i >= 0, else None."""
-        if self.kind == "sl2":
-            return beta[0] // 2 if beta[0] >= 0 and beta[0] % 2 == 0 else None
-        ns = list(accumulate(beta[:-1]))  # n_i = beta_1 + ... + beta_i
-        if min(ns) < 0 or ns[-1] + beta[-1]:
-            return None
-        return sum(ns)
+        """sum n_i when beta = sum n_i alpha_i with every n_i >= 0, else None.
+        The roots are in echelon form, so the n_i follow by forward substitution."""
+        rest, total = list(beta), 0
+        for i, root in enumerate(self.roots):
+            n, r = divmod(rest[i], root[i])
+            if r or n < 0:
+                return None
+            total += n
+            rest = [x - n * a for x, a in zip(rest, root)]
+        return None if any(rest) else total
+
+    def serre_relations(self):
+        """The quantum Serre relations sum_k (-1)^k [1 - a_ij choose k] x_i^{1-a_ij-k} x_j x_i^k
+        (x = e or f) for every i != j, as (words, coefficients)."""
+        qnum = self.qp.qnum
+        for i, row in enumerate(self.cartan):
+            for j, aij in enumerate(row):
+                if i != j:
+                    m = 1 - aij
+                    coeffs, c = [], Fraction(1)  # c = [m choose k]
+                    for k in range(m + 1):
+                        coeffs.append((-1) ** k * c)
+                        c = c * qnum(m - k) / qnum(k + 1)
+                    words = tuple((i,) * (m - k) + (j,) + (i,) * k for k in range(m + 1))
+                    yield words, tuple(coeffs)
 
 
 class FinRep:
@@ -151,7 +168,7 @@ class FinRep:
 
 
 def trivial_rep(spec: AlgebraSpec) -> FinRep:
-    z = (0,) * (1 if spec.kind == "sl2" else spec.n)
+    z = (0,) * spec.ncoords
     zero = [[Fraction(0)]]
     return FinRep(spec, [z], [0], [zero] * spec.nsimple, [zero] * spec.nsimple, name="triv")
 
@@ -241,7 +258,7 @@ def chevalley_residuals(V: FinRep) -> list:
     for i in range(r):
         for j in range(r):
             # K_i e_j K_i^{-1} = q^{a_ij} e_j
-            aij = spec.cartan_int(i, spec.simple_root(j))
+            aij = spec.cartan[i][j]
             lhs = mat_mul(V.K_mat(i), mat_mul(V.e[j], V.K_mat(i, -1)))
             out.append(mat_sub(lhs, linalg.mat_scale(V.e[j], qp.qpow(aij))))
             lhs = mat_mul(V.K_mat(i), mat_mul(V.f[j], V.K_mat(i, -1)))
@@ -260,22 +277,15 @@ def chevalley_residuals(V: FinRep) -> list:
                            for a in range(V.dim)]
                 comm = mat_sub(comm, tgt)
             out.append(comm)
-            # Serre relations
-            if i != j:
-                if abs(i - j) >= 2:
-                    out.append(mat_sub(mat_mul(V.e[i], V.e[j]), mat_mul(V.e[j], V.e[i])))
-                    out.append(mat_sub(mat_mul(V.f[i], V.f[j]), mat_mul(V.f[j], V.f[i])))
-                else:
-                    two = qp.qnum(2)
-                    for X in (V.e, V.f):
-                        s = mat_sub(
-                            linalg.mat_add(
-                                mat_mul(X[i], mat_mul(X[i], X[j])),
-                                mat_mul(X[j], mat_mul(X[i], X[i])),
-                            ),
-                            linalg.mat_scale(mat_mul(X[i], mat_mul(X[j], X[i])), two),
-                        )
-                        out.append(s)
+    for words, coeffs in spec.serre_relations():
+        for X in (V.e, V.f):
+            total = zeros(V.dim, V.dim)  # sum_k c_k X_{w_k}, X_w the product along w
+            for w, c in zip(words, coeffs):
+                P = eye(V.dim)
+                for i in w:
+                    P = mat_mul(P, X[i])
+                total = linalg.mat_add(total, linalg.mat_scale(P, c))
+            out.append(total)
     return out
 
 
@@ -437,7 +447,8 @@ def generate_subrep(T: FinRep, hw: list, name="") -> tuple[FinRep, Matrix]:
         new = []
         for v in frontier:
             for i in range(T.spec.nsimple):
-                img = [sum(T.f[i][r][c] * v[c] for c in range(T.dim)) for r in range(T.dim)]
+                nz = [c for c in range(T.dim) if v[c]]
+                img = [sum((row[c] * v[c] for c in nz if row[c]), Fraction(0)) for row in T.f[i]]
                 if any(x != 0 for x in img) and span.add(img):
                     new.append(img)
                     order.append(img)

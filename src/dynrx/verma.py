@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
 from . import linalg, memo
 from .liealg import AlgebraSpec, Weight, wt_add
@@ -28,8 +29,6 @@ class CutoffExceeded(ValueError):
 class _WordBasis:
     """Reduced word basis of U_q(n_-)[-n] for all n <= cutoff, with reduction data."""
 
-    nsimple: int
-    qnum2: Fraction  # [2]_q, the only coefficient in the Serre relations
     cutoff: int
     basis: tuple          # basis[n] = tuple of Words of length n
     reducers: tuple       # reducers[n] = dict word -> (pivot elim rows) representation
@@ -55,15 +54,17 @@ class _WordBasis:
 _word_levels = memo.table("word_basis")
 
 
-def word_basis(nsimple: int, qnum2: Fraction, cutoff: int) -> _WordBasis:
+def word_basis(spec: AlgebraSpec, cutoff: int) -> _WordBasis:
     """The reduced word basis up to `cutoff`; each level is lambda-independent,
-    built once and shared by every cutoff that reaches it."""
-    basis, reducers = zip(*(_word_levels.get((nsimple, qnum2, n), _word_level, nsimple, qnum2, n)
+    built once and shared by every cutoff that reaches it.  Levels are keyed on
+    the Cartan matrix and [2]_q ([n]_q is a polynomial in [2]_q)."""
+    key = (spec.cartan, spec.qp.qnum(2))
+    basis, reducers = zip(*(_word_levels.get(key + (n,), _word_level, spec, n)
                             for n in range(cutoff + 1)))
-    return _WordBasis(nsimple, qnum2, cutoff, basis, reducers)
+    return _WordBasis(cutoff, basis, reducers)
 
 
-def _word_level(nsimple: int, qnum2: Fraction, n: int) -> tuple:
+def _word_level(spec: AlgebraSpec, n: int) -> tuple:
     """(basis words, reducers) of level n.
 
     Every Serre relation is homogeneous in letter content (the U_q(n_-)
@@ -72,19 +73,19 @@ def _word_level(nsimple: int, qnum2: Fraction, n: int) -> tuple:
     coordinates.  Words keep the level's global order inside a block, so the
     pivots and reducers are those of one reduction over the whole level.
     """
-    words = list(_words(nsimple, n))
+    nsimple = spec.nsimple
+    letters = range(nsimple)
+    words = list(product(letters, repeat=n))
     blocks: dict = {}  # content -> words of that content, in global order
     for w in words:
         blocks.setdefault(_content(nsimple, w), []).append(w)
     index = {w: k for bw in blocks.values() for k, w in enumerate(bw)}
     rows: dict = {c: [] for c in blocks}
-    for core, coeffs in _serre_relations(nsimple, qnum2):
+    for core, coeffs in spec.serre_relations():
         L = len(core[0])
-        if L > n:
-            continue
-        for left in _words(nsimple, 0, n - L):
-            rest = n - L - len(left)
-            for right in _words(nsimple, rest, rest):
+        for k in range(n - L + 1):  # none when L > n
+            for left, right in product(product(letters, repeat=k),
+                                       product(letters, repeat=n - L - k)):
                 c = _content(nsimple, left + core[0] + right)
                 row = [Fraction(0)] * len(blocks[c])
                 for cw, cc in zip(core, coeffs):
@@ -104,36 +105,6 @@ def _content(nsimple: int, w: Word) -> tuple:
     return tuple(w.count(i) for i in range(nsimple))
 
 
-def _words(r: int, lo: int, hi: int | None = None):
-    if hi is None:
-        hi = lo
-    for n in range(lo, hi + 1):
-        def gen(prefix, n):
-            if n == 0:
-                yield prefix
-                return
-            for i in range(r):
-                yield from gen(prefix + (i,), n - 1)
-        yield from gen((), n)
-
-
-def _serre_relations(r: int, qnum2: Fraction):
-    """Quantum Serre relations for the negative part, as (words, coefficients)."""
-    rels = []
-    for i in range(r):
-        for j in range(r):
-            if i == j:
-                continue
-            if abs(i - j) >= 2:
-                rels.append((((i, j), (j, i)), (Fraction(1), Fraction(-1))))
-            else:
-                rels.append((
-                    ((i, i, j), (i, j, i), (j, i, i)),
-                    (Fraction(1), -qnum2, Fraction(1)),
-                ))
-    return rels
-
-
 class VermaSlice:
     """M^+_lambda truncated at `cutoff`: free A_- module on v_lambda up to that degree.
 
@@ -145,7 +116,7 @@ class VermaSlice:
         self.spec = spec
         self.lam = lam
         self.cutoff = cutoff
-        self.wb = word_basis(spec.nsimple, spec.qp.qnum(2), cutoff)
+        self.wb = word_basis(spec, cutoff)
 
     def basis(self, n: int) -> tuple:
         if n > self.cutoff:
@@ -153,7 +124,7 @@ class VermaSlice:
         return self.wb.basis[n]
 
     def word_weight(self, w: Word) -> Weight:
-        out = (0,) * len(self.spec.simple_root(0))
+        out = (0,) * self.spec.ncoords
         for i in w:
             out = wt_add(out, self.spec.simple_root(i))
         return out

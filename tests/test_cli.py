@@ -75,6 +75,23 @@ def test_bad_config_exits_two_without_traceback(args, env):
     assert r.stderr.startswith("config error: ") and "Traceback" not in r.stderr
 
 
+def test_unwritable_output_exits_two_before_computing(tmp_path, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the suite ran although --output cannot be written")
+
+    monkeypatch.setattr(cli, "verify_qdyb", unreachable)
+    for path in (tmp_path / "missing" / "x.json", tmp_path):
+        assert cli.main(["verify", "--suites", "qdyb", "--samples", "1",
+                         "--output", str(path)]) == 2
+    assert list(tmp_path.iterdir()) == []
+    # a writable path passes the check, which neither creates nor truncates it
+    kept, fresh = tmp_path / "kept.json", tmp_path / "fresh.json"
+    kept.write_text("kept")
+    for path in (kept, fresh, "/dev/null"):
+        cli.check_options(cli.make_parser().parse_args(["verify", "--output", str(path)]))
+    assert kept.read_text() == "kept" and not fresh.exists()
+
+
 def test_byte_stable_output():
     args = ("verify", "--suites", "hecke", "--algebra", "gl2", "--reps", "vector",
             "--q", "4", "--samples", "2", "--seed", "5")

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dynrx import linalg
+from dynrx.lam import Lambda
 from dynrx.liealg import (
     NotCompletelyReducible,
     _cartan_diag,
@@ -14,6 +15,7 @@ from dynrx.liealg import (
     dual_rep,
     flip,
     generate_subrep,
+    highest_weight_vectors,
     irrep_sl2,
     r_zero_part,
     tensor,
@@ -458,3 +460,195 @@ def test_flip_is_conjugation_by_the_flip_permutation(a, b):
         assert F == linalg.mat_mul(P, linalg.mat_mul(M, Pinv))
         assert all(type(v) is type(M[0][0]) for row in F for v in row)
         assert flip(F, b, a) == M
+
+
+# References for the root data, kept from before AlgebraSpec read its kind
+# once: the per-kind methods, Lambda.simple and root_qpow2, and the Serre
+# relations written by adjacency.
+
+QVALS = ["4", "2", "1/3", "classical"]
+
+
+def parse_qval(qval):
+    return classical_q() if qval == "classical" else QParam.from_q(Fraction(qval))
+
+
+def all_specs(qp):
+    return [AlgebraSpec("sl2", 1, qp)] + [AlgebraSpec("gln", N, qp) for N in (2, 3, 4)]
+
+
+def reference_nsimple(spec):
+    return 1 if spec.kind == "sl2" else spec.n - 1
+
+
+def reference_ncoords(spec):
+    return 1 if spec.kind == "sl2" else spec.n
+
+
+def reference_simple_root(spec, i):
+    if spec.kind == "sl2":
+        return (2,)
+    r = [0] * spec.n
+    r[i], r[i + 1] = 1, -1
+    return tuple(r)
+
+
+def reference_cartan_int(spec, i, mu):
+    if spec.kind == "sl2":
+        return mu[0]
+    return mu[i] - mu[i + 1]
+
+
+def reference_pairing2(spec, mu, nu):
+    if spec.kind == "sl2":
+        return mu[0] * nu[0]  # (mu,nu) = m n / 2
+    return 2 * sum(a * b for a, b in zip(mu, nu))
+
+
+def reference_rho2(spec):
+    if spec.kind == "sl2":
+        return (2,)
+    return tuple(spec.n + 1 - 2 * a for a in range(1, spec.n + 1))
+
+
+def reference_lambda_simple(lam, i):
+    return lam.coords[0] if lam.spec.kind == "sl2" else lam.pair(i, i + 1)
+
+
+def reference_root_qpow2(lam, beta):
+    c = lam.coords
+    if lam.spec.kind == "sl2":
+        return c[0] ** beta[0]
+    out = lam.one()
+    for a, b in zip(c, beta):
+        if b:
+            out *= a ** (2 * b)
+    return out
+
+
+def reference_serre_relations(r, qnum2):
+    rels = []
+    for i in range(r):
+        for j in range(r):
+            if i == j:
+                continue
+            if abs(i - j) >= 2:
+                rels.append((((i, j), (j, i)), (Fraction(1), Fraction(-1))))
+            else:
+                rels.append((
+                    ((i, i, j), (i, j, i), (j, i, i)),
+                    (Fraction(1), -qnum2, Fraction(1)),
+                ))
+    return rels
+
+
+def typed_value(x):
+    """x with the types of its entries, nested through tuples."""
+    return tuple(typed_value(y) for y in x) if isinstance(x, tuple) else (type(x), x)
+
+
+@pytest.mark.parametrize("qval", QVALS)
+def test_root_data_matches_the_per_kind_references(qval):
+    qp = parse_qval(qval)
+    for spec in all_specs(qp):
+        rng = random.Random(f"root-data-{spec.kind}-{spec.n}-{qval}")
+        assert typed_value(spec.nsimple) == typed_value(reference_nsimple(spec))
+        assert typed_value(spec.ncoords) == typed_value(reference_ncoords(spec))
+        assert typed_value(spec.rho2) == typed_value(reference_rho2(spec))
+        weights = list(itertools.product(range(-3, 4), repeat=spec.ncoords))
+        for i in range(spec.nsimple):
+            assert typed_value(spec.simple_root(i)) == typed_value(reference_simple_root(spec, i))
+            for mu in weights:
+                assert typed_value(spec.cartan_int(i, mu)) == typed_value(
+                    reference_cartan_int(spec, i, mu))
+        for _ in range(200):
+            mu, nu = rng.choice(weights), rng.choice(weights)
+            assert typed_value(spec.pairing2(mu, nu)) == typed_value(reference_pairing2(spec, mu, nu))
+        got = tuple(spec.serre_relations())
+        want = tuple(reference_serre_relations(spec.nsimple, qp.qnum(2)))
+        assert typed_value(got) == typed_value(want)
+
+
+def symbolic_lambdas(spec):
+    """Lambda.symbolic where it exists, and RatFunc coordinates for gl3 and gl4."""
+    if spec.kind == "sl2" or spec.n == 2:
+        return [Lambda.symbolic(spec)]
+    x = RatFunc.x()
+    return [Lambda(spec, tuple(x * (a + 2) + a + 1 for a in range(spec.n)))]
+
+
+@pytest.mark.parametrize("qval", QVALS)
+def test_lambda_reads_the_coroot_like_the_per_kind_references(qval):
+    qp = parse_qval(qval)
+    for spec in all_specs(qp):
+        rng = random.Random(f"lambda-coroot-{spec.kind}-{spec.n}-{qval}")
+        lams = [Lambda.sample(spec, seed) for seed in range(3)] + symbolic_lambdas(spec)
+        betas = [tuple(sum(n * a for n, a in zip(ns, col))
+                       for col in zip(*(spec.simple_root(i) for i in range(spec.nsimple))))
+                 for ns in itertools.product(range(-1, 2), repeat=spec.nsimple)]
+        for lam in lams:
+            mu = tuple(rng.randint(-3, 3) for _ in range(spec.ncoords))
+            for lm in (lam, lam.shifted(mu)):
+                for i in range(spec.nsimple):
+                    assert typed_value(lm.simple(i)) == typed_value(reference_lambda_simple(lm, i))
+                if not qp.classical:
+                    for beta in betas:
+                        assert typed_value(lm.root_qpow2(beta)) == typed_value(
+                            reference_root_qpow2(lm, beta))
+
+
+@pytest.mark.parametrize("qval", QVALS)
+def test_chevalley_residuals_vanish_on_the_reference_reps(qval):
+    # the reps the Chevalley and Serre checks above run on, at every q
+    qp = parse_qval(qval)
+    half, one = irrep_sl2(Fraction(1, 2), qp), irrep_sl2(1, qp)
+    g3, g4 = vector_rep_gln(3, qp), vector_rep_gln(4, qp)
+    for V in (half, tensor(half, one), dual_rep(one), g3, dual_rep(g3), tensor(g3, g3), g4):
+        assert all_zero(chevalley_residuals(V)), V.name
+
+
+# Reference for generate_subrep, kept from before its f-images skipped zero
+# products: each f-image is the dense mat-vec.
+
+
+def reference_generate_subrep(T, hw, name=""):
+    span = linalg.Echelon(T.dim, [hw])
+    frontier = [hw]
+    order = [list(hw)]
+    while frontier:
+        new = []
+        for v in frontier:
+            for i in range(T.spec.nsimple):
+                img = [sum(T.f[i][r][c] * v[c] for c in range(T.dim)) for r in range(T.dim)]
+                if any(x != 0 for x in img) and span.add(img):
+                    new.append(img)
+                    order.append(img)
+        frontier = new
+    dimU = len(order)
+    tau = [[order[k][r] for k in range(dimU)] for r in range(T.dim)]
+    es, fs = [], []
+    for i in range(T.spec.nsimple):
+        es.append(linalg.solve_linear(tau, linalg.mat_mul(T.e[i], tau)))
+        fs.append(linalg.solve_linear(tau, linalg.mat_mul(T.f[i], tau)))
+    weights, zdeg = [], []
+    for v in order:
+        sup = next(c for c in range(T.dim) if v[c] != 0)
+        weights.append(T.weights[sup])
+        zdeg.append(T.zdeg[sup])
+    return weights, zdeg, es, fs, tau
+
+
+@pytest.mark.parametrize("qval", ["4", "3", "1/3", "classical"])
+def test_generate_subrep_matches_the_dense_reference(qval):
+    qp = parse_qval(qval)
+    spins = [Fraction(1, 2), Fraction(1), Fraction(3, 2)]
+    pairs = [(irrep_sl2(a, qp), irrep_sl2(b, qp)) for a in spins for b in spins]
+    g3 = vector_rep_gln(3, qp)
+    pairs += [(g3, g3), (g3, dual_rep(g3))]
+    for V, W in pairs:
+        T = tensor(V, W)
+        for hw in highest_weight_vectors(T):
+            U, tau = generate_subrep(T, hw)
+            weights, zdeg, es, fs, ref_tau = reference_generate_subrep(T, hw)
+            assert (U.weights, U.zdeg) == (weights, zdeg)
+            assert [typed(M) for M in U.e + U.f + [tau]] == [typed(M) for M in es + fs + [ref_tau]]

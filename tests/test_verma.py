@@ -100,7 +100,7 @@ def test_word_basis_dims_match_poincare():
                     new[i] += coeffs[i - k * h]
                     k += 1
             coeffs = new
-        wb = word_basis(N - 1, QParam(Fraction(2)).qnum(2), cutoff)
+        wb = word_basis(AlgebraSpec("gln", N, QParam(Fraction(2))), cutoff)
         dims[N] = [len(wb.basis[n]) for n in range(cutoff + 1)]
         assert dims[N] == coeffs, N
     assert dims[3] == [1, 2, 4, 6, 9, 12, 16]
@@ -128,8 +128,9 @@ def test_word_basis_reducers_and_serre(N, q):
     import itertools
 
     nsimple, cutoff = N - 1, 6
-    qnum2 = QParam.from_q(q).qnum(2)
-    wb = word_basis(nsimple, qnum2, cutoff)
+    qp = QParam.from_q(q)
+    qnum2 = qp.qnum(2)
+    wb = word_basis(AlgebraSpec("gln", N, qp), cutoff)
     # every reducer is weight-homogeneous and expands in basis words or other reducers
     for n in range(cutoff + 1):
         for w, expansion in wb.reducers[n].items():
@@ -153,10 +154,10 @@ def test_word_basis_reducers_and_serre(N, q):
 def test_word_basis_levels_shared_across_cutoffs():
     from dynrx import memo
 
-    qnum2 = QParam(Fraction(2)).qnum(2)
-    wb6 = word_basis(3, qnum2, 6)
+    spec = AlgebraSpec("gln", 4, QParam(Fraction(2)))
+    wb6 = word_basis(spec, 6)
     misses = memo.stats()["word_basis"]["misses"]
-    wb3 = word_basis(3, qnum2, 3)
+    wb3 = word_basis(spec, 3)
     assert memo.stats()["word_basis"]["misses"] == misses  # one entry per level
     assert wb3.cutoff == 3 and len(wb3.basis) == 4
     for n in range(4):
