@@ -145,12 +145,13 @@ def main(argv=None) -> int:
             print(json.dumps({"sha": runs[repo]["sha"][:7], **entry}), flush=True)
             runs[repo]["entries"].append(entry)
     shas = {run["sha"] for run in runs.values()}
-    old = []
+    data = {"runs": []}  # other keys of the file (bench_pairs.py records) are kept
     if os.path.exists(args.out):
         with open(args.out) as fh:
-            old = [r for r in json.load(fh)["runs"] if r["sha"] not in shas]
+            data = json.load(fh)
+    data["runs"] = [r for r in data["runs"] if r["sha"] not in shas] + list(runs.values())
     with open(args.out, "w") as fh:
-        json.dump({"runs": old + list(runs.values())}, fh, indent=2)
+        json.dump(data, fh, indent=2)
         fh.write("\n")
     return 0
 

@@ -140,9 +140,6 @@ class Composition:
     nu: Lambda
     terms: dict
 
-    def degree0(self) -> dict:
-        return {(jW, jV): c for (wd, jW, jV), c in self.terms.items() if wd == ()}
-
 
 def compose_intertwiners(lam: Lambda, W: FinRep, w: list, V: FinRep, v: list) -> Composition:
     """(Phi^w_{lambda - wt v} (x) 1) Phi^v_lambda applied to v_lambda."""

@@ -42,7 +42,9 @@ class AlgebraSpec:
     """kind 'sl2' or 'gln'; for gln, n is N (2 <= N <= 4).  The kind is read once,
     into root data: `roots` (the simple roots in weight coordinates, in echelon
     form), `gram2` (the diagonal of 2( , )) and `rho2` (2 rho); the `coroots` and
-    the `cartan` matrix a_ij are derived from them, and the rest from all five."""
+    the `cartan` matrix a_ij are derived from them, and the rest from all five.
+    `qnum2` holds [2]_q.  None of these is a dataclass field, so equality and
+    hashing read kind, n and qp alone."""
 
     kind: str
     n: int
@@ -68,6 +70,7 @@ class AlgebraSpec:
                                                for g, x in zip(gram2, al)) for al in roots)
         self.__dict__["cartan"] = tuple(tuple(self.cartan_int(i, al) for al in roots)
                                         for i in range(len(roots)))  # <alpha_j, alpha_i^vee>
+        self.__dict__["qnum2"] = self.qp.qnum(2)  # [2]_q; with `cartan` it fixes the Serre relations
 
     @property
     def nsimple(self) -> int:

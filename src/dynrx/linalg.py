@@ -5,13 +5,15 @@ RatFunc.  A zero test is truthiness: `not x` holds exactly when x is zero, for
 both types.  A typed one is `zero + 1`.  No pivoting heuristics beyond "first
 nonzero": everything is exact.
 
-`mat_mul`, `mat_add` and `mat_sub` do no arithmetic on an exact zero, and each
-entry keeps the type that plain arithmetic gives it (a RatFunc operand makes a
-RatFunc).  `mat_mul` multiplies only nonzero pairs; an entry with no nonzero
-term gets a zero of the type of A[i][0] * B[0][c], made once per pair of types
-per call.  `mat_add` and `mat_sub` return the other operand (negated for
-0 - b) where one operand is a zero of the other's type, and add or subtract
-otherwise.
+`mat_mul`, `mat_add`, `mat_sub` and `kron` do no arithmetic on an exact zero,
+and `Echelon.add` divides no zero by its pivot; each entry keeps the type that
+plain arithmetic gives it (a RatFunc operand makes a RatFunc).  `mat_mul` and
+`kron` multiply only nonzero pairs.  An entry of `mat_mul` with no nonzero
+term gets a zero of the type of A[i][0] * B[0][c]; a zero entry of `kron` gets
+a zero of the type of a * b, and one of an `Echelon` row a zero of the type of
+x / pivot.  Each such zero is made once per pair of types per call.
+`mat_add` and `mat_sub` return the other operand (negated for 0 - b) where
+one operand is a zero of the other's type, and add or subtract otherwise.
 """
 
 from __future__ import annotations
@@ -97,14 +99,22 @@ def kron(A: Matrix, B: Matrix) -> Matrix:
     n, m = len(A), len(A[0])
     p, q = len(B), len(B[0])
     out = zeros(n * p, m * q, A[0][0] - A[0][0])
+    typed_zero = {}  # (type(a), type(b)) -> (a - a) * b, the zero typed like a * b
     for i in range(n):
         for j in range(m):
             a = A[i][j]
             if not a:
                 continue
-            for r in range(p):
-                for c in range(q):
-                    out[i * p + r][j * q + c] = a * B[r][c]
+            for r, Br in enumerate(B):
+                row = out[i * p + r]
+                for c, b in enumerate(Br):
+                    if b:
+                        row[j * q + c] = a * b
+                        continue
+                    t = (type(a), type(b))
+                    if t not in typed_zero:
+                        typed_zero[t] = (a - a) * b
+                    row[j * q + c] = typed_zero[t]
     return out
 
 
@@ -150,7 +160,14 @@ class Echelon:
         if pc is None:
             return False
         p = w[pc]
-        w = [x / p for x in w]
+        typed_zero = {}  # type(x) -> 0 / p, the zero typed like x / p
+        for j, x in enumerate(w):
+            if x:
+                w[j] = x / p
+                continue
+            if type(x) not in typed_zero:
+                typed_zero[type(x)] = x / p
+            w[j] = typed_zero[type(x)]
         self.rows.append(w)
         self.pivcols.append(pc)
         self.pivvals.append(p)

@@ -242,9 +242,25 @@ class Poly:
 # rational functions
 
 
+def _cofactors(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly | None]:
+    """(p/g, q/g, g) for g = gcd(p, q), or (p, q, None) when g is constant.
+    The gcd runs only when both p and q have positive degree."""
+    if p.degree > 0 and q.degree > 0:
+        g = p.gcd(q)
+        if g.degree > 0:
+            return p.divmod(g)[0], q.divmod(g)[0], g
+    return p, q, None
+
+
 @dataclass(frozen=True)
 class RatFunc:
-    """Quotient of two Polys, normalized: den monic and gcd(num, den) = 1."""
+    """Quotient of two Polys, normalized: den monic and gcd(num, den) = 1; zero
+    is 0/1.  The form is unique, so == compares num and den.
+
+    `make` is the one full normalisation.  The operators take normal operands
+    and cancel only the factors that can be common (Henrici's reduced-operand
+    arithmetic): a gcd of two polynomials runs only when both have positive
+    degree, and a zero, unit or constant operand costs no gcd at all."""
 
     num: Poly
     den: Poly
@@ -255,10 +271,15 @@ class RatFunc:
             raise ScalarDivisionError("rational function with zero denominator")
         if num.is_zero():
             return RatFunc(Poly(()), Poly.of(1))
-        g = num.gcd(den)
-        num = num.divmod(g)[0]
-        den = den.divmod(g)[0]
+        num, den, _ = _cofactors(num, den)
+        return RatFunc._monic(num, den)
+
+    @staticmethod
+    def _monic(num: Poly, den: Poly) -> "RatFunc":
+        """num/den for coprime num and den: only scales den monic."""
         lc = den.leading()
+        if lc == 1:
+            return RatFunc(num, den)
         return RatFunc(num.scale(1 / lc), den.scale(1 / lc))
 
     @staticmethod
@@ -278,9 +299,34 @@ class RatFunc:
     def __bool__(self) -> bool:
         return not self.num.is_zero()
 
+    def _const(self) -> Fraction | None:
+        """The value of a nonzero constant, else None."""
+        if self.den.degree == 0 and self.num.degree == 0:
+            return self.num.coeffs[0]
+        return None
+
     def __add__(self, other):
         other = RatFunc.coerce(other)
-        return RatFunc.make(self.num * other.den + other.num * self.den, self.den * other.den)
+        if not other:
+            return self
+        if not self:
+            return other
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b == d:
+            s = a + c
+            if s.is_zero():
+                return RatFunc.const(0)
+            s, b, _ = _cofactors(s, b)
+            return RatFunc(s, b)
+        # b = g b', d = g d': s = a d' + c b' is prime to b' and d', so only a
+        # factor of g can cancel; s is nonzero, since a/b = -c/d would force
+        # b = d
+        b, d, g = _cofactors(b, d)
+        s = a * d + c * b
+        if g is not None:
+            s, g, _ = _cofactors(s, g)
+            d = d * g
+        return RatFunc(s, b * d)
 
     __radd__ = __add__
 
@@ -295,7 +341,17 @@ class RatFunc:
 
     def __mul__(self, other):
         other = RatFunc.coerce(other)
-        return RatFunc.make(self.num * other.num, self.den * other.den)
+        if not self:
+            return self
+        if not other:
+            return other
+        for k, f in ((other._const(), self), (self._const(), other)):
+            if k is not None:
+                return f if k == 1 else RatFunc(f.num.scale(k), f.den)
+        # a/b * c/d: only gcd(a, d) and gcd(c, b) can cancel
+        a, d, _ = _cofactors(self.num, other.den)
+        c, b, _ = _cofactors(other.num, self.den)
+        return RatFunc(a * c, b * d)
 
     __rmul__ = __mul__
 
@@ -303,7 +359,7 @@ class RatFunc:
         other = RatFunc.coerce(other)
         if not other:
             raise ScalarDivisionError("division by zero rational function")
-        return RatFunc.make(self.num * other.den, self.den * other.num)
+        return self * RatFunc._monic(other.den, other.num)
 
     def __rtruediv__(self, other):
         return RatFunc.coerce(other) / self
@@ -336,11 +392,15 @@ class RatFunc:
             raise PoleError(f"pole at x = {x}")
         return self.num.eval(x) / d
 
+    # x -> c x and x -> x + k are ring automorphisms: they keep num and den
+    # coprime, so only den's leading coefficient needs fixing
+
     def subst_scale(self, c: Fraction) -> "RatFunc":
-        return RatFunc.make(self.num.subst_scale(c), self.den.subst_scale(c))
+        """f(x) -> f(c x), for c != 0."""
+        return RatFunc._monic(self.num.subst_scale(c), self.den.subst_scale(c))
 
     def subst_translate(self, k: Fraction) -> "RatFunc":
-        return RatFunc.make(self.num.subst_translate(k), self.den.subst_translate(k))
+        return RatFunc._monic(self.num.subst_translate(k), self.den.subst_translate(k))
 
     def subst_inv(self) -> "RatFunc":
         """f(x) -> f(1/x): num(1/x)/den(1/x) cleared to polynomials by x^L."""

@@ -58,7 +58,7 @@ def word_basis(spec: AlgebraSpec, cutoff: int) -> _WordBasis:
     """The reduced word basis up to `cutoff`; each level is lambda-independent,
     built once and shared by every cutoff that reaches it.  Levels are keyed on
     the Cartan matrix and [2]_q ([n]_q is a polynomial in [2]_q)."""
-    key = (spec.cartan, spec.qp.qnum(2))
+    key = (spec.cartan, spec.qnum2)
     basis, reducers = zip(*(_word_levels.get(key + (n,), _word_level, spec, n)
                             for n in range(cutoff + 1)))
     return _WordBasis(cutoff, basis, reducers)
@@ -128,13 +128,6 @@ class VermaSlice:
         for i in w:
             out = wt_add(out, self.spec.simple_root(i))
         return out
-
-    def act_f(self, i: int, elem: dict) -> dict:
-        out: dict[Word, object] = {}
-        for w, c in elem.items():
-            for w2, c2 in self.wb.reduce_word((i,) + w).items():
-                out[w2] = out.get(w2, self.lam.zero()) + c * c2
-        return _clean(out)
 
     def act_e(self, i: int, elem: dict) -> dict:
         out: dict[Word, object] = {}

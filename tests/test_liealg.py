@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -567,6 +568,9 @@ def test_root_data_matches_the_per_kind_references(qval):
         got = tuple(spec.serre_relations())
         want = tuple(reference_serre_relations(spec.nsimple, qp.qnum(2)))
         assert typed_value(got) == typed_value(want)
+        assert typed_value(spec.qnum2) == typed_value(qp.qnum(2))
+        # the derived data are no dataclass fields: equality and hashing read kind, n, qp
+        assert [f.name for f in dataclasses.fields(spec)] == ["kind", "n", "qp"]
 
 
 def symbolic_lambdas(spec):

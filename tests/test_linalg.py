@@ -384,6 +384,66 @@ def test_mat_add_and_sub_match_reference_values_and_types(ka, kb):
                 assert_same_entries(linalg.mat_sub(X, Y), ref_mat_sub(X, Y))
 
 
+def ref_kron(A, B):
+    """kron as it was: each nonzero a of A times every entry of B."""
+    n, m = len(A), len(A[0])
+    p, q = len(B), len(B[0])
+    out = linalg.zeros(n * p, m * q, A[0][0] - A[0][0])
+    for i, j in itertools.product(range(n), range(m)):
+        if A[i][j]:
+            for r, c in itertools.product(range(p), range(q)):
+                out[i * p + r][j * q + c] = A[i][j] * B[r][c]
+    return out
+
+
+def ref_echelon(m, vectors):
+    """Echelon.add as it was: every entry of a kept row divided by its pivot.
+    Returns (rows, pivot columns, pivot values)."""
+    rows, pivcols, pivvals, supports = [], [], [], []
+    for v in vectors:
+        w = list(v)
+        for b, pc, support in zip(rows, pivcols, supports):
+            c = w[pc]
+            if c:
+                for j in support:
+                    w[j] = w[j] - c * b[j]
+        pc = next((j for j in range(m) if w[j]), None)
+        if pc is None:
+            continue
+        p = w[pc]
+        w = [x / p for x in w]
+        rows.append(w)
+        pivcols.append(pc)
+        pivvals.append(p)
+        supports.append([j for j, x in enumerate(w) if x])
+    return rows, pivcols, pivvals
+
+
+@pytest.mark.parametrize("ka, kb", KIND_PAIRS)
+def test_kron_matches_reference_values_and_types(ka, kb):
+    rng = random.Random(f"kron{ka}{kb}")
+    for (n, m), (p, q) in [((2, 2), (2, 2)), ((3, 1), (2, 4)), ((1, 3), (3, 2))]:
+        for density in (0.3, 0.8):
+            A = with_zero_lines(rng, kind_matrix(rng, ka, n, m, density), rows={0})
+            B = with_zero_lines(rng, kind_matrix(rng, kb, p, q, density), cols={0})
+            for X, Y in ((A, B), (B, A)):
+                assert_same_entries(linalg.kron(X, Y), ref_kron(X, Y))
+
+
+@pytest.mark.parametrize("kind", ["fraction", "ratfunc", "patch"])
+def test_echelon_rows_match_reference_values_and_types(kind):
+    rng = random.Random(f"echelon{kind}")
+    for n, m in [(4, 6), (6, 4), (8, 8)]:
+        for density in (0.3, 0.8):
+            M = with_zero_lines(rng, kind_matrix(rng, kind, n, m, density), cols={m - 1})
+            rows = with_dependent_rows(rng, M, Fraction(0))
+            ech = linalg.Echelon(m, rows)
+            want_rows, want_piv, want_vals = ref_echelon(m, rows)
+            assert ech.pivcols == want_piv
+            assert_same_entries(ech.rows, want_rows)
+            assert_same_entries([ech.pivvals], [want_vals])
+
+
 def real_fusion_matrices():
     qp4 = QParam(Fraction(2))
     out = []

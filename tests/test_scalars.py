@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -104,6 +105,112 @@ def test_substitutions(f, c, k):
             assert f.subst_inv().eval(x0) == f.eval(1 / x0)
     except PoleError:
         pass
+
+
+# References: the RatFunc operators as they were, each ending in a full
+# normalisation (gcd, two divisions, monic scaling).  The operators must give
+# the same num and den coefficients, with the same types.
+
+
+def ref_make(num, den):
+    if num.is_zero():
+        return RatFunc(Poly(()), Poly.of(1))
+    g = num.gcd(den)
+    num, den = num.divmod(g)[0], den.divmod(g)[0]
+    lc = den.leading()
+    return RatFunc(num.scale(1 / lc), den.scale(1 / lc))
+
+
+def ref_add(f, g):
+    f, g = RatFunc.coerce(f), RatFunc.coerce(g)
+    return ref_make(f.num * g.den + g.num * f.den, f.den * g.den)
+
+
+def ref_sub(f, g):
+    return ref_add(f, -RatFunc.coerce(g))
+
+
+def ref_mul(f, g):
+    f, g = RatFunc.coerce(f), RatFunc.coerce(g)
+    return ref_make(f.num * g.num, f.den * g.den)
+
+
+def ref_div(f, g):
+    f, g = RatFunc.coerce(f), RatFunc.coerce(g)
+    return ref_make(f.num * g.den, f.den * g.num)
+
+
+def ref_pow(f, k):
+    if k < 0:
+        return ref_pow(ref_div(RatFunc.const(1), f), -k)
+    out = RatFunc.const(1)
+    for _ in range(k):
+        out = ref_mul(out, f)
+    return out
+
+
+def assert_same_ratfunc(got, want):
+    assert type(got) is RatFunc and type(want) is RatFunc
+    assert got.num.coeffs == want.num.coeffs and got.den.coeffs == want.den.coeffs, (got, want)
+    assert [type(c) for c in got.num.coeffs + got.den.coeffs] == \
+        [type(c) for c in want.num.coeffs + want.den.coeffs]
+
+
+polys = st.lists(fracs, max_size=3).map(lambda cs: Poly.of(*cs))
+nonzero_polys = polys.filter(lambda p: not p.is_zero())
+# a product of 0-2 linear or quadratic factors, shared across the two operands
+shared = st.lists(st.sampled_from([Poly.of(1, 1), Poly.of(-2, 1), Poly.of(1, 0, 1),
+                                   Poly.of(Fraction(1, 3), 2)]), max_size=2).map(
+    lambda fs: functools.reduce(Poly.__mul__, fs, Poly.of(1)))
+constants = st.sampled_from([RatFunc.const(0), RatFunc.const(1)]) | fracs.map(RatFunc.const)
+
+
+@st.composite
+def operand_pairs(draw):
+    """(f, g) biased to the operators' cases: zero, one and constant operands,
+    polynomials, equal denominators, and f = a/b, g = c/d with a factor of a
+    in d and one of c in b."""
+    s, t = draw(shared), draw(shared)
+    f = ref_make(draw(polys) * s, draw(nonzero_polys) * t)
+    g = ref_make(draw(polys) * t, draw(nonzero_polys) * s)
+    case = draw(st.sampled_from(["shared", "constant", "polynomial", "same den", "negated"]))
+    if case == "constant":
+        g = draw(constants)
+    elif case == "polynomial":
+        g = ref_make(draw(polys) * t, Poly.of(1))
+    elif case == "same den":
+        g = ref_make(f.num + draw(polys) * f.den, f.den)  # den exactly f.den
+    elif case == "negated":
+        g = -f
+    return (g, f) if draw(st.booleans()) else (f, g)
+
+
+@settings(max_examples=400, deadline=None)
+@given(operand_pairs(), fracs, st.integers(-3, 3))
+def test_operators_match_make_reference(pair, c, k):
+    f, g = pair
+    cases = [(f + g, ref_add(f, g)), (f - g, ref_sub(f, g)), (f * g, ref_mul(f, g)),
+             (f + c, ref_add(f, c)), (c + f, ref_add(c, f)), (f - c, ref_sub(f, c)),
+             (c - f, ref_sub(c, f)), (f * c, ref_mul(f, c)), (c * f, ref_mul(c, f)),
+             (f.subst_translate(c), ref_make(f.num.subst_translate(c), f.den.subst_translate(c)))]
+    if g:
+        cases += [(f / g, ref_div(f, g))]
+    if f:
+        cases += [(c / f, ref_div(c, f))]
+    if c:
+        cases += [(f / c, ref_div(f, c)),
+                  (f.subst_scale(c), ref_make(f.num.subst_scale(c), f.den.subst_scale(c)))]
+    if f or k >= 0:
+        cases += [(f ** k, ref_pow(f, k))]
+    for got, want in cases:
+        assert_same_ratfunc(got, want)
+
+
+def test_zero_over_ratfunc_is_zero_over_one():
+    r = RatFunc.make(Poly.of(1, 1), Poly.of(2, 0, 1))
+    for zero in (RatFunc.const(0), Fraction(0), 0):
+        assert_same_ratfunc(zero / r, ref_div(zero, r))
+        assert (zero / r).den == Poly.of(1)
 
 
 def test_ratfunc_truthiness_and_const():
