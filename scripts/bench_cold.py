@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Cold timings of the slow acceptance criteria (c3, c4, c7, c8), the suite
-sweep, the gl4 cocycle verify and the three perfbench workloads, appended as
-one run per measured checkout to a BENCH_<n>.json file.
+sweep, the gl4 cocycle verify, the three perfbench workloads and the CLI
+start-up, appended as one run per measured checkout to a BENCH_<n>.json file.
 
 Each entry runs REPEATS times and reports the median wall time of one round.
 A round runs each of the entry's commands once, each in a fresh process, and
 times the whole processes (interpreter start, imports and pytest collection
 included).  A perfbench workload's commands are its invocation list from
-`perfbench/workloads.py` at seed WORKLOAD_SEED.  Run from the root of the
-repository:
+`perfbench/workloads.py` at seed WORKLOAD_SEED.  The `startup` entry runs
+perfbench's set-up command (`import dynrx.cli as cli; cli.make_parser()`, the
+cold import that its setup_s times) in STARTUP_PROCESSES fresh processes per
+round.  Run from the root of the repository:
 
     python3 scripts/bench_cold.py --out BENCH_8.json --repo PARENT .
 
@@ -37,19 +39,23 @@ import time
 REPEATS = 5
 TIMEOUT_S = 150.0
 WORKLOAD_SEED = 123
+STARTUP_PROCESSES = 10
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
 CRITERIA = "tests/test_acceptance.py::test_criterion_"
 DYNRX = [sys.executable, "-m", "dynrx.cli"]
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 
-def workload_entries() -> list:
-    """One entry per perfbench workload: its CLI invocations, in order."""
+def perfbench_entries() -> list:
+    """One entry per perfbench workload (its CLI invocations, in order), then
+    the `startup` entry (perfbench's set-up command, STARTUP_PROCESSES times)."""
     sys.path.insert(0, os.path.join(HERE, "..", "perfbench"))
+    from run import SETUP_CODE
     from workloads import WORKLOADS
 
     return [(name, "cli", [DYNRX + list(inv.args) for inv in make(WORKLOAD_SEED).invocations])
-            for name, make in WORKLOADS.items()]
+            for name, make in WORKLOADS.items()] + [
+        ("startup", "cli", [[sys.executable, "-c", SETUP_CODE]] * STARTUP_PROCESSES)]
 
 
 # (name, layer, argvs run in turn from the repository root)
@@ -61,7 +67,7 @@ ENTRIES = [
     ("sweep", "cli", [[sys.executable, "scripts/run_verify_all.py"]]),
     ("gl4-cocycle", "cli", [DYNRX + ["verify", "--suites", "cocycle", "--algebra", "gl4",
                                      "--q", "4", "--samples", "5"]]),
-] + workload_entries()
+] + perfbench_entries()
 
 
 def git(repo: str, *args: str) -> str:

@@ -17,7 +17,6 @@ Conventions (fixed package-wide):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg, memo
@@ -233,12 +232,13 @@ def _exchange_matrix_impl(V: FinRep, W: FinRep, lam: Lambda, method: str):
 # reports
 
 
-@dataclass
 class Report:
-    suite: str
-    config: dict
-    passed: bool = True
-    failures: list = field(default_factory=list)
+    __slots__ = ("suite", "config", "passed", "failures")
+
+    def __init__(self, suite: str, config: dict):
+        self.suite, self.config = suite, config
+        self.passed = True
+        self.failures = []
 
     def fail(self, **info):
         self.passed = False

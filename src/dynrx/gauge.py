@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .exchange import Report
@@ -51,16 +50,18 @@ def _shift_pair(qp: QParam, g: RatFunc, dmu) -> RatFunc:
     return g.subst_scale(qp.qpow(int(dmu)))
 
 
-@dataclass(frozen=True, eq=False)
 class FormScalar:
     """const * prod_c q^{mono[c] * lambda_c} * prod_{(a,b)} pairs[(a,b)](x_ab),
     with pairs keyed by sorted index pairs a < b.  Equality is equality of
     values, so a FormScalar is not hashable."""
 
-    qp: QParam
-    const: Fraction = Fraction(1)
-    mono: dict = field(default_factory=dict)   # coord -> nonzero exponent, trig only
-    pairs: dict = field(default_factory=dict)  # (a, b) with a < b -> RatFunc in x_ab
+    __slots__ = ("qp", "const", "mono", "pairs")
+
+    def __init__(self, qp: QParam, const: Fraction = Fraction(1), mono: dict | None = None,
+                 pairs: dict | None = None):
+        self.qp, self.const = qp, const
+        self.mono = {} if mono is None else mono      # coord -> nonzero exponent, trig only
+        self.pairs = {} if pairs is None else pairs   # (a, b) with a < b -> RatFunc in x_ab
 
     @staticmethod
     def one(qp: QParam) -> "FormScalar":
@@ -159,15 +160,15 @@ class FormScalar:
         return g
 
 
-@dataclass(frozen=True)
 class MultForm:
     """Degree-k multiplicative form: values on sorted k-subsets of {0..N-1};
     values on permuted index tuples follow from multiplicative antisymmetry."""
 
-    N: int
-    degree: int
-    qp: QParam
-    values: dict  # sorted k-subset -> FormScalar
+    __slots__ = ("N", "degree", "qp", "values")
+
+    def __init__(self, N: int, degree: int, qp: QParam, values: dict):
+        self.N, self.degree, self.qp = N, degree, qp
+        self.values = values  # sorted k-subset -> FormScalar
 
     @staticmethod
     def build(N: int, degree: int, qp: QParam, mapping: dict) -> "MultForm":
@@ -231,19 +232,29 @@ def random_one_form(N: int, qp: QParam, rng: random.Random) -> MultForm:
 # Hecke-type R-matrices and gauge transformations
 
 
-@dataclass(frozen=True)
 class HeckeRMatrix:
     """R(lambda) = sum_a alpha_aa E_aa (x) E_aa + sum_{a!=b} alpha_ab E_aa (x) E_bb
     + sum_{a!=b} beta_ab E_ba (x) E_ab, with coefficients rational in the pair
-    difference variable x_ab; Hecke parameters (hq, hp) tracked through gauges."""
+    difference variable x_ab; Hecke parameters (hq, hp) tracked through gauges.
+    Equality compares every coefficient."""
 
-    N: int
-    qp: QParam
-    alpha_diag: tuple        # length N, Fractions
-    alpha: dict              # (a, b) -> RatFunc in x_ab, for a != b
-    beta: dict               # (a, b) -> RatFunc in x_ab, for a != b
-    hq: Fraction = Fraction(1)
-    hp: Fraction = Fraction(1)
+    __slots__ = ("N", "qp", "alpha_diag", "alpha", "beta", "hq", "hp")
+
+    def __init__(self, N: int, qp: QParam, alpha_diag: tuple, alpha: dict, beta: dict,
+                 hq: Fraction = Fraction(1), hp: Fraction = Fraction(1)):
+        self.N, self.qp = N, qp
+        self.alpha_diag = alpha_diag  # length N, Fractions
+        self.alpha = alpha            # (a, b) -> RatFunc in x_ab, for a != b
+        self.beta = beta              # (a, b) -> RatFunc in x_ab, for a != b
+        self.hq, self.hp = hq, hp
+
+    def _fields(self) -> tuple:
+        return (self.N, self.qp, self.alpha_diag, self.alpha, self.beta, self.hq, self.hp)
+
+    def __eq__(self, other):
+        if other.__class__ is not HeckeRMatrix:
+            return NotImplemented
+        return self._fields() == other._fields()
 
     def to_matrix(self, lam: Lambda):
         """The matrix at lam, each coefficient evaluated at x_ab = lam.pair(a, b):
@@ -352,8 +363,9 @@ def apply_gauge(R: HeckeRMatrix, transform) -> HeckeRMatrix:
             raise ValueError("type I needs a 2-form")
         if not is_closed(phi):
             raise NotClosedError("type I requires a closed 2-form")
-        return replace(R, alpha={(a, b): g * phi.value((a, b)).single_pair_ratfunc(a, b)
-                                 for (a, b), g in R.alpha.items()})
+        alpha = {(a, b): g * phi.value((a, b)).single_pair_ratfunc(a, b)
+                 for (a, b), g in R.alpha.items()}
+        return HeckeRMatrix(R.N, qp, R.alpha_diag, alpha, R.beta, R.hq, R.hp)
     if kind == "II":
         sigma = transform[1]  # sigma[i] = image of i
         inv = [0] * R.N
@@ -364,17 +376,17 @@ def apply_gauge(R: HeckeRMatrix, transform) -> HeckeRMatrix:
                       tuple(R.alpha_diag[i] for i in inv), R.hq, R.hp)
     if kind == "III":
         c = Fraction(transform[1])
-        return replace(R, alpha_diag=tuple(x * c for x in R.alpha_diag),
-                       alpha={k: g * RatFunc.const(c) for k, g in R.alpha.items()},
-                       beta={k: g * RatFunc.const(c) for k, g in R.beta.items()},
-                       hq=c * R.hq, hp=c * R.hp)
+        return HeckeRMatrix(R.N, qp, tuple(x * c for x in R.alpha_diag),
+                            {k: g * RatFunc.const(c) for k, g in R.alpha.items()},
+                            {k: g * RatFunc.const(c) for k, g in R.beta.items()},
+                            c * R.hq, c * R.hp)
     if kind == "IV":
         mu = transform[1]
 
         def shift(table):
             return {(a, b): _shift_pair(qp, g, mu[a] - mu[b]) for (a, b), g in table.items()}
 
-        return replace(R, alpha=shift(R.alpha), beta=shift(R.beta))
+        return HeckeRMatrix(R.N, qp, R.alpha_diag, shift(R.alpha), shift(R.beta), R.hq, R.hp)
     raise ValueError(f"unknown gauge transformation {kind!r}")
 
 

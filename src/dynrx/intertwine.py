@@ -8,7 +8,6 @@ determinant is nonzero at mu.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from . import linalg
 from .liealg import AlgebraSpec, FinRep, Weight, wt_add, wt_sub
 from .lam import Lambda
@@ -24,18 +23,17 @@ def vector_weight(V: FinRep, vec: list) -> Weight:
     return wts.pop()
 
 
-@dataclass
 class IntertwinerExpansion:
     """terms[(word, j)] = coefficient of (word . v_mu) (x) x_j in Phi^v_lambda v_lambda."""
 
-    spec: AlgebraSpec
-    lam: Lambda
-    V: FinRep
-    v: list
-    wt_v: Weight
-    mu: Lambda                # lambda - wt(v)
-    verma: VermaSlice         # slice at mu
-    terms: dict = field(default_factory=dict)
+    __slots__ = ("spec", "lam", "V", "v", "wt_v", "mu", "verma", "terms")
+
+    def __init__(self, spec: AlgebraSpec, lam: Lambda, V: FinRep, v: list, wt_v: Weight,
+                 mu: Lambda, verma: VermaSlice, terms: dict):
+        self.spec, self.lam, self.V, self.v, self.wt_v = spec, lam, V, v, wt_v
+        self.mu = mu          # lambda - wt(v)
+        self.verma = verma    # slice at mu
+        self.terms = terms
 
 
 def solve_intertwiner(lam: Lambda, v: list, V: FinRep) -> IntertwinerExpansion:
@@ -128,17 +126,15 @@ def raising_residual(exp: IntertwinerExpansion) -> dict:
     return out
 
 
-@dataclass
 class Composition:
     """Expansion of Phi^{w,v}_lambda v_lambda in M_nu (x) W (x) V:
     terms[(word, jW, jV)] = coefficient."""
 
-    spec: AlgebraSpec
-    lam: Lambda
-    W: FinRep
-    V: FinRep
-    nu: Lambda
-    terms: dict
+    __slots__ = ("spec", "lam", "W", "V", "nu", "terms")
+
+    def __init__(self, spec: AlgebraSpec, lam: Lambda, W: FinRep, V: FinRep, nu: Lambda,
+                 terms: dict):
+        self.spec, self.lam, self.W, self.V, self.nu, self.terms = spec, lam, W, V, nu, terms
 
 
 def compose_intertwiners(lam: Lambda, W: FinRep, w: list, V: FinRep, v: list) -> Composition:

@@ -13,7 +13,6 @@ quantity built downstream stays a rational function of the original x.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import memo
@@ -21,17 +20,16 @@ from .liealg import AlgebraSpec, Weight
 from .scalars import QParam, RatFunc, scalar_to_str
 
 
-@dataclass(frozen=True)
 class Lambda:
-    spec: AlgebraSpec
-    coords: tuple
-    seed: int | None = None  # the draw's seed, for replaying a sampled lambda
+    __slots__ = ("spec", "coords", "seed", "_key")
 
-    def __post_init__(self):
-        if len(self.coords) != self.spec.ncoords:
+    def __init__(self, spec: AlgebraSpec, coords: tuple, seed: int | None = None):
+        if len(coords) != spec.ncoords:
             raise ValueError("lambda has the wrong number of coordinates")
-        if not self.qp.classical and not all(self.coords):
+        if not spec.qp.classical and not all(coords):
             raise ValueError("trigonometric coordinates must be nonzero")
+        self.spec, self.coords = spec, coords
+        self.seed = seed  # the draw's seed, for replaying a sampled lambda
 
     @staticmethod
     def sample(spec: AlgebraSpec, seed: int, bits: int = 16) -> "Lambda":
@@ -117,7 +115,7 @@ class Lambda:
             return self._key
         except AttributeError:
             k = memo.intern((self.coords, self.qp))
-            object.__setattr__(self, "_key", k)  # the dataclass is frozen
+            self._key = k
             return k
 
     def to_json(self) -> dict:

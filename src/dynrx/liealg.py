@@ -12,7 +12,6 @@ choice; consistency is enforced by tests, not trusted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg, memo
@@ -37,40 +36,45 @@ def wt_neg(a: Weight) -> Weight:
     return tuple(-x for x in a)
 
 
-@dataclass(frozen=True)
 class AlgebraSpec:
     """kind 'sl2' or 'gln'; for gln, n is N (2 <= N <= 4).  The kind is read once,
     into root data: `roots` (the simple roots in weight coordinates, in echelon
     form), `gram2` (the diagonal of 2( , )) and `rho2` (2 rho); the `coroots` and
     the `cartan` matrix a_ij are derived from them, and the rest from all five.
-    `qnum2` holds [2]_q.  None of these is a dataclass field, so equality and
-    hashing read kind, n and qp alone."""
+    `qnum2` holds [2]_q.  Equality and hashing read kind, n and qp alone: the
+    rest follows from them."""
 
-    kind: str
-    n: int
-    qp: QParam
+    __slots__ = ("kind", "n", "qp", "roots", "gram2", "rho2", "coroots", "cartan", "qnum2")
 
-    def __post_init__(self):
-        if self.kind == "sl2":
-            if self.n != 1:
+    def __init__(self, kind: str, n: int, qp: QParam):
+        if kind == "sl2":
+            if n != 1:
                 raise ValueError("sl2 has rank 1")
             roots, gram2, rho2 = ((2,),), (1,), (2,)  # (mu, nu) = m n / 2
-        elif self.kind == "gln":
-            if not 2 <= self.n <= MAX_GLN:
+        elif kind == "gln":
+            if not 2 <= n <= MAX_GLN:
                 raise ValueError(f"gl_N supported only for 2 <= N <= {MAX_GLN}")
-            N = self.n
-            roots = tuple(tuple(int(a == i) - int(a == i + 1) for a in range(N))
-                          for i in range(N - 1))  # eps_i - eps_{i+1}
-            gram2, rho2 = (2,) * N, tuple(N + 1 - 2 * a for a in range(1, N + 1))
+            roots = tuple(tuple(int(a == i) - int(a == i + 1) for a in range(n))
+                          for i in range(n - 1))  # eps_i - eps_{i+1}
+            gram2, rho2 = (2,) * n, tuple(n + 1 - 2 * a for a in range(1, n + 1))
         else:
-            raise ValueError(f"unknown algebra kind {self.kind!r}")
-        self.__dict__.update(roots=roots, gram2=gram2, rho2=rho2)  # the dataclass is frozen
+            raise ValueError(f"unknown algebra kind {kind!r}")
+        self.kind, self.n, self.qp = kind, n, qp
+        self.roots, self.gram2, self.rho2 = roots, gram2, rho2
         # alpha^vee = 2 alpha / (alpha, alpha), in the coordinates dual to the weights
-        self.__dict__["coroots"] = tuple(tuple(2 * g * x // self.pairing2(al, al)
-                                               for g, x in zip(gram2, al)) for al in roots)
-        self.__dict__["cartan"] = tuple(tuple(self.cartan_int(i, al) for al in roots)
-                                        for i in range(len(roots)))  # <alpha_j, alpha_i^vee>
-        self.__dict__["qnum2"] = self.qp.qnum(2)  # [2]_q; with `cartan` it fixes the Serre relations
+        self.coroots = tuple(tuple(2 * g * x // self.pairing2(al, al) for g, x in zip(gram2, al))
+                             for al in roots)
+        self.cartan = tuple(tuple(self.cartan_int(i, al) for al in roots)
+                            for i in range(len(roots)))  # <alpha_j, alpha_i^vee>
+        self.qnum2 = qp.qnum(2)  # [2]_q; with `cartan` it fixes the Serre relations
+
+    def __eq__(self, other):
+        if other.__class__ is not AlgebraSpec:
+            return NotImplemented
+        return (self.kind, self.n, self.qp) == (other.kind, other.n, other.qp)
+
+    def __hash__(self):
+        return hash((self.kind, self.n, self.qp))
 
     @property
     def nsimple(self) -> int:

@@ -8,7 +8,6 @@ torus coordinate) or univariate symbolic (a RatFunc in one formal variable x);
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 Scalar = Fraction  # exact big rationals; gcd-reduced with positive denominator by construction
@@ -47,7 +46,6 @@ def _exact_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
-@dataclass(frozen=True)
 class QParam:
     """Deformation parameter.  The primary datum is s = q^{1/2} (the half power
     is needed because q^{h (x) h / 2} produces s-powers on integer weights);
@@ -56,30 +54,38 @@ class QParam:
     selects the q=1 degeneration; q-numbers then collapse to plain integers.
     """
 
-    s: Fraction | None
-    classical: bool = False
-    _q: Fraction | None = None
+    __slots__ = ("s", "classical", "_q")
 
-    def __post_init__(self):
-        s = None if self.s is None else Fraction(self.s)
-        object.__setattr__(self, "s", s)
+    def __init__(self, s: Fraction | None, classical: bool = False, _q: Fraction | None = None):
+        s = None if s is None else Fraction(s)
         if s is None:
-            if self._q is None:
+            if _q is None:
                 raise ValueError("need s or q")
-            q = Fraction(self._q)
+            q = Fraction(_q)
         else:
             if s == 0:
                 raise ValueError("s must be nonzero")
             q = s * s
-        object.__setattr__(self, "_q", q)
         if q == 0:
             raise ValueError("q must be nonzero")
-        if self.classical:
+        if classical:
             if q != 1:
                 raise ValueError("classical QParam must have q = 1")
         else:
             if q == 1 or q == -1:
                 raise ValueError("q = 1 requires the classical flag; q = -1 unsupported")
+        self.s, self.classical, self._q = s, classical, q
+
+    def _fields(self) -> tuple:
+        return (self.s, self.classical, self._q)
+
+    def __eq__(self, other):
+        if other.__class__ is not QParam:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     @staticmethod
     def from_q(q, classical: bool = False) -> "QParam":
@@ -127,11 +133,24 @@ def _trim(cs: list[Fraction]) -> tuple[Fraction, ...]:
     return tuple(cs)
 
 
-@dataclass(frozen=True)
 class Poly:
     """Dense univariate polynomial with Fraction coefficients, low degree first."""
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[Fraction, ...]):
+        self.coeffs = coeffs
+
+    def __eq__(self, other):
+        if other.__class__ is not Poly:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.coeffs,))
+
+    def __repr__(self):
+        return f"Poly(coeffs={self.coeffs!r})"
 
     @staticmethod
     def of(*cs) -> "Poly":
@@ -252,7 +271,6 @@ def _cofactors(p: Poly, q: Poly) -> tuple[Poly, Poly, Poly | None]:
     return p, q, None
 
 
-@dataclass(frozen=True)
 class RatFunc:
     """Quotient of two Polys, normalized: den monic and gcd(num, den) = 1; zero
     is 0/1.  The form is unique, so == compares num and den.
@@ -262,8 +280,13 @@ class RatFunc:
     arithmetic): a gcd of two polynomials runs only when both have positive
     degree, and a zero, unit or constant operand costs no gcd at all."""
 
-    num: Poly
-    den: Poly
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: Poly, den: Poly):
+        self.num, self.den = num, den
+
+    def __repr__(self):
+        return f"RatFunc(num={self.num!r}, den={self.den!r})"
 
     @staticmethod
     def make(num: Poly, den: Poly) -> "RatFunc":

@@ -22,7 +22,6 @@ the coefficients on v_{b,(b-n+a)/2} (x) v_{c,(c-k+n)/2}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -30,7 +29,7 @@ from . import linalg, memo
 from .liealg import irrep_sl2, tensor
 from .lam import Lambda
 from .exchange import fusion_inverse
-from .scalars import Poly, PoleError, QParam, RatFunc
+from .scalars import PoleError, QParam, RatFunc
 
 
 _sixj = memo.table("sixj")
@@ -117,13 +116,13 @@ def _sixj_fusion_impl(a, b, n, c, k, j, qp: QParam):
 
 def _combine(row, col) -> RatFunc:
     """sum_r row[r] * col[r] for RatFunc or Fraction row entries and Fraction
-    col entries: summed over one denominator, then normalised once."""
-    num, den = Poly(()), Poly.of(1)
+    col entries, summed term by term with the reduced-operand RatFunc `+`, so
+    that every partial sum stays in lowest terms."""
+    acc = RatFunc.const(0)
     for e, cs in zip(row, col):
         if e and cs:
-            e = RatFunc.coerce(e)
-            num, den = num * e.den + e.num.scale(cs) * den, den * e.den
-    return RatFunc.make(num, den)
+            acc = acc + RatFunc.coerce(e) * cs
+    return acc
 
 
 def sixj_oracle(a: int, b: int, n: int, c: int, k: int, j: int, qp: QParam):
@@ -184,11 +183,12 @@ def _spins(labels) -> tuple:
     return tuple(Fraction(x, 2) for x in labels)
 
 
-@dataclass
 class SixJTable:
-    qp: QParam
-    max_spin: Fraction
-    values: dict  # (a,b,n,c,k,j) as Fraction spins -> Fraction
+    __slots__ = ("qp", "max_spin", "values")
+
+    def __init__(self, qp: QParam, max_spin: Fraction, values: dict):
+        self.qp, self.max_spin = qp, max_spin
+        self.values = values  # (a,b,n,c,k,j) as Fraction spins -> Fraction
 
     def get(self, a, b, n, c, k, j):
         return self.values.get(tuple(map(Fraction, (a, b, n, c, k, j))), Fraction(0))

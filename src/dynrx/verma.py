@@ -10,7 +10,6 @@ vector conventions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -25,13 +24,15 @@ class CutoffExceeded(ValueError):
     """Requested degree beyond the slice cutoff; rebuild with a larger cutoff."""
 
 
-@dataclass(frozen=True)
 class _WordBasis:
     """Reduced word basis of U_q(n_-)[-n] for all n <= cutoff, with reduction data."""
 
-    cutoff: int
-    basis: tuple          # basis[n] = tuple of Words of length n
-    reducers: tuple       # reducers[n] = dict word -> (pivot elim rows) representation
+    __slots__ = ("cutoff", "basis", "reducers")
+
+    def __init__(self, cutoff: int, basis: tuple, reducers: tuple):
+        self.cutoff = cutoff
+        self.basis = basis          # basis[n] = tuple of Words of length n
+        self.reducers = reducers    # reducers[n] = dict word -> (pivot elim rows) representation
 
     def reduce_word(self, w: Word) -> dict:
         """Expand a free word in the reduced basis: dict basis_word -> Fraction."""

@@ -41,6 +41,19 @@ def test_usage_errors_exit_two():
     assert run("bogus-command").returncode == 2
 
 
+def test_import_loads_no_dataclass_machinery():
+    # every CLI process pays for its imports; the value types are plain
+    # slotted classes, so `dataclasses` and the modules it pulls in stay out.
+    # Modules loaded before the import (by `site`, say) do not count.
+    code = ("import sys; before = set(sys.modules); import dynrx.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    added = set(r.stdout.split())
+    assert "dynrx.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis"}
+
+
 @pytest.mark.parametrize("args, env", [
     (("compute", "--reps", "abc"), None),
     (("compute", "--reps", "40"), None),

@@ -7,13 +7,13 @@ from dynrx.dynrep import (
     _bad_blocks,
     antipode_generator,
     compose,
-    morphism_rigidity_check,
     pi_generator,
     verify_antipode,
     verify_coproduct_compat,
     verify_product_relation,
     verify_rll,
 )
+from dynrx.exchange import Report, exchange_matrix, r00_block
 from dynrx.lam import Lambda
 from dynrx.liealg import cg_decompose, irrep_sl2, tensor, trivial_rep, vector_rep_gln
 
@@ -173,6 +173,52 @@ def test_antipode_via_kprime_matches(qp4):
     A = antipode_generator(V, U, lam, "verma", "K")
     B = antipode_generator(V, U, lam, "verma", "Kprime")
     assert ops_equal(A, B)
+
+
+def morphism_rigidity_check(W, U, b, Vs, lams, method="verma"):
+    """Necessary conditions for b(lambda): W -> U to be a morphism of dynamical
+    representations: it intertwines the highest-component difference operators
+    (forcing lambda-independence), and classically it intertwines the e/f
+    action extracted from the first-order asymptotics."""
+    rep = Report("morphism", {"W": W.name, "U": U.name})
+    bmat = b if callable(b) else (lambda lh, b=b: b)
+    for idx, lam in enumerate(lams):
+        for V in Vs:
+            top = max(range(V.dim), key=lambda i: V.zdeg[i])
+            wt0 = V.weights[top]
+            B1 = r00_block(V, W, lam, method)
+            B2 = r00_block(V, U, lam, method)
+            lhsM = linalg.mat_mul(bmat(lam), B1)
+            rhsM = linalg.mat_mul(B2, bmat(lam.shifted(wt0)))
+            if not linalg.mat_eq(lhsM, rhsM):
+                rep.fail(sample=idx, V=V.name, condition="L00 intertwining")
+            # full generator-block intertwining (necessary for any morphism):
+            # b(lambda) R^{V,W}_{ab}(lambda) = R^{V,U}_{ab}(lambda) b(lambda - wt_V(b))
+            RW = exchange_matrix(V, W, lam, method)
+            RU = exchange_matrix(V, U, lam, method)
+            for a in range(V.dim):
+                for bb in range(V.dim):
+                    blkW = [[RW[a * W.dim + y][bb * W.dim + x] for x in range(W.dim)]
+                            for y in range(W.dim)]
+                    blkU = [[RU[a * U.dim + y][bb * U.dim + x] for x in range(U.dim)]
+                            for y in range(U.dim)]
+                    lhsM = linalg.mat_mul(bmat(lam), blkW)
+                    rhsM = linalg.mat_mul(blkU, bmat(lam.shifted(V.weights[bb])))
+                    if not linalg.mat_eq(lhsM, rhsM):
+                        rep.fail(sample=idx, V=V.name, block=(a, bb),
+                                 condition="generator-block intertwining")
+                        break
+                else:
+                    continue
+                break
+    if W.spec.qp.classical:
+        for i in range(W.spec.nsimple):
+            for X_W, X_U, nm in ((W.e[i], U.e[i], "e"), (W.f[i], U.f[i], "f")):
+                lhsM = linalg.mat_mul(bmat(lams[0]), X_W)
+                rhsM = linalg.mat_mul(X_U, bmat(lams[0]))
+                if not linalg.mat_eq(lhsM, rhsM):
+                    rep.fail(condition=f"classical {nm}-intertwining", index=i)
+    return rep
 
 
 def test_morphism_rigidity(qp4, qpc):

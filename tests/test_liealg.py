@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -569,8 +568,13 @@ def test_root_data_matches_the_per_kind_references(qval):
         want = tuple(reference_serre_relations(spec.nsimple, qp.qnum(2)))
         assert typed_value(got) == typed_value(want)
         assert typed_value(spec.qnum2) == typed_value(qp.qnum(2))
-        # the derived data are no dataclass fields: equality and hashing read kind, n, qp
-        assert [f.name for f in dataclasses.fields(spec)] == ["kind", "n", "qp"]
+        # equality and hashing read kind, n and qp alone, also after the
+        # derived data above have been read
+        twin = AlgebraSpec(spec.kind, spec.n, parse_qval(qval))
+        assert twin == spec and hash(twin) == hash(spec)
+        others = [AlgebraSpec(spec.kind, spec.n, parse_qval(q)) for q in QVALS if q != qval]
+        others += [o for o in all_specs(qp) if (o.kind, o.n) != (spec.kind, spec.n)]
+        assert all(other != spec for other in others)
 
 
 def symbolic_lambdas(spec):

@@ -7,7 +7,7 @@ from dynrx import memo
 from dynrx.exchange import fusion_inverse
 from dynrx.lam import Lambda
 from dynrx.liealg import cg_decompose, irrep_sl2, tensor
-from dynrx.scalars import QParam, RatFunc, classical_q
+from dynrx.scalars import Poly, QParam, RatFunc, classical_q
 from dynrx.sixj import (
     _combine,
     admissible,
@@ -139,11 +139,14 @@ def _cg_range_ref(b, c):
 
 
 def _combine_ref(row, col):
-    acc = RatFunc.const(0)
+    """The row summed over the plain product of its denominators, then
+    normalised by one `RatFunc.make`."""
+    num, den = Poly(()), Poly.of(1)
     for e, cs in zip(row, col):
-        if e:
-            acc = acc + RatFunc.coerce(e) * RatFunc.const(cs)
-    return acc
+        if e and cs:
+            e = RatFunc.coerce(e)
+            num, den = num * e.den + e.num.scale(cs) * den, den * e.den
+    return RatFunc.make(num, den)
 
 
 def _qp(qval):
