@@ -22,6 +22,11 @@ the run reads the same on each.  Each checkout is appended as its own run.  A
 process that outlives TIMEOUT_S seconds is stopped; that checkout's entry then
 records the timeout and a null median, and is not repeated.  Each run also
 records `src_lines`, the total line count of the checkout's `src/dynrx/*.py`.
+
+Timed processes run without PYTHONDONTWRITEBYTECODE, as perfbench's do: an
+installed package runs from byte-compiled modules, so only the first process
+of a checkout to import a module compiles it, and every later one reads the
+bytecode cache that it wrote.
 """
 
 from __future__ import annotations
@@ -87,6 +92,7 @@ def time_round(repo: str, argvs: list):
     """Wall time of one round and the first nonzero exit code of its processes
     (or 0); (None, None) if a process timed out."""
     env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
     t0 = time.perf_counter()
     code = 0
     for argv in argvs:

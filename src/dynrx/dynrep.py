@@ -46,7 +46,8 @@ def _add_term(op: dict, beta, M) -> None:
 
 def _bad_blocks(A: dict, B: dict, n: int):
     """Yield, in row-major order, each (r, c) of the n x n grid of blocks
-    (one block per matrix-slot entry) where the operators A and B differ."""
+    (one block per matrix-slot entry) where the operators A and B differ.  A
+    pair of zeros is never compared."""
     if not (A or B):
         return
     d = len(next(iter((A or B).values())))
@@ -55,8 +56,9 @@ def _bad_blocks(A: dict, B: dict, n: int):
     k = d // n
     for r in range(n):
         for c in range(n):
-            if any(X[i][j] != Y[i][j] for X, Y in pairs
-                   for i in range(r * k, r * k + k) for j in range(c * k, c * k + k)):
+            cols = slice(c * k, c * k + k)
+            if any((x or y) and x != y for X, Y in pairs for i in range(r * k, r * k + k)
+                   for x, y in zip(X[i][cols], Y[i][cols])):
                 yield r, c
 
 

@@ -54,6 +54,7 @@ _fusion_inverse = memo.table("fusion_inverse")
 _exchange = memo.table("exchange")
 _kmat = memo.table("kmat")
 _kprime = memo.table("kprime")
+_abrr_plan = memo.table("abrr_plan")  # (W, V) -> the lambda-free part of the ABRR sweep
 
 
 def fusion_matrix(W: FinRep, V: FinRep, lam: Lambda, method: str = "verma"):
@@ -127,17 +128,15 @@ def fusion_matrix_abrr(W: FinRep, V: FinRep, lam: Lambda):
         J[r][c] = sum_{s: drop(r, s) >= 1} R0^{21}[r][s] theta(s, c) J[s][c]
                   / (1 - theta(r, c)),
 
-    where every J[s][c] on the right has drop below k and is already final."""
+    where every J[s][c] on the right has drop below k and is already final.
+    Only theta depends on lambda; the rest is the pair's `_abrr_plan`."""
     spec = W.spec
     if spec.qp.classical:
         raise ValueError("ABRR applies to the trigonometric case; classical J uses Verma fusion")
-    dW, dV = W.dim, V.dim
-    d = dW * dV
-    R021 = flip(r_zero_part(V, W), dV, dW)  # acts on W (x) V
+    strict, order = _abrr_plan.get((W.key, V.key), _abrr_plan_impl, W, V)
+    dV = V.dim
+    d = W.dim * dV
     zero, one = lam.zero(), lam.one()
-
-    def drop(row, col):
-        return W.zdeg[col // dV] - W.zdeg[row // dV]
 
     def theta_v(jV, lV):
         # scale factor of D X D^{-1} on the matrix unit (row <- col); it reads
@@ -151,14 +150,8 @@ def fusion_matrix_abrr(W: FinRep, V: FinRep, lam: Lambda):
         return lam.root_qpow2(beta) * lam.scalar(spec.qp.qpow(exp))
 
     theta = [[theta_v(jV, lV) for lV in range(dV)] for jV in range(dV)]
-    if any(R021[r][c] != (1 if r == c else 0)
-           for r in range(d) for c in range(d) if drop(r, c) == 0):
-        raise ArithmeticError("R0 is not unipotent in the first-slot filtration")
-    strict = [[(s, R021[r][s]) for s in range(d) if drop(r, s) >= 1 and R021[r][s]]
-              for r in range(d)]  # row r of the strictly triangular part of R0^{21}
     J = [[one if r == c else zero for c in range(d)] for r in range(d)]
-    for k, r, c in sorted((drop(r, c), r, c) for r in range(d) for c in range(d)
-                          if drop(r, c) >= 1):
+    for k, r, c in order:
         val = zero
         for s, a in strict[r]:
             if J[s][c]:
@@ -170,6 +163,27 @@ def fusion_matrix_abrr(W: FinRep, V: FinRep, lam: Lambda):
             raise NonGenericLambda(f"ABRR step {k}: 1 - theta vanishes at this lambda")
         J[r][c] = val / den
     return J
+
+
+def _abrr_plan_impl(W: FinRep, V: FinRep):
+    """The lambda-free part of the ABRR sweep on W (x) V: the rows of the
+    strictly triangular part of R0^{21} = flip(R0 on V (x) W), and the sorted
+    (drop, r, c) visit order of the entries those rows can reach."""
+    dW, dV = W.dim, V.dim
+    d = dW * dV
+    R021 = flip(r_zero_part(V, W), dV, dW)  # acts on W (x) V
+
+    def drop(row, col):
+        return W.zdeg[col // dV] - W.zdeg[row // dV]
+
+    if any(R021[r][c] != (1 if r == c else 0)
+           for r in range(d) for c in range(d) if drop(r, c) == 0):
+        raise ArithmeticError("R0 is not unipotent in the first-slot filtration")
+    strict = [[(s, R021[r][s]) for s in range(d) if drop(r, s) >= 1 and R021[r][s]]
+              for r in range(d)]
+    order = sorted((drop(r, c), r, c) for r in range(d) if strict[r] for c in range(d)
+                   if drop(r, c) >= 1)
+    return strict, order
 
 
 class NotUnipotent(ValueError):
@@ -255,10 +269,10 @@ class Report:
 
 def _first_difference(lhs, rhs):
     """(r, c, str(lhs - rhs)) at the first entry, in row-major order, where lhs
-    and rhs differ; None if they are equal."""
+    and rhs differ; None if they are equal.  A pair of zeros is never compared."""
     for r, (lrow, rrow) in enumerate(zip(lhs, rhs)):
         for c, (x, y) in enumerate(zip(lrow, rrow)):
-            if x != y:
+            if (x or y) and x != y:
                 return r, c, str(x - y)
     return None
 

@@ -14,11 +14,19 @@ a zero of the type of a * b, and one of an `Echelon` row a zero of the type of
 x / pivot.  Each such zero is made once per pair of types per call.
 `mat_add` and `mat_sub` return the other operand (negated for 0 - b) where
 one operand is a zero of the other's type, and add or subtract otherwise.
+
+`mat_mul` makes one type test per call, over the entries of both operands at
+C speed.  Where every entry is a Fraction, the product runs on integers: each
+row of B as numerators over the lcm of its denominators, each row of A over
+one common denominator, zero tests on `_numerator`, and one Fraction per
+nonzero output entry; every other entry is Fraction(0), as the loop gives.
+Any other operands take the generic loop.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 Matrix = list  # list[list[field element]]
 
@@ -75,7 +83,14 @@ def _zero_row(a, row):
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     """A B, multiplying only nonzero pairs; each entry sums its terms in
-    increasing inner index."""
+    increasing inner index.  Fraction operands take `_mat_mul_fractions`."""
+    types = set()
+    for row in A:
+        types.update(map(type, row))
+    for row in B:
+        types.update(map(type, row))
+    if types == {Fraction}:
+        return _mat_mul_fractions(A, B)
     m = len(B[0])
     B_nz = [[(c, b) for c, b in enumerate(row) if b] for row in B]
     zero_rows = {}  # type(A[i][0]) -> the zero of each column c, typed like A[i][0] * B[0][c]
@@ -92,6 +107,30 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
         if zr is None:
             zr = zero_rows[type(Ai[0])] = _zero_row(Ai[0], B[0])
         out.append([z if s is None else s for s, z in zip(acc, zr)])
+    return out
+
+
+def _mat_mul_fractions(A: Matrix, B: Matrix) -> Matrix:
+    """A B for Fraction matrices, on integers: each row of B as numerators over
+    the lcm of its denominators, each row of A over one common denominator of
+    its terms, and one Fraction per nonzero entry."""
+    B_int = []  # per row of B: (its lcm denominator, [(c, numerator over it)])
+    for row in B:
+        nz = [(c, b) for c, b in enumerate(row) if b._numerator]
+        den = lcm(*[b._denominator for _, b in nz])
+        B_int.append((den, [(c, b._numerator * (den // b._denominator)) for c, b in nz]))
+    zero = Fraction(0)
+    m = len(B[0])
+    out = []
+    for Ai in A:
+        terms = [(a, Bk) for a, Bk in zip(Ai, B_int) if a._numerator and Bk[1]]
+        den = lcm(*[a._denominator * Bk[0] for a, Bk in terms])
+        acc = [0] * m
+        for a, (bden, nums) in terms:
+            f = a._numerator * (den // (a._denominator * bden))
+            for c, n in nums:
+                acc[c] += f * n
+        out.append([Fraction(x, den) if x else zero for x in acc])
     return out
 
 

@@ -16,6 +16,7 @@ from dynrx.dynrep import (
 from dynrx.exchange import Report, exchange_matrix, r00_block
 from dynrx.lam import Lambda
 from dynrx.liealg import cg_decompose, irrep_sl2, tensor, trivial_rep, vector_rep_gln
+from dynrx.scalars import RatFunc
 
 
 def sampled(spec, seed, bits=8):
@@ -57,6 +58,45 @@ def test_bad_blocks_compares_entries_and_one_sided_shifts():
     assert bad({(0,): eye, (2,): off}, {(0,): eye}) == [(0, 1), (1, 0)]
     assert bad({(0,): eye}, {(0,): eye, (-2,): off}) == [(0, 1), (1, 0)]
     assert bad({(2,): off}, {(-2,): off}) == [(0, 1), (1, 0)]
+
+
+def loop_bad_blocks(A, B, n):
+    """_bad_blocks as it was: every pair compared, zeros included."""
+    if not (A or B):
+        return
+    d = len(next(iter((A or B).values())))
+    zero = [[0] * d] * d
+    pairs = [(A.get(b, zero), B.get(b, zero)) for b in A.keys() | B.keys()]
+    k = d // n
+    for r in range(n):
+        for c in range(n):
+            if any(X[i][j] != Y[i][j] for X, Y in pairs
+                   for i in range(r * k, r * k + k) for j in range(c * k, c * k + k)):
+                yield r, c
+
+
+def test_bad_blocks_matches_loop(qp4):
+    sym = Lambda.symbolic(irrep_sl2(Fraction(1, 2), qp4).spec).coords[0]
+    base = [[Fraction(0)] * 4 for _ in range(4)]
+    base[0][1], base[2][2], base[3][0] = Fraction(3, 4), sym, Fraction(-1)
+
+    def with_entry(M, r, c, v):
+        M = [row[:] for row in M]
+        M[r][c] = v
+        return M
+
+    cases = [
+        ({(0,): base}, {(0,): [row[:] for row in base]}, []),  # equal
+        ({(0,): base}, {(0,): with_entry(base, 1, 2, Fraction(5))}, [(0, 1)]),  # zero, nonzero
+        ({(0,): with_entry(base, 3, 3, Fraction(2))}, {(0,): base}, [(1, 1)]),  # nonzero, zero
+        ({(0,): base}, {(0,): with_entry(base, 0, 1, Fraction(1, 4))}, [(0, 0)]),  # two nonzeros
+        ({(0,): base}, {(0,): with_entry(base, 1, 0, RatFunc.const(0))}, []),  # RatFunc zero
+        # a shift on one side only, against the other side's zero blocks
+        ({(0,): with_entry(base, 1, 3, RatFunc.const(0))}, {(0,): base, (2,): base},
+         [(0, 0), (1, 0), (1, 1)]),
+    ]
+    for A, B, want in cases:
+        assert list(_bad_blocks(A, B, 2)) == list(loop_bad_blocks(A, B, 2)) == want
 
 
 def test_diffop_composition_shifts(qp4):

@@ -227,6 +227,72 @@ def test_abrr_nongeneric_point_matches_bucketed_reference(qp4, spin, x, step):
     assert messages[0] == messages[1] == f"ABRR step {step}: 1 - theta vanishes at this lambda"
 
 
+def test_abrr_plan_built_once_per_pair(monkeypatch):
+    from dynrx import exchange, memo
+
+    real, calls = exchange.r_zero_part, []
+
+    def counted(V, W):
+        calls.append((V, W))
+        return real(V, W)
+
+    monkeypatch.setattr(exchange, "r_zero_part", counted)
+    memo.clear()
+    V = vector_rep_gln(4, QParam.from_q(4))
+    Js = [fusion_matrix_abrr(V, V, sampled(V.spec, seed)) for seed in (1, 2, 3)]
+    assert len(calls) == 1
+    assert memo.stats()["abrr_plan"] == {"hits": 2, "misses": 1, "size": 1}
+    assert Js[0] != Js[1] != Js[2]
+
+
+def test_abrr_plan_rejects_non_unipotent_r0(qp4, monkeypatch):
+    from dynrx import exchange, memo
+
+    def doubled(V, W):
+        return linalg.mat_scale(r_zero_part(V, W), Fraction(2))
+
+    monkeypatch.setattr(exchange, "r_zero_part", doubled)
+    memo.clear()
+    V = irrep_sl2(Fraction(1, 2), qp4)
+    for seed in (1, 2):  # nothing is kept, so every lambda raises again
+        with pytest.raises(ArithmeticError, match="R0 is not unipotent"):
+            fusion_matrix_abrr(V, V, sampled(V.spec, seed))
+    assert memo.stats()["abrr_plan"]["size"] == 0
+
+
+def loop_first_difference(lhs, rhs):
+    """_first_difference as it was: every pair compared, zeros included."""
+    for r, (lrow, rrow) in enumerate(zip(lhs, rhs)):
+        for c, (x, y) in enumerate(zip(lrow, rrow)):
+            if x != y:
+                return r, c, str(x - y)
+    return None
+
+
+def test_first_difference_matches_loop():
+    from dynrx.exchange import _first_difference
+
+    def with_entry(M, r, c, v):
+        M = [row[:] for row in M]
+        M[r][c] = v
+        return M
+
+    sym = Lambda.symbolic(irrep_sl2(Fraction(1, 2), QParam.from_q(4)).spec).coords[0]
+    base = [[Fraction(0), Fraction(3, 4), Fraction(0)],
+            [Fraction(0), Fraction(0), Fraction(0)],
+            [Fraction(-1), Fraction(0), sym]]
+    cases = [
+        (base, [row[:] for row in base], None),  # equal
+        (base, with_entry(base, 1, 1, Fraction(5)), (1, 1, "-5")),  # zero against nonzero
+        (with_entry(base, 1, 2, Fraction(2)), base, (1, 2, "2")),  # nonzero against zero
+        (base, with_entry(base, 0, 1, Fraction(1, 4)), (0, 1, "1/2")),  # two nonzeros
+        (base, with_entry(base, 1, 0, RatFunc.const(0)), None),  # RatFunc zero, Fraction zero
+        (with_entry(base, 0, 0, RatFunc.const(0)), base, None),
+    ]
+    for lhs, rhs, want in cases:
+        assert _first_difference(lhs, rhs) == loop_first_difference(lhs, rhs) == want
+
+
 def test_invert_unipotent(qp4):
     W = vector_rep_gln(2, qp4)
     lam = Lambda.symbolic(W.spec)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynrx import linalg
 from dynrx.exchange import fusion_matrix, invert_unipotent
@@ -483,3 +485,87 @@ def test_invert_unipotent_matches_reference_on_real_fusion_matrices():
         N = ref_mat_sub(J, linalg.eye(d))
         squares_zero.append(linalg.mat_is_zero(ref_mat_mul(N, N)))
     assert not all(squares_zero)  # the series is longer than 1 - N somewhere
+
+
+def loop_mat_mul(A, B):
+    """mat_mul as it was before its integer path: the nonzero pairs of any
+    field type, with a no-term entry typed like A[i][0] * B[0][c]."""
+    m = len(B[0])
+    B_nz = [[(c, b) for c, b in enumerate(row) if b] for row in B]
+    zero_rows = {}
+    out = []
+    for Ai in A:
+        acc = [None] * m
+        for a, Br in zip(Ai, B_nz):
+            if not Br or not a:
+                continue
+            for c, b in Br:
+                s = acc[c]
+                acc[c] = a * b if s is None else s + a * b
+        zr = zero_rows.get(type(Ai[0]))
+        if zr is None:
+            za = Ai[0] - Ai[0]
+            zr = zero_rows[type(Ai[0])] = [za * b for b in B[0]]
+        out.append([z if s is None else s for s, z in zip(acc, zr)])
+    return out
+
+
+# Sparse Fractions: mostly zero, either sign, denominators up to 10^12.
+sparse_fraction = st.one_of(
+    st.just(Fraction(0)), st.just(Fraction(0)), st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 12)))
+
+
+@st.composite
+def sparse_fraction_pair(draw):
+    """(A, B) with A n x k and B k x m (1 x n and n x 1 shapes included), and
+    some rows and columns of each made all zero."""
+    n, k, m = (draw(st.integers(1, 6)) for _ in range(3))
+
+    def matrix(rows, cols):
+        M = draw(st.lists(st.lists(sparse_fraction, min_size=cols, max_size=cols),
+                          min_size=rows, max_size=rows))
+        zr = draw(st.sets(st.integers(0, rows - 1), max_size=rows))
+        zc = draw(st.sets(st.integers(0, cols - 1), max_size=cols))
+        return [[Fraction(0) if i in zr or j in zc else x for j, x in enumerate(row)]
+                for i, row in enumerate(M)]
+
+    return matrix(n, k), matrix(k, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_fraction_pair())
+def test_mat_mul_integer_path_matches_loop(pair):
+    A, B = pair
+    assert_same_entries(mat_mul(A, B), loop_mat_mul(A, B))
+
+
+def test_mat_mul_integer_path_only_for_all_fraction_operands(monkeypatch):
+    calls = []
+    real = linalg._mat_mul_fractions
+
+    def counted(A, B):
+        calls.append(1)
+        return real(A, B)
+
+    monkeypatch.setattr(linalg, "_mat_mul_fractions", counted)
+    rng = random.Random("paths")
+    F = random_fractions(rng, 3, 3, 0.6)
+    G = random_fractions(rng, 3, 3, 0.6)
+    assert_same_entries(mat_mul(F, G), loop_mat_mul(F, G))
+    assert len(calls) == 1
+    R = random_ratfuncs(rng, 3, 3, 0.6)
+    patch = kind_matrix(rng, "patch", 3, 3, 0.6)
+    ints = [[1, 0, Fraction(2, 3)], [0, -2, 0], [Fraction(0), 3, 1]]
+    for X, Y in ((F, R), (R, F), (patch, G), (F, patch), (ints, G), (F, ints), (ints, ints)):
+        assert_same_entries(mat_mul(X, Y), loop_mat_mul(X, Y))
+    assert len(calls) == 1
+
+
+def test_fraction_private_fields_equal_public_ones():
+    # the integer path of mat_mul reads _numerator and _denominator directly
+    for x in (Fraction(0), Fraction(-3, 4), Fraction(6, -8), Fraction(5), Fraction("7/21"),
+              Fraction(1, 3) + Fraction(1, 6), Fraction(-2, 9) * Fraction(3, 4),
+              Fraction(10 ** 20 + 1, 10 ** 13)):
+        assert (x._numerator, x._denominator) == (x.numerator, x.denominator)
+        assert type(x._numerator) is int and type(x._denominator) is int

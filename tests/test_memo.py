@@ -101,6 +101,7 @@ def test_verma_fusion_reads_no_universal_r_and_no_abrr(monkeypatch):
         raise AssertionError("the Verma route reached the ABRR route")
 
     monkeypatch.setattr(exchange, "fusion_matrix_abrr", forbidden)
+    monkeypatch.setattr(exchange, "_abrr_plan_impl", forbidden)
     monkeypatch.setattr(exchange, "r_zero_part", forbidden)
     memo.clear()
     qp = QParam.from_q(4)
@@ -110,6 +111,7 @@ def test_verma_fusion_reads_no_universal_r_and_no_abrr(monkeypatch):
     st = memo.stats()
     assert st["fusion"]["misses"] == 2
     assert st["universal_r"]["hits"] == st["universal_r"]["misses"] == 0
+    assert st["abrr_plan"]["hits"] == st["abrr_plan"]["misses"] == 0
 
 
 def test_threads_share_tables_without_lost_updates():
