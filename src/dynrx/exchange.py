@@ -129,7 +129,7 @@ def fusion_matrix_abrr(W: FinRep, V: FinRep, lam: Lambda):
                   / (1 - theta(r, c)),
 
     where every J[s][c] on the right has drop below k and is already final.
-    Only theta depends on lambda; the rest is the pair's `_abrr_plan`."""
+    Only theta depends on lambda; the rest is the pair's `abrr_plan` entry."""
     spec = W.spec
     if spec.qp.classical:
         raise ValueError("ABRR applies to the trigonometric case; classical J uses Verma fusion")

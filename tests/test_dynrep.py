@@ -75,8 +75,8 @@ def loop_bad_blocks(A, B, n):
                 yield r, c
 
 
-def test_bad_blocks_matches_loop(qp4):
-    sym = Lambda.symbolic(irrep_sl2(Fraction(1, 2), qp4).spec).coords[0]
+def test_bad_blocks_matches_loop():
+    sym = RatFunc.x()
     base = [[Fraction(0)] * 4 for _ in range(4)]
     base[0][1], base[2][2], base[3][0] = Fraction(3, 4), sym, Fraction(-1)
 

@@ -277,7 +277,7 @@ def test_first_difference_matches_loop():
         M[r][c] = v
         return M
 
-    sym = Lambda.symbolic(irrep_sl2(Fraction(1, 2), QParam.from_q(4)).spec).coords[0]
+    sym = RatFunc.x()
     base = [[Fraction(0), Fraction(3, 4), Fraction(0)],
             [Fraction(0), Fraction(0), Fraction(0)],
             [Fraction(-1), Fraction(0), sym]]
