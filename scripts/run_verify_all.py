@@ -6,7 +6,6 @@ CLI (python -m dynrx.cli verify ...) exposes the same suites one at a time.
 
 import sys
 import time
-from fractions import Fraction
 
 from dynrx.cli import make_parser, cmd_verify
 

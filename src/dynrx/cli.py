@@ -67,13 +67,6 @@ from .scalars import (
 )
 from .sixj import pentagon_residuals, sixj_table
 
-ALL_SUITES = [
-    "cocycle", "qdyb", "hecke", "abrr-agreement", "closed-form", "k-matrix",
-    "two-point", "sixj", "gauge", "rll", "product", "coproduct", "antipode",
-    "asymptotics", "r00",
-]
-
-
 class ConfigError(ValueError):
     pass
 
@@ -231,164 +224,163 @@ def cmd_compute(args) -> int:
     return 0
 
 
-def _suite_runners(args, qp, reps, lams):
+def _hecke(args, qp, reps, lams):
+    return [hecke_report(exchange_matrix(reps[0], reps[1], lam, args.method), reps[0], qp)
+            for lam in lams]
+
+
+def _abrr_agreement(args, qp, reps, lams):
+    rep = Report("abrr-agreement", {"reps": [r.name for r in reps[:2]]})
+    for idx, lam in enumerate(lams):
+        A = fusion_matrix(reps[0], reps[1], lam, "verma")
+        B = fusion_matrix(reps[0], reps[1], lam, "abrr")
+        if not linalg.mat_eq(A, B):
+            rep.fail(sample=idx)
+    return [rep]
+
+
+def _closed_form(args, qp, reps, lams):
+    n = reps[0].spec.n
+    rep = Report("closed-form", {"N": n})
+    cfJ = closed_form_fusion(n, qp)
+    cfR = closed_form_hecke(n, qp)
+    for idx, lam in enumerate(lams):
+        if not linalg.mat_eq(fusion_matrix(reps[0], reps[1], lam, args.method), cfJ.to_matrix(lam)):
+            rep.fail(sample=idx, object="J")
+        if not linalg.mat_eq(exchange_matrix(reps[0], reps[1], lam, args.method), cfR.to_matrix(lam)):
+            rep.fail(sample=idx, object="R")
+    return [rep]
+
+
+def _kmatrix(args, qp, reps, lams):
+    rep = Report("k-matrix", {"V": reps[0].name})
+    for idx, lam in enumerate(lams):
+        K = kmat(reps[0], lam, args.method)
+        Kp = kprime(reps[0], lam, args.method)
+        if not linalg.mat_eq(K, Kp):
+            rep.fail(sample=idx, identity="K == K'")
+        B = two_point(reps[0], lam)
+        if not linalg.mat_eq(B, Kp):
+            rep.fail(sample=idx, identity="B == <v, K' v*>")
+        if linalg.mat_det(B) == 0:
+            rep.fail(sample=idx, identity="det B != 0")
+    return [rep]
+
+
+def _two_point(args, qp, reps, lams):
+    rep = Report("two-point", {"V": reps[0].name})
+    for idx, lam in enumerate(lams):
+        if linalg.mat_det(two_point(reps[0], lam)) == 0:
+            rep.fail(sample=idx, identity="det B != 0")
+    return [rep]
+
+
+def _sixj(args, qp, reps, lams):
+    max_spin = parse_max_spin(args.max_spin)
+    rep = Report("sixj", {"max_spin": str(args.max_spin)})
+    tf = sixj_table(qp, max_spin, "fusion")
+    to = sixj_table(qp, max_spin, "oracle")
+    for key in sorted(set(tf.values) | set(to.values)):
+        if tf.get(*key) != to.get(*key):
+            rep.fail(key=[str(x) for x in key], fusion=str(tf.get(*key)),
+                     oracle=str(to.get(*key)))
+    for labels, lhs, rhs in pentagon_residuals(qp, max_spin):
+        rep.fail(pentagon=[str(x) for x in labels], lhs=str(lhs), rhs=str(rhs))
+    return [rep]
+
+
+def _sixj_reason(args, qp, spec):
+    if spec.kind != "sl2":
+        return "sixj suite needs sl2"
+    parse_max_spin(args.max_spin)  # a bad --max-spin raises its own ConfigError
+    return None
+
+
+def _gauge(args, qp, reps, lams):
     spec = reps[0].spec
-    trip = (reps + [reps[-1], reps[-1]])[:3]
-    pair = (reps + [reps[-1]])[:2]
+    N = spec.n if spec.kind == "gln" else 2
+    samples = min(args.samples, 20)  # the conjugation check draws at most 20 points
+    rep = Report("gauge", {"N": N, "samples": samples})
+    rng = random.Random(args.seed)
+    for t in range(30):
+        xi = random_one_form(N, qp, rng)
+        if not d_operator(d_operator(xi)).is_trivial():
+            rep.fail(identity="d^2 = 0", form=t)
+    xi = exact_one_form(N, qp)
+    phi = exact_two_form(N, qp)
+    dxi = d_operator(xi)
+    if not all(dxi.value(k) == phi.value(k) for k in phi.values):
+        rep.fail(identity="d xi* == phi*")
+    _, _, ok = gauge_sequence_report(N, qp)
+    if not ok:
+        rep.fail(identity="three-step gauge sequence")
+    R0 = example_hecke(N, qp)
+    c = Fraction(3)
+    R3 = apply_gauge(R0, ("III", c))
+    if (R3.hq, R3.hp) != (c * R0.hq, c * R0.hp):
+        rep.fail(identity="type III Hecke parameters")
+    # gauge forms live on the N-coordinate torus; draw matching points
+    pts = sample_lambdas(AlgebraSpec("gln", N, qp), samples, args.seed, args.bitsize)
+    conj = conjugation_identity_check(closed_form_hecke(N, qp), xi, pts)
+    if not conj.passed:
+        rep.fail(identity="conjugation == type I by d xi", detail=conj.failures[:1])
+    return [rep]
 
-    def suite_cocycle():
-        return [verify_cocycle(trip[0], trip[1], trip[2], lams, args.method)]
 
-    def suite_qdyb():
-        return [verify_qdyb(trip[0], trip[1], trip[2], lams, args.method)]
+def _asymptotics(args, qp, reps, lams):
+    if qp.classical:
+        return [asymptotic_leading(reps[0], reps[1])]
+    return [asymptotic_alcove(reps[0], reps[1], side, range(5, 21), args.method)
+            for side in ("positive", "negative")]
 
-    def suite_hecke():
-        if spec.kind != "gln":
-            raise ConfigError("hecke suite applies to gl_N vector pairs")
-        out = []
-        for lam in lams:
-            R = exchange_matrix(pair[0], pair[1], lam, args.method)
-            out.append(hecke_report(R, pair[0], qp))
-        return out
 
-    def suite_abrr():
-        if qp.classical:
-            raise ConfigError("abrr-agreement applies to the trigonometric case")
-        rep = Report("abrr-agreement", {"reps": [r.name for r in pair]})
-        for idx, lam in enumerate(lams):
-            A = fusion_matrix(pair[0], pair[1], lam, "verma")
-            B = fusion_matrix(pair[0], pair[1], lam, "abrr")
-            if not linalg.mat_eq(A, B):
-                rep.fail(sample=idx)
-        return [rep]
+def _asymptotics_reason(args, qp, spec):
+    if qp.classical and spec.nsimple != 1:
+        return "classical asymptotics expand in one simple root: sl2 or gl2"
+    if not qp.classical and abs(qp.q) >= 1:
+        return "trigonometric asymptotics need |q| < 1"
+    return None
 
-    def suite_closed_form():
-        if spec.kind != "gln":
-            raise ConfigError("closed-form suite applies to gl_N")
-        rep = Report("closed-form", {"N": spec.n})
-        cfJ = closed_form_fusion(spec.n, qp)
-        cfR = closed_form_hecke(spec.n, qp)
-        for idx, lam in enumerate(lams):
-            if not linalg.mat_eq(fusion_matrix(pair[0], pair[1], lam, args.method), cfJ.to_matrix(lam)):
-                rep.fail(sample=idx, object="J")
-            if not linalg.mat_eq(exchange_matrix(pair[0], pair[1], lam, args.method), cfR.to_matrix(lam)):
-                rep.fail(sample=idx, object="R")
-        return [rep]
 
-    def suite_kmatrix():
-        rep = Report("k-matrix", {"V": reps[0].name})
-        for idx, lam in enumerate(lams):
-            K = kmat(reps[0], lam, args.method)
-            Kp = kprime(reps[0], lam, args.method)
-            if not linalg.mat_eq(K, Kp):
-                rep.fail(sample=idx, identity="K == K'")
-            B = two_point(reps[0], lam)
-            if not linalg.mat_eq(B, Kp):
-                rep.fail(sample=idx, identity="B == <v, K' v*>")
-            if linalg.mat_det(B) == 0:
-                rep.fail(sample=idx, identity="det B != 0")
-        return [rep]
+def _r00(args, qp, reps, lams):
+    out = [r00_scalar_check(reps[0], reps[1], lams, args.method)]
+    if reps[0].spec.kind == "sl2":
+        W2 = tensor(reps[1], irrep_sl2(1, qp))  # holds every weight of W
+        out.append(r00_cross_check(reps[0], reps[1], W2, lams, args.method))
+    return out
 
-    def suite_twopoint():
-        rep = Report("two-point", {"V": reps[0].name})
-        for idx, lam in enumerate(lams):
-            B = two_point(reps[0], lam)
-            if linalg.mat_det(B) == 0:
-                rep.fail(sample=idx, identity="det B != 0")
-        return [rep]
 
-    def suite_sixj():
-        if spec.kind != "sl2":
-            raise ConfigError("sixj suite needs sl2")
-        max_spin = parse_max_spin(args.max_spin)
-        rep = Report("sixj", {"max_spin": str(args.max_spin)})
-        tf = sixj_table(qp, max_spin, "fusion")
-        to = sixj_table(qp, max_spin, "oracle")
-        for key in sorted(set(tf.values) | set(to.values)):
-            if tf.get(*key) != to.get(*key):
-                rep.fail(key=[str(x) for x in key], fusion=str(tf.get(*key)),
-                         oracle=str(to.get(*key)))
-        for labels, lhs, rhs in pentagon_residuals(qp, max_spin):
-            rep.fail(pentagon=[str(x) for x in labels], lhs=str(lhs), rhs=str(rhs))
-        return [rep]
-
-    def suite_gauge():
-        N = spec.n if spec.kind == "gln" else 2
-        samples = min(args.samples, 20)  # the conjugation check draws at most 20 points
-        rep = Report("gauge", {"N": N, "samples": samples})
-        rng = random.Random(args.seed)
-        for t in range(30):
-            xi = random_one_form(N, qp, rng)
-            if not d_operator(d_operator(xi)).is_trivial():
-                rep.fail(identity="d^2 = 0", form=t)
-        xi = exact_one_form(N, qp)
-        phi = exact_two_form(N, qp)
-        dxi = d_operator(xi)
-        if not all(dxi.value(k) == phi.value(k) for k in phi.values):
-            rep.fail(identity="d xi* == phi*")
-        _, _, ok = gauge_sequence_report(N, qp)
-        if not ok:
-            rep.fail(identity="three-step gauge sequence")
-        R0 = example_hecke(N, qp)
-        c = Fraction(3)
-        R3 = apply_gauge(R0, ("III", c))
-        if (R3.hq, R3.hp) != (c * R0.hq, c * R0.hp):
-            rep.fail(identity="type III Hecke parameters")
-        # gauge forms live on the N-coordinate torus; draw matching points
-        pts = sample_lambdas(AlgebraSpec("gln", N, qp), samples, args.seed, args.bitsize)
-        conj = conjugation_identity_check(closed_form_hecke(N, qp), xi, pts)
-        if not conj.passed:
-            rep.fail(identity="conjugation == type I by d xi", detail=conj.failures[:1])
-        return [rep]
-
-    def suite_rll():
-        return [verify_rll(trip[0], trip[1], trip[2], lams, args.method)]
-
-    def suite_product():
-        return [verify_product_relation(trip[0], trip[1], trip[2], lams, args.method)]
-
-    def suite_coproduct():
-        return [verify_coproduct_compat(trip[0], trip[1], trip[2], lams, args.method)]
-
-    def suite_antipode():
-        return [verify_antipode(pair[0], pair[1], lams, args.method)]
-
-    def suite_asymptotics():
-        if qp.classical:
-            if spec.nsimple != 1:
-                raise ConfigError("classical asymptotics expand in one simple root: sl2 or gl2")
-            return [asymptotic_leading(pair[0], pair[1])]
-        if abs(qp.q) >= 1:
-            raise ConfigError("trigonometric asymptotics need |q| < 1")
-        return [
-            asymptotic_alcove(pair[0], pair[1], "positive", range(5, 21), args.method),
-            asymptotic_alcove(pair[0], pair[1], "negative", range(5, 21), args.method),
-        ]
-
-    def suite_r00():
-        out = [r00_scalar_check(pair[0], pair[1], lams, args.method)]
-        if spec.kind == "sl2":
-            W2 = tensor(pair[1], irrep_sl2(1, qp))  # holds every weight of W
-            out.append(r00_cross_check(pair[0], pair[1], W2, lams, args.method))
-        return out
-
-    return {
-        "cocycle": suite_cocycle,
-        "qdyb": suite_qdyb,
-        "hecke": suite_hecke,
-        "abrr-agreement": suite_abrr,
-        "closed-form": suite_closed_form,
-        "k-matrix": suite_kmatrix,
-        "two-point": suite_twopoint,
-        "sixj": suite_sixj,
-        "gauge": suite_gauge,
-        "rll": suite_rll,
-        "product": suite_product,
-        "coproduct": suite_coproduct,
-        "antipode": suite_antipode,
-        "asymptotics": suite_asymptotics,
-        "r00": suite_r00,
-    }
+# The verify suites, in their default order: name -> (runner, reason).
+# runner(args, qp, reps, lams) returns the suite's reports; reps are the first
+# three --reps, the last one repeated to fill, so reps[:2] is the pair.
+# reason(args, qp, spec) says why the suite does not apply (or raises ConfigError
+# on a bad option the suite reads), and is None where the suite always applies.
+# `cmd_verify` asks every requested suite's reason before it runs any suite.
+SUITES = {
+    "cocycle": (lambda args, qp, reps, lams: [verify_cocycle(*reps, lams, args.method)], None),
+    "qdyb": (lambda args, qp, reps, lams: [verify_qdyb(*reps, lams, args.method)], None),
+    "hecke": (_hecke, lambda args, qp, spec:
+              None if spec.kind == "gln" else "hecke suite applies to gl_N vector pairs"),
+    "abrr-agreement": (_abrr_agreement, lambda args, qp, spec:
+                       "abrr-agreement applies to the trigonometric case" if qp.classical
+                       else None),
+    "closed-form": (_closed_form, lambda args, qp, spec:
+                    None if spec.kind == "gln" else "closed-form suite applies to gl_N"),
+    "k-matrix": (_kmatrix, None),
+    "two-point": (_two_point, None),
+    "sixj": (_sixj, _sixj_reason),
+    "gauge": (_gauge, None),
+    "rll": (lambda args, qp, reps, lams: [verify_rll(*reps, lams, args.method)], None),
+    "product": (lambda args, qp, reps, lams:
+                [verify_product_relation(*reps, lams, args.method)], None),
+    "coproduct": (lambda args, qp, reps, lams:
+                  [verify_coproduct_compat(*reps, lams, args.method)], None),
+    "antipode": (lambda args, qp, reps, lams:
+                 [verify_antipode(reps[0], reps[1], lams, args.method)], None),
+    "asymptotics": (_asymptotics, _asymptotics_reason),
+    "r00": (_r00, None),
+}
+ALL_SUITES = list(SUITES)
 
 
 def cmd_verify(args) -> int:
@@ -398,10 +390,14 @@ def cmd_verify(args) -> int:
     lams = sample_lambdas(spec, args.samples, args.seed, args.bitsize)
     suites = args.suites or ALL_SUITES
     for s in suites:
-        if s not in ALL_SUITES:
+        if s not in SUITES:
             raise ConfigError(f"unknown suite {s!r}")
-    runners = _suite_runners(args, qp, reps, lams)
-    reports = [r.to_json() for s in suites for r in runners[s]()]
+    for s in suites:
+        reason = SUITES[s][1] and SUITES[s][1](args, qp, spec)
+        if reason:
+            raise ConfigError(reason)
+    trip = (reps + [reps[-1], reps[-1]])[:3]
+    reports = [r.to_json() for s in suites for r in SUITES[s][0](args, qp, trip, lams)]
     all_pass = all(rj["pass"] for rj in reports)
     payload = {"config": {"command": "verify", "suites": suites, **config_dict(args)},
                "reports": reports, "pass": all_pass}

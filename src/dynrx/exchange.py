@@ -294,23 +294,15 @@ def embed3(matfn, reps, s0: int, s1: int, lam: Lambda, shift_spectator: bool):
         blocks = [(matfn(lam.shifted(wt)), its) for wt, its in reps[t].weight_spaces().items()]
     else:
         blocks = [(matfn(lam), range(dims[t]))]
-    dA, dB = dims[s0], dims[s1]
+    # base[a * dims[s1] + b]: the basis index of (a in slot s0, b in slot s1, 0 in slot t)
+    stride = [dims[1] * dims[2], dims[2], 1]
+    base = [a * stride[s0] + b * stride[s1] for a in range(dims[s0]) for b in range(dims[s1])]
     for M, its in blocks:
+        nonzero = [(base[i], base[j], v) for i, row in enumerate(M) for j, v in enumerate(row) if v]
         for it in its:
-            for ia in range(dA):
-                for ib in range(dB):
-                    for ja in range(dA):
-                        for jb in range(dB):
-                            v = M[ia * dB + ib][ja * dB + jb]
-                            if not v:
-                                continue
-                            ridx = [0, 0, 0]
-                            cidx = [0, 0, 0]
-                            ridx[s0], ridx[s1], ridx[t] = ia, ib, it
-                            cidx[s0], cidx[s1], cidx[t] = ja, jb, it
-                            r = (ridx[0] * dims[1] + ridx[1]) * dims[2] + ridx[2]
-                            c = (cidx[0] * dims[1] + cidx[1]) * dims[2] + cidx[2]
-                            out[r][c] = v
+            off = it * stride[t]
+            for r, c, v in nonzero:
+                out[r + off][c + off] = v
     return out
 
 

@@ -150,22 +150,43 @@ def test_fusion_identity_for_trivial_reps():
     assert payload["results"][0]["matrix"]["entries"] == [["1"]]
 
 
-def test_verify_failure_exit_one(tmp_path):
-    # a genuinely failing mathematical check must exit 1: fabricate one by
-    # running the alcove suite outside its convergence regime is a config error,
-    # so instead check the exit path through a monkeypatched runner
-    code = (
-        "import dynrx.cli as c, sys\n"
-        "orig = c._suite_runners\n"
-        "def fake(args, qp, reps, lams):\n"
-        "    from dynrx.exchange import Report\n"
-        "    r = Report('hecke', {}); r.fail(reason='forced')\n"
-        "    return {'hecke': (lambda: [r])}\n"
-        "c._suite_runners = fake\n"
-        "sys.exit(c.main(['verify', '--suites', 'hecke', '--algebra', 'gl2', '--q', '4']))\n"
-    )
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert r.returncode == 1
+def test_verify_failure_exit_one(monkeypatch, capsys):
+    # a genuinely failing mathematical check must exit 1: force one by swapping
+    # the hecke row's runner for one that records a failure
+    from dynrx.exchange import Report
+
+    def forced(args, qp, reps, lams):
+        rep = Report("hecke", {})
+        rep.fail(reason="forced")
+        return [rep]
+
+    monkeypatch.setitem(cli.SUITES, "hecke", (forced, cli.SUITES["hecke"][1]))
+    assert cli.main(["verify", "--suites", "hecke", "--algebra", "gl2", "--q", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    payload = json.loads(out)
+    assert payload["pass"] is False
+    assert payload["reports"] == [{"suite": "hecke", "config": {}, "pass": False,
+                                   "failures": [{"reason": "forced"}]}]
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--suites", "cocycle", "hecke", "--algebra", "sl2"),
+     "hecke suite applies to gl_N vector pairs"),
+    (("--suites", "cocycle", "sixj", "--max-spin", "abc"),
+     "bad --max-spin 'abc': Invalid literal for Fraction: 'abc'"),
+    (("--suites", "cocycle", "closed-form", "asymptotics", "--q", "4"),
+     "closed-form suite applies to gl_N"),
+], ids=["hecke", "sixj-max-spin", "closed-form"])
+def test_suite_that_does_not_apply_exits_two_before_any_suite_runs(args, message, monkeypatch,
+                                                                   capsys):
+    def unreachable(*args):
+        raise AssertionError("a suite ran although a requested suite does not apply")
+
+    monkeypatch.setattr(cli, "verify_cocycle", unreachable)
+    assert cli.main(["verify", "--samples", "1", *args]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"config error: {message}\n"
 
 
 # sha256 of stdout for fixed configurations, each captured before a refactor
