@@ -18,6 +18,7 @@ import csv
 import io
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -411,6 +412,10 @@ def make_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     for name in ("compute", "verify"):
         sp = sub.add_parser(name)
+        # argparse takes "-1" and "-0.5" for values but "-1/4" for an option; read
+        # every token that starts with "-" and a digit as a value, so that
+        # "--q -1/4" parses as "--q=-1/4" does (no option here starts that way)
+        sp._negative_number_matcher = re.compile(r"-\.?\d")
         sp.add_argument("--algebra", default="sl2", choices=["sl2", "gl2", "gl3", "gl4"])
         sp.add_argument("--q", default="4", help='rational q (e.g. "4", "1/4") or "classical"')
         sp.add_argument("--reps", nargs="*", default=None,

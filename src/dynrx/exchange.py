@@ -55,6 +55,8 @@ _exchange = memo.table("exchange")
 _kmat = memo.table("kmat")
 _kprime = memo.table("kprime")
 _abrr_plan = memo.table("abrr_plan")  # (W, V) -> the lambda-free part of the ABRR sweep
+# (V, lambda, i) -> the expansion of Phi^{v_i}_lambda; the Verma route alone reads it
+_intertwiner = memo.table("intertwiner")
 
 
 def fusion_matrix(W: FinRep, V: FinRep, lam: Lambda, method: str = "verma"):
@@ -74,7 +76,8 @@ def _fusion_verma(W: FinRep, V: FinRep, lam: Lambda):
     """J read off the inner expansion alone, by the formula in the module
     docstring: D(f_i) = f_i (x) 1 + K_i^{-1} (x) f_i and f_i never shortens a
     Verma word, so only the leading term v_nu (x) w of Phi^w reaches degree 0.
-    One intertwiner solve per basis vector of V, none for W."""
+    One intertwiner solve per basis vector of V, none for W; J_{W,V} for every
+    W reads the same solves from the `intertwiner` table."""
     spec = W.spec
     dW, dV = W.dim, V.dim
     zero, one = lam.zero(), lam.one()
@@ -98,7 +101,7 @@ def _fusion_verma(W: FinRep, V: FinRep, lam: Lambda):
 
     for iV in range(dV):
         v = [Fraction(1) if t == iV else Fraction(0) for t in range(dV)]
-        inner = solve_intertwiner(lam, v, V)
+        inner = _intertwiner.get((V.key, lam.key(), iV), solve_intertwiner, lam, v, V)
         for iW in range(dW):
             if spec.qp.classical:
                 kinv = [one] * spec.nsimple

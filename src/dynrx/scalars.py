@@ -9,6 +9,7 @@ torus coordinate) or univariate symbolic (a RatFunc in one formal variable x);
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 
 Scalar = Fraction  # exact big rationals; gcd-reduced with positive denominator by construction
 
@@ -37,10 +38,8 @@ def scalar_to_str(a: Fraction) -> str:
 def _exact_sqrt(q: Fraction) -> Fraction | None:
     if q <= 0:
         return None
-    import math
-
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
+    rn = isqrt(q.numerator)
+    rd = isqrt(q.denominator)
     if rn * rn == q.numerator and rd * rd == q.denominator:
         return Fraction(rn, rd)
     return None
@@ -54,7 +53,7 @@ class QParam:
     selects the q=1 degeneration; q-numbers then collapse to plain integers.
     """
 
-    __slots__ = ("s", "classical", "_q")
+    __slots__ = ("s", "classical", "_q", "_hash")
 
     def __init__(self, s: Fraction | None, classical: bool = False, _q: Fraction | None = None):
         s = None if s is None else Fraction(s)
@@ -75,6 +74,7 @@ class QParam:
             if q == 1 or q == -1:
                 raise ValueError("q = 1 requires the classical flag; q = -1 unsupported")
         self.s, self.classical, self._q = s, classical, q
+        self._hash = hash(self._fields())  # memo keys end in a QParam
 
     def _fields(self) -> tuple:
         return (self.s, self.classical, self._q)
@@ -85,7 +85,7 @@ class QParam:
         return self._fields() == other._fields()
 
     def __hash__(self):
-        return hash(self._fields())
+        return self._hash
 
     @staticmethod
     def from_q(q, classical: bool = False) -> "QParam":
@@ -124,118 +124,199 @@ def classical_q() -> QParam:
 
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomials over Fraction
-
-
-def _trim(cs: list[Fraction]) -> tuple[Fraction, ...]:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
+# dense univariate polynomials over Q, held as integers over one denominator
 
 
 class Poly:
-    """Dense univariate polynomial with Fraction coefficients, low degree first."""
+    """Dense univariate polynomial over Q, low degree first, held as integer
+    numerators `nums` over one positive integer `denom`: trimmed, with
+    gcd(content of nums, denom) = 1, and zero as () over 1.  The form is
+    unique, so == and hash read the pair; `coeffs` gives the coefficients as
+    Fractions."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "denom")
 
-    def __init__(self, coeffs: tuple[Fraction, ...]):
-        self.coeffs = coeffs
+    @staticmethod
+    def _new(nums: tuple, denom: int) -> "Poly":
+        """The Poly nums/denom, for a pair already in normal form."""
+        p = object.__new__(Poly)
+        p.nums, p.denom = nums, denom
+        return p
+
+    @staticmethod
+    def _make(nums: list, denom: int) -> "Poly":
+        """The Poly nums/denom for integers nums (low degree first) and a nonzero
+        integer denom, brought to normal form."""
+        while nums and not nums[-1]:
+            nums.pop()
+        if not nums:
+            return Poly._new((), 1)
+        if denom < 0:
+            denom, nums = -denom, [-n for n in nums]
+        if denom != 1:
+            g = gcd(denom, *nums)
+            if g != 1:
+                denom //= g
+                nums = [n // g for n in nums]
+        return Poly._new(tuple(nums), denom)
+
+    @staticmethod
+    def _pdiv(a: tuple, b: tuple) -> tuple[list, list, int]:
+        """Pseudo-division over Z: (quot, rem, m) with m a = quot b + rem and
+        deg rem < deg b, for len(a) >= len(b) > 0.  Each step scales by the part of
+        lc(b) that the leading term does not already carry, so m divides
+        lc(b)^(deg a - deg b + 1)."""
+        rem, quot, m = list(a), [0] * (len(a) - len(b) + 1), 1
+        nb, lb = len(b), b[-1]
+        for k in range(len(quot) - 1, -1, -1):
+            c = rem.pop()
+            if c:
+                g = gcd(c, lb)
+                s, t = lb // g, c // g
+                if s != 1:
+                    rem = [x * s for x in rem]
+                    quot = [x * s for x in quot]
+                    m *= s
+                quot[k] = t
+                for j in range(nb - 1):
+                    rem[k + j] -= t * b[j]
+        return quot, rem, m
+
+    @staticmethod
+    def _primitive(nums: list) -> tuple:
+        """nums, trimmed and divided by their content (the gcd of the entries)."""
+        while nums and not nums[-1]:
+            nums.pop()
+        g = gcd(*nums)
+        return tuple(nums) if g <= 1 else tuple(n // g for n in nums)
+
+    def __init__(self, coeffs):
+        cs = [Fraction(c) for c in coeffs]
+        denom = lcm(*(c.denominator for c in cs))
+        p = Poly._make([c.numerator * (denom // c.denominator) for c in cs], denom)
+        self.nums, self.denom = p.nums, p.denom
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        d = self.denom
+        return tuple(Fraction(n, d) for n in self.nums)
 
     def __eq__(self, other):
         if other.__class__ is not Poly:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.nums == other.nums and self.denom == other.denom
 
     def __hash__(self):
-        return hash((self.coeffs,))
+        return hash((self.nums, self.denom))
 
     def __repr__(self):
         return f"Poly(coeffs={self.coeffs!r})"
 
     @staticmethod
     def of(*cs) -> "Poly":
-        return Poly(_trim([Fraction(c) for c in cs]))
+        return Poly(cs)
 
     @staticmethod
     def const(c) -> "Poly":
-        return Poly.of(c)
+        c = Fraction(c)
+        return Poly._new((c.numerator,), c.denominator) if c else Poly._new((), 1)
 
     @staticmethod
     def x() -> "Poly":
-        return Poly.of(0, 1)
+        return Poly._new((0, 1), 1)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        return len(self.nums) - 1  # -1 for the zero polynomial
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def leading(self) -> Fraction:
-        if self.is_zero():
+        if not self.nums:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.denom)
 
     def __add__(self, other: "Poly") -> "Poly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        cs = [Fraction(0)] * n
-        for i, c in enumerate(self.coeffs):
-            cs[i] += c
-        for i, c in enumerate(other.coeffs):
-            cs[i] += c
-        return Poly(_trim(cs))
+        a, b = self.nums, other.nums
+        if not b:
+            return self
+        if not a:
+            return other
+        da, db = self.denom, other.denom
+        if da != db:
+            g = gcd(da, db)
+            a, b = [x * (db // g) for x in a], [x * (da // g) for x in b]
+            da *= db // g
+        if len(a) < len(b):
+            a, b = b, a
+        cs = list(a)
+        for i, x in enumerate(b):
+            cs[i] += x
+        return Poly._make(cs, da)
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly._new(tuple(-n for n in self.nums), self.denom)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if self.is_zero() or other.is_zero():
-            return Poly(())
-        cs = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    cs[i + j] += a * b
-        return Poly(_trim(cs))
+        a, b = self.nums, other.nums
+        if not a or not b:
+            return Poly._new((), 1)
+        cs = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    cs[i + j] += x * y
+        return Poly._make(cs, self.denom * other.denom)
 
     def scale(self, c: Fraction) -> "Poly":
         c = Fraction(c)
-        if c == 0:
-            return Poly(())
-        return Poly(tuple(a * c for a in self.coeffs))
+        n = c.numerator
+        return Poly._make([x * n for x in self.nums], self.denom * c.denominator)
 
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero():
+        if not other.nums:
             raise ScalarDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly(()), self
-        quot = [Fraction(0)] * (dq + 1)
-        inv_lead = 1 / other.leading()
-        for k in range(dq, -1, -1):
-            c = rem[k + len(other.coeffs) - 1] * inv_lead
-            quot[k] = c
-            if c:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return Poly(_trim(quot)), Poly(_trim(rem))
+        if len(self.nums) < len(other.nums):
+            return Poly._new((), 1), self
+        quot, rem, m = Poly._pdiv(self.nums, other.nums)
+        # m A = quot B + rem for self = A/da and other = B/db, so
+        # self = (quot db / (m da)) other + rem / (m da)
+        db, md = other.denom, m * self.denom
+        return Poly._make([x * db for x in quot], md), Poly._make(rem, md)
 
     def monic(self) -> "Poly":
-        if self.is_zero():
+        if not self.nums or self.nums[-1] == self.denom:
             return self
-        return self.scale(1 / self.leading())
+        return Poly._make(list(self.nums), self.nums[-1])  # (n_i / d) / (n_top / d)
 
     def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        return a.monic()
+        """The monic gcd, by the primitive polynomial remainder sequence over Z
+        (Collins 1967, Brown 1971): each remainder is a pseudo-remainder
+        divided by its content."""
+        a, b = Poly._primitive(list(self.nums)), Poly._primitive(list(other.nums))
+        if len(a) < len(b):
+            a, b = b, a
+        while b:
+            a, b = b, Poly._primitive(Poly._pdiv(a, b)[1])
+        return Poly._make(list(a), a[-1]) if a else Poly._new((), 1)
 
-    def eval(self, x: Fraction) -> Fraction:
+    def eval(self, x):
+        """The value at x: Horner on integers at an int or a Fraction, the
+        generic Horner on the Fraction coefficients at anything else."""
+        if isinstance(x, (int, Fraction)):
+            nums = self.nums
+            if not nums:
+                return Fraction(0)
+            p, q = x.numerator, x.denominator
+            acc, qk = nums[-1], 1
+            for n in reversed(nums[:-1]):
+                qk *= q
+                acc = acc * p + n * qk
+            return Fraction(acc, self.denom * qk)
         out = Fraction(0)
         for c in reversed(self.coeffs):
             out = out * x + c
@@ -244,17 +325,30 @@ class Poly:
     def subst_scale(self, c: Fraction) -> "Poly":
         """p(x) -> p(c*x)."""
         c = Fraction(c)
-        return Poly(_trim([a * c ** i for i, a in enumerate(self.coeffs)]))
+        u, v = c.numerator, c.denominator
+        top = len(self.nums) - 1
+        return Poly._make([n * u ** i * v ** (top - i) for i, n in enumerate(self.nums)],
+                          self.denom * v ** max(top, 0))
 
     def subst_translate(self, k: Fraction) -> "Poly":
-        """p(x) -> p(x + k)."""
-        out = Poly(())
-        xk = Poly.of(k, 1)
-        pw = Poly.of(1)
-        for a in self.coeffs:
-            out = out + pw.scale(a)
-            pw = pw * xk
-        return out
+        """p(x) -> p(x + k): for k = u/v, Horner in (v x + u) on the integers
+        v^deg p(x + u/v)."""
+        if not self.nums:
+            return self
+        k = Fraction(k)
+        u, v = k.numerator, k.denominator
+        acc, vk = [self.nums[-1]], 1
+        for n in reversed(self.nums[:-1]):
+            vk *= v
+            nxt = [a * u for a in acc] + [0]
+            for i, a in enumerate(acc):
+                nxt[i + 1] += a * v
+            nxt[0] += n * vk
+            acc = nxt
+        return Poly._make(acc, self.denom * vk)
+
+
+_ONE = Poly.const(1)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +387,7 @@ class RatFunc:
         if den.is_zero():
             raise ScalarDivisionError("rational function with zero denominator")
         if num.is_zero():
-            return RatFunc(Poly(()), Poly.of(1))
+            return RatFunc(num, _ONE)
         num, den, _ = _cofactors(num, den)
         return RatFunc._monic(num, den)
 
@@ -303,15 +397,15 @@ class RatFunc:
         lc = den.leading()
         if lc == 1:
             return RatFunc(num, den)
-        return RatFunc(num.scale(1 / lc), den.scale(1 / lc))
+        return RatFunc(num.scale(1 / lc), den.monic())
 
     @staticmethod
     def const(c) -> "RatFunc":
-        return RatFunc(Poly.const(c), Poly.of(1))  # already normal: no gcd
+        return RatFunc(Poly.const(c), _ONE)  # already normal: no gcd
 
     @staticmethod
     def x() -> "RatFunc":
-        return RatFunc(Poly.x(), Poly.of(1))  # already normal: no gcd
+        return RatFunc(Poly.x(), _ONE)  # already normal: no gcd
 
     @staticmethod
     def coerce(v) -> "RatFunc":
@@ -325,7 +419,7 @@ class RatFunc:
     def _const(self) -> Fraction | None:
         """The value of a nonzero constant, else None."""
         if self.den.degree == 0 and self.num.degree == 0:
-            return self.num.coeffs[0]
+            return Fraction(self.num.nums[0], self.num.denom)
         return None
 
     def __add__(self, other):
@@ -431,9 +525,9 @@ class RatFunc:
             return self
         dn, dd = self.num.degree, self.den.degree
         L = max(dn, dd)
-        rn = [Fraction(0)] * (L - dn) + list(self.num.coeffs[::-1])
-        rd = [Fraction(0)] * (L - dd) + list(self.den.coeffs[::-1])
-        return RatFunc.make(Poly(_trim(rn)), Poly(_trim(rd)))
+        rn = [0] * (L - dn) + list(self.num.nums[::-1])
+        rd = [0] * (L - dd) + list(self.den.nums[::-1])
+        return RatFunc.make(Poly._make(rn, self.num.denom), Poly._make(rd, self.den.denom))
 
     def inf_coeff(self, order: int) -> Fraction:
         """Coefficient of x^{-order} in the expansion at infinity, for functions

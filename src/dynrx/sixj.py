@@ -33,7 +33,9 @@ from .scalars import PoleError, QParam, RatFunc
 
 
 _sixj = memo.table("sixj")
-_phi = memo.table("phi")
+_phi = memo.table("phi")  # (b, c, qp) -> V_b, V_c and phi_a^{bc} for every admissible a
+_sixj_entry = memo.table("sixj_entry")  # (b, c, j, ib, ic, m, qp) -> one row of J_bc^(-1) phi_j
+_sixj_oracle = memo.table("sixj_oracle")  # (a, b, c, k, qp) -> one recoupling solve; oracle only
 
 
 class ResonanceError(ArithmeticError):
@@ -58,42 +60,47 @@ def spin_range(max_spin) -> range:
 def normalized_intertwiner(b: int, c: int, a: int, qp: QParam):
     """phi_a^{bc}: V_a -> V_b (x) V_c normalized on v_b (x) v_{c,(b+c-a)/2};
     columns are the images of the basis v_{a,m}."""
-    return _phi.get((b, c, a, qp.q, qp.classical), _normalized_intertwiner_impl, b, c, a, qp)
-
-
-def _normalized_intertwiner_impl(b: int, c: int, a: int, qp: QParam):
-    if not admissible(a, b, c):
+    Vb, Vc, phis = _phi.get((b, c, qp), _normalized_intertwiners, b, c, qp)
+    if a not in phis:
         raise ValueError(f"inadmissible triple {(a, b, c)}")
+    return Vb, Vc, phis[a]
+
+
+def _normalized_intertwiners(b: int, c: int, qp: QParam):
+    """V_b, V_c and {a: phi_a^{bc}} over every summand V_a of V_b (x) V_c."""
     Vb, Vc = irrep_sl2(Fraction(b, 2), qp), irrep_sl2(Fraction(c, 2), qp)
     T = tensor(Vb, Vc)
-    # V_b (x) V_c is multiplicity-free, so e kills exactly one line in the
-    # weight-a space; the pin below fixes the scalar
-    idxs = T.weight_spaces()[(a,)]
-    (kernel,) = linalg.nullspace([[row[s] for s in idxs] for row in T.e[0]])
-    hw = [Fraction(0)] * T.dim
-    for s, x in zip(idxs, kernel):
-        hw[s] = x
-    pin = (b + c - a) // 2  # index of v_b (x) v_{c,(b+c-a)/2}
-    if hw[pin] == 0:
-        raise ArithmeticError("normalization coefficient vanishes")
-    scale = 1 / hw[pin]
-    cols = [[x * scale for x in hw]]
+    spaces = T.weight_spaces()
     # each column of f on V_b (x) V_c has at most two nonzeros
     fnz = [(r, s, x) for r, row in enumerate(T.f[0]) for s, x in enumerate(row) if x]
-    for _ in range(a):
-        prev = cols[-1]
-        img = [Fraction(0)] * T.dim
-        for r, s, x in fnz:
-            if prev[s]:
-                img[r] += x * prev[s]
-        cols.append(img)
-    return Vb, Vc, [list(col) for col in zip(*cols)]  # (dim T) x (dim V_a)
+    phis = {}
+    for a in cg_range(b, c):
+        # V_b (x) V_c is multiplicity-free, so e kills exactly one line in the
+        # weight-a space; the pin below fixes the scalar
+        idxs = spaces[(a,)]
+        (kernel,) = linalg.nullspace([[row[s] for s in idxs] for row in T.e[0]])
+        hw = [Fraction(0)] * T.dim
+        for s, x in zip(idxs, kernel):
+            hw[s] = x
+        pin = (b + c - a) // 2  # index of v_b (x) v_{c,(b+c-a)/2}
+        if hw[pin] == 0:
+            raise ArithmeticError("normalization coefficient vanishes")
+        scale = 1 / hw[pin]
+        cols = [[x * scale for x in hw]]
+        for _ in range(a):
+            prev = cols[-1]
+            img = [Fraction(0)] * T.dim
+            for r, s, x in fnz:
+                if prev[s]:
+                    img[r] += x * prev[s]
+            cols.append(img)
+        phis[a] = [list(col) for col in zip(*cols)]  # (dim T) x (dim V_a)
+    return Vb, Vc, phis
 
 
 def sixj_fusion(a: int, b: int, n: int, c: int, k: int, j: int, qp: QParam):
     """6j-symbol extracted from the symbolic fusion matrix J_{bc} at lambda = k/2."""
-    return _sixj.get((a, b, n, c, k, j, qp.q, qp.classical), _sixj_fusion_impl,
-                     a, b, n, c, k, j, qp)
+    return _sixj.get((a, b, n, c, k, j, qp), _sixj_fusion_impl, a, b, n, c, k, j, qp)
 
 
 def _sixj_fusion_impl(a, b, n, c, k, j, qp: QParam):
@@ -102,16 +109,23 @@ def _sixj_fusion_impl(a, b, n, c, k, j, qp: QParam):
         return Fraction(0)
     # the four triangle rules keep m, ib and ic inside their bases
     m, ib, ic = (j - k + a) // 2, (b - n + a) // 2, (c - k + n) // 2
-    Vb, Vc, phi = normalized_intertwiner(b, c, j, qp)
     # the coefficient on v_{b,ib} (x) v_{c,ic}: that row of J_bc^(-1) phi at
-    # lambda = k/2 (h-eigenvalue k), x = q^k (classically x = k); the row is
-    # combined symbolically first so that removable entry poles cancel
-    row = fusion_inverse(Vb, Vc, Lambda.symbolic(Vb.spec))[ib * Vc.dim + ic]
+    # lambda = k/2 (h-eigenvalue k), x = q^k (classically x = k)
+    entry = _sixj_entry.get((b, c, j, ib, ic, m, qp), _sixj_entry_impl, b, c, j, ib, ic, m, qp)
     x0 = Fraction(k) if qp.classical else qp.spow(2 * k)
     try:
-        return _combine(row, [r[m] for r in phi]).eval(x0)
+        return entry.eval(x0)
     except PoleError as exc:
         raise ResonanceError(f"J_bc^(-1) singular at lambda = {Fraction(k, 2)}") from exc
+
+
+def _sixj_entry_impl(b, c, j, ib, ic, m, qp: QParam) -> RatFunc:
+    """(J_bc^(-1) phi_j^{bc})[ib * (c + 1) + ic][m] as a function of x: the row
+    is combined symbolically, before any evaluation, so that removable entry
+    poles cancel."""
+    Vb, Vc, phi = normalized_intertwiner(b, c, j, qp)
+    row = fusion_inverse(Vb, Vc, Lambda.symbolic(Vb.spec))[ib * Vc.dim + ic]
+    return _combine(row, [r[m] for r in phi])
 
 
 def _combine(row, col) -> RatFunc:
@@ -127,9 +141,22 @@ def _combine(row, col) -> RatFunc:
 
 def sixj_oracle(a: int, b: int, n: int, c: int, k: int, j: int, qp: QParam):
     """Independent value by brute-force recoupling: expand (1 (x) phi_j^{bc}) phi_k^{aj}
-    over the basis (phi_n^{ab} (x) 1) phi_k^{nc} by an exact linear solve."""
+    over the basis (phi_n^{ab} (x) 1) phi_k^{nc} by an exact linear solve.  One
+    solve per (a, b, c, k) serves every admissible n and j; the fusion route
+    never reads its table."""
     if not (admissible(b, c, j) and admissible(a, j, k)):
         return Fraction(0)
+    ns = [nn for nn in cg_range(a, b) if admissible(nn, c, k)]
+    if n not in ns:
+        return Fraction(0)
+    js, sol = _sixj_oracle.get((a, b, c, k, qp), _recouple, a, b, c, k, ns, qp)
+    return sol[ns.index(n)][js.index(j)]
+
+
+def _recouple(a: int, b: int, c: int, k: int, ns: list, qp: QParam):
+    """(js, X): the admissible j, and the solution X of the recoupling system
+    whose column t holds the coefficients of the basis lifts, indexed like
+    ns, in the target lift of js[t]."""
     da, db, dc, dk = a + 1, b + 1, c + 1, k + 1
     d3 = da * db * dc
 
@@ -163,20 +190,19 @@ def sixj_oracle(a: int, b: int, n: int, c: int, k: int, j: int, qp: QParam):
                                 out[r2 * dc + ic][col] += cv * phi2[r2][i_n]
         return out
 
-    ns = [nn for nn in cg_range(a, b) if admissible(nn, c, k)]
-    if n not in ns:
-        return Fraction(0)
-    target = lift_right(j)
+    js = [jj for jj in cg_range(b, c) if admissible(a, jj, k)]
+    targets = [lift_right(jj) for jj in js]
     basis = [lift_left(nn) for nn in ns]
     rows, rhs = [], []
     for r in range(d3):
         for col in range(dk):
-            row = [basis[t][r][col] for t in range(len(ns))]
-            if any(x != 0 for x in row) or target[r][col] != 0:
+            row = [lift[r][col] for lift in basis]
+            targ = [lift[r][col] for lift in targets]
+            # every nonzero row is kept, so the solve also checks consistency
+            if any(row) or any(targ):
                 rows.append(row)
-                rhs.append([target[r][col]])
-    sol = linalg.solve_linear(rows, rhs)
-    return sol[ns.index(n)][0]
+                rhs.append(targ)
+    return js, linalg.solve_linear(rows, rhs)
 
 
 def _spins(labels) -> tuple:

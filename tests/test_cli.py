@@ -88,6 +88,25 @@ def test_bad_config_exits_two_without_traceback(args, env):
     assert r.stderr.startswith("config error: ") and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("option, value, rest", [
+    ("--q", "-1/4", ("verify", "--suites", "asymptotics", "--samples", "1")),
+    ("--max-spin", "-1/2", ("verify", "--suites", "asymptotics", "--q", "1/4", "--samples", "1")),
+    ("--max-spin", "-1/2", ("verify", "--suites", "sixj")),
+    ("--max-spin", "-1/2", ("compute", "--object", "sixj-table")),
+    ("--q", "-1/3", ("compute", "--algebra", "gl2", "--samples", "1")),
+    ("--q", "-1e3", ("compute", "--algebra", "gl2", "--samples", "1")),
+    ("--q", "-.5", ("compute", "--algebra", "gl2", "--samples", "1")),
+    ("--reps", "-1/2", ("compute", "--samples", "1")),
+])
+def test_negative_rational_values_parse_as_with_equals(option, value, rest):
+    # "--q -1/4" is the value -1/4, exactly as "--q=-1/4" is, not an option
+    spaced = run(*rest, option, value)
+    joined = run(*rest, f"{option}={value}")
+    assert spaced.returncode == joined.returncode
+    assert (spaced.stdout, spaced.stderr) == (joined.stdout, joined.stderr)
+    assert "usage:" not in spaced.stderr and "Traceback" not in spaced.stderr
+
+
 def test_unwritable_output_exits_two_before_computing(tmp_path, monkeypatch):
     def unreachable(*args):
         raise AssertionError("the suite ran although --output cannot be written")

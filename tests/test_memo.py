@@ -6,7 +6,7 @@ from fractions import Fraction
 from dynrx import memo
 from dynrx.exchange import exchange_matrix, fusion_matrix
 from dynrx.lam import Lambda
-from dynrx.liealg import irrep_sl2
+from dynrx.liealg import irrep_sl2, vector_rep_gln
 from dynrx.scalars import QParam
 from dynrx.sixj import pentagon_residuals, sixj_table
 
@@ -43,8 +43,53 @@ def test_pentagon_reads_every_symbol_through_the_sixj_table(monkeypatch):
     assert st["hits"] + st["misses"] == len(calls)
     for name in ("sixj", "phi"):
         keys = memo.table(name).data
-        assert keys and all(type(x) is int for key in keys for x in key[:-2])
-        assert all(key[-2:] == (qp.q, qp.classical) for key in keys)
+        assert keys and all(type(x) is int for key in keys for x in key[:-1])
+        assert all(key[-1] is qp for key in keys)
+
+
+def test_sixj_suite_builds_each_ingredient_once(monkeypatch):
+    # the sixj suite at q = 2, max-spin 1 (fusion table, oracle table and
+    # pentagon): 15 distinct intertwiner solves, 58 oracle solves (one per
+    # (a, b, c, k)), 182 distinct J^-1 phi entries and 21 tensor pairs
+    from dynrx import exchange, sixj
+
+    counts = {"solve": 0, "combine": 0, "tensor": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(exchange, "solve_intertwiner", counted("solve", exchange.solve_intertwiner))
+    monkeypatch.setattr(sixj, "_combine", counted("combine", sixj._combine))
+    monkeypatch.setattr(sixj, "tensor", counted("tensor", sixj.tensor))
+    memo.clear()
+    qp = QParam.from_q(2)
+    assert len(sixj_table(qp, Fraction(1)).values) == 99
+    assert len(sixj_table(qp, Fraction(1), "oracle").values) == 99
+    assert pentagon_residuals(qp, Fraction(1)) == []
+    assert counts == {"solve": 15, "combine": 182, "tensor": 21}
+    st = memo.stats()
+    assert st["intertwiner"] == {"hits": 42, "misses": 15, "size": 15}
+    assert st["sixj_oracle"]["misses"] == st["sixj_oracle"]["size"] == 58
+    assert st["sixj_entry"]["misses"] == st["sixj_entry"]["size"] == 182
+    assert st["phi"]["misses"] == st["phi"]["size"] == 21
+    assert st["sixj"] == {"hits": 6746, "misses": 727, "size": 727}
+
+
+def test_oracle_table_is_read_by_the_oracle_alone(monkeypatch):
+    from dynrx import sixj
+
+    def forbidden(*args):
+        raise AssertionError("the fusion route reached the oracle")
+
+    monkeypatch.setattr(sixj, "_recouple", forbidden)
+    memo.clear()
+    qp = QParam.from_q(2)
+    assert len(sixj_table(qp, Fraction(1)).values) == 99
+    assert pentagon_residuals(qp, Fraction(1)) == []
+    assert memo.stats()["sixj_oracle"] == {"hits": 0, "misses": 0, "size": 0}
 
 
 def test_content_equal_reps_share_a_key(qp4):
@@ -95,7 +140,6 @@ def test_abrr_lookup_never_served_from_verma(qp4):
 def test_verma_fusion_reads_no_universal_r_and_no_abrr(monkeypatch):
     # the Verma route must stay independent of the ABRR route it is checked against
     from dynrx import exchange
-    from dynrx.liealg import vector_rep_gln
 
     def forbidden(*args):
         raise AssertionError("the Verma route reached the ABRR route")
@@ -112,6 +156,27 @@ def test_verma_fusion_reads_no_universal_r_and_no_abrr(monkeypatch):
     assert st["fusion"]["misses"] == 2
     assert st["universal_r"]["hits"] == st["universal_r"]["misses"] == 0
     assert st["abrr_plan"]["hits"] == st["abrr_plan"]["misses"] == 0
+    assert st["intertwiner"]["misses"] == 3 + 3  # one solve per basis vector of V
+
+
+def test_abrr_route_reads_no_intertwiner(monkeypatch):
+    # the ABRR route must not read the Verma route's intertwiner table
+    from dynrx import exchange, intertwine
+
+    def forbidden(*args):
+        raise AssertionError("the ABRR route reached an intertwiner solve")
+
+    monkeypatch.setattr(exchange, "solve_intertwiner", forbidden)
+    monkeypatch.setattr(intertwine, "solve_intertwiner", forbidden)
+    memo.clear()
+    qp = QParam.from_q(4)
+    for V in (irrep_sl2(1, qp), vector_rep_gln(3, qp)):
+        lam = Lambda.sample(V.spec, 12)
+        fusion_matrix(V, V, lam, "abrr")
+        exchange_matrix(V, V, lam, "abrr")
+    st = memo.stats()
+    assert st["fusion"]["misses"] == 2 and st["exchange"]["misses"] == 2
+    assert st["intertwiner"] == {"hits": 0, "misses": 0, "size": 0}
 
 
 def test_threads_share_tables_without_lost_updates():

@@ -254,3 +254,213 @@ def test_random_regular_point_reproducible(qp4):
     assert a.coords == b.coords
     c = Lambda.sample(spec, 43)
     assert a.coords != c.coords
+
+
+# Reference: Poly as it was with Fraction coefficients, Euclid's gcd over Q
+# and Fraction Horner.  The integer Poly must give the same coefficients, with
+# the same types, the same repr and the same JSON, for every operation.
+
+
+def _ref_trim(cs):
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+class RefPoly:
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        self.coeffs = coeffs
+
+    def __repr__(self):
+        return f"Poly(coeffs={self.coeffs!r})"
+
+    @staticmethod
+    def of(*cs):
+        return RefPoly(_ref_trim([Fraction(c) for c in cs]))
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def leading(self):
+        return self.coeffs[-1]
+
+    def __add__(self, other):
+        cs = [Fraction(0)] * max(len(self.coeffs), len(other.coeffs))
+        for i, c in enumerate(self.coeffs):
+            cs[i] += c
+        for i, c in enumerate(other.coeffs):
+            cs[i] += c
+        return RefPoly(_ref_trim(cs))
+
+    def __neg__(self):
+        return RefPoly(tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if self.is_zero() or other.is_zero():
+            return RefPoly(())
+        cs = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    cs[i + j] += a * b
+        return RefPoly(_ref_trim(cs))
+
+    def scale(self, c):
+        c = Fraction(c)
+        if c == 0:
+            return RefPoly(())
+        return RefPoly(tuple(a * c for a in self.coeffs))
+
+    def divmod(self, other):
+        rem = list(self.coeffs)
+        dq = len(rem) - len(other.coeffs)
+        if dq < 0:
+            return RefPoly(()), self
+        quot = [Fraction(0)] * (dq + 1)
+        inv_lead = 1 / other.leading()
+        for k in range(dq, -1, -1):
+            c = rem[k + len(other.coeffs) - 1] * inv_lead
+            quot[k] = c
+            if c:
+                for j, b in enumerate(other.coeffs):
+                    rem[k + j] -= c * b
+        return RefPoly(_ref_trim(quot)), RefPoly(_ref_trim(rem))
+
+    def monic(self):
+        if self.is_zero():
+            return self
+        return self.scale(1 / self.leading())
+
+    def gcd(self, other):
+        a, b = self, other
+        while not b.is_zero():
+            a, b = b, a.divmod(b)[1]
+        return a.monic()
+
+    def eval(self, x):
+        out = Fraction(0)
+        for c in reversed(self.coeffs):
+            out = out * x + c
+        return out
+
+    def subst_scale(self, c):
+        c = Fraction(c)
+        return RefPoly(_ref_trim([a * c ** i for i, a in enumerate(self.coeffs)]))
+
+    def subst_translate(self, k):
+        out, xk, pw = RefPoly(()), RefPoly.of(k, 1), RefPoly.of(1)
+        for a in self.coeffs:
+            out = out + pw.scale(a)
+            pw = pw * xk
+        return out
+
+
+def assert_same_poly(got, want):
+    assert type(got) is Poly
+    assert got.coeffs == want.coeffs, (got, want)
+    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+    assert type(got.coeffs) is tuple
+    assert repr(got) == repr(want)
+    assert RatFunc(got, Poly.of(1)).to_json()["num"] == [scalar_to_str(c) for c in want.coeffs]
+    assert got.degree == want.degree and got.is_zero() == want.is_zero()
+    assert got == Poly(want.coeffs) and hash(got) == hash(Poly(want.coeffs))
+
+
+def assert_same_value(got, want):
+    assert type(got) is type(want) and got == want, (got, want)
+    assert repr(got) == repr(want)
+
+
+small = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 4, 9]))
+coeff_lists = st.lists(fracs | small, max_size=5)
+factors = st.lists(st.lists(small, min_size=1, max_size=3), max_size=2)
+
+
+@st.composite
+def ref_pairs(draw):
+    """(a, b) as reference polynomials, half the time with a common factor of
+    positive degree, so that gcd and divmod see nontrivial quotients."""
+    a, b = RefPoly.of(*draw(coeff_lists)), RefPoly.of(*draw(coeff_lists))
+    if draw(st.booleans()):
+        for cs in draw(factors):
+            f = RefPoly.of(*cs, draw(st.sampled_from([1, 2, -3, Fraction(1, 2)])))
+            a, b = a * f, b * f
+    return a, b
+
+
+def _int(p: RefPoly) -> Poly:
+    return Poly(p.coeffs)
+
+
+@settings(max_examples=500, deadline=None)
+@given(ref_pairs(), small, fracs, st.integers(-4, 4))
+def test_integer_poly_matches_fraction_reference(pair, c, x, n):
+    a, b = pair
+    A, B = _int(a), _int(b)
+    assert_same_poly(A, a)
+    assert_same_poly(Poly.of(*a.coeffs), a)
+    cases = [(A + B, a + b), (A - B, a - b), (-A, -a), (A * B, a * b), (A.scale(c), a.scale(c)),
+             (A.monic(), a.monic()), (A.gcd(B), a.gcd(b)), (B.gcd(A), b.gcd(a)),
+             (A.gcd(A), a.gcd(a)), (A.subst_translate(c), a.subst_translate(c)),
+             (A.subst_scale(c), a.subst_scale(c))]
+    if not b.is_zero():
+        q, r = A.divmod(B)
+        rq, rr = a.divmod(b)
+        cases += [(q, rq), (r, rr), ((A * B).divmod(B)[0], (a * b).divmod(b)[0])]
+        assert_same_value(B.leading(), b.leading())
+    for got, want in cases:
+        assert_same_poly(got, want)
+    for at in (x, c, n, Fraction(n)):
+        assert_same_value(A.eval(at), a.eval(at))
+    g = a.gcd(b)
+    if not a.is_zero() and not b.is_zero() and g.degree > 0:
+        assert a.divmod(g)[1].is_zero() and A.divmod(_int(g))[1].is_zero()
+
+
+@settings(max_examples=200, deadline=None)
+@given(ref_pairs(), ref_pairs(), fracs)
+def test_ratfunc_eval_matches_fraction_reference(pair, at, x):
+    # RatFunc.eval at a Fraction (integer Horner) and at a RatFunc (the generic
+    # Horner, as gauge.to_matrix evaluates at the symbolic gl2 lambda)
+    a, b = pair
+    if b.is_zero():
+        b = RefPoly.of(1)
+    f = RatFunc.make(_int(a), _int(b))
+    u, v = at
+    if v.is_zero():
+        v = RefPoly.of(1, 1)
+    y = RatFunc.make(_int(u), _int(v))
+    for point in (x, y):
+        ref_num = RefPoly(f.num.coeffs).eval(point)
+        ref_den = RefPoly(f.den.coeffs).eval(point)
+        try:
+            got = f.eval(point)
+        except PoleError:
+            assert ref_den == 0
+            continue
+        want = ref_num / ref_den
+        assert type(got) is type(want) and got == want
+        if isinstance(got, RatFunc):
+            assert_same_ratfunc(got, want)
+            assert got.to_json() == want.to_json() and repr(got) == repr(want)
+
+
+def test_poly_gcd_with_a_large_common_factor():
+    # coefficient growth in the remainder sequence: a degree-6 common factor
+    # with large, mixed-sign rational coefficients
+    rng = random.Random(5)
+    for _ in range(20):
+        f = RefPoly.of(*(Fraction(rng.randint(-999, 999), rng.randint(1, 99)) for _ in range(6)), 1)
+        a = f * RefPoly.of(*(rng.randint(-50, 50) for _ in range(4)), 3)
+        b = f * RefPoly.of(Fraction(rng.randint(-50, 50), 7), 1, Fraction(1, 5))
+        assert_same_poly(_int(a).gcd(_int(b)), a.gcd(b))
+        assert _int(a).gcd(_int(b)) == _int(f.monic())
