@@ -154,9 +154,8 @@ def sixj_oracle(a: int, b: int, n: int, c: int, k: int, j: int, qp: QParam):
 
 
 def _recouple(a: int, b: int, c: int, k: int, ns: list, qp: QParam):
-    """(js, X): the admissible j, and the solution X of the recoupling system
-    whose column t holds the coefficients of the basis lifts, indexed like
-    ns, in the target lift of js[t]."""
+    """(js, X) for the admissible j in js: X[t][s] is the coefficient of the
+    basis lift of ns[t] in the target lift of js[s]."""
     da, db, dc, dk = a + 1, b + 1, c + 1, k + 1
     d3 = da * db * dc
 
