@@ -22,6 +22,10 @@ the run reads the same on each.  Each checkout is appended as its own run.  A
 process that outlives TIMEOUT_S seconds is stopped; that checkout's entry then
 records the timeout and a null median, and is not repeated.  Each run also
 records `src_lines`, the total line count of the checkout's `src/dynrx/*.py`.
+An entry whose commands all run the `dynrx` CLI (the perfbench workloads and
+gl4-cocycle) also records `stdout_sha256`, the sha256 of each command's stdout
+in the checkout's first round, so a run shows whether the checkouts print the
+same bytes.
 
 Timed processes run without PYTHONDONTWRITEBYTECODE, as perfbench's do: an
 installed package runs from byte-compiled modules, so only the first process
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import glob
+import hashlib
 import json
 import os
 import platform
@@ -89,37 +94,44 @@ def src_lines(repo: str) -> int:
 
 
 def time_round(repo: str, argvs: list):
-    """Wall time of one round and the first nonzero exit code of its processes
-    (or 0); (None, None) if a process timed out."""
+    """Wall time of one round, the first nonzero exit code of its processes
+    (or 0) and the sha256 of each process's stdout; (None, None, None) if a
+    process timed out."""
     env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
     env.pop("PYTHONDONTWRITEBYTECODE", None)
     t0 = time.perf_counter()
     code = 0
+    outs = []
     for argv in argvs:
         try:
             r = subprocess.run(argv, cwd=repo, env=env, capture_output=True, timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
-            return None, None
+            return None, None, None
         code = code or r.returncode
-    return round(time.perf_counter() - t0, 3), code
+        outs.append(r.stdout)
+    wall = round(time.perf_counter() - t0, 3)
+    return wall, code, [hashlib.sha256(out).hexdigest() for out in outs]
 
 
 def time_entry(repos: list, argvs: list) -> dict:
     """{repo: entry}: times_s holds one wall time per round, returncodes the
-    first nonzero exit code of each round's processes, or 0."""
+    first nonzero exit code of each round's processes, or 0, and, where every
+    command runs the dynrx CLI, stdout_sha256 the digests of the first round."""
     times = {repo: [] for repo in repos}
     codes = {repo: [] for repo in repos}
+    digests = {}
     timed_out = set()
     for k in range(REPEATS):
         for repo in repos[k % len(repos):] + repos[:k % len(repos)]:
             if repo in timed_out:
                 continue
-            t, code = time_round(repo, argvs)
+            t, code, shas = time_round(repo, argvs)
             if t is None:
                 timed_out.add(repo)
                 continue
             times[repo].append(t)
             codes[repo].append(code)
+            digests.setdefault(repo, shas)
     out = {}
     for repo in repos:
         if repo in timed_out:
@@ -129,6 +141,8 @@ def time_entry(repos: list, argvs: list) -> dict:
         else:
             out[repo] = {"median_s": round(statistics.median(times[repo]), 3),
                          "repeats": REPEATS, "times_s": times[repo], "returncodes": codes[repo]}
+        if repo in digests and all(argv[:len(DYNRX)] == DYNRX for argv in argvs):
+            out[repo]["stdout_sha256"] = digests[repo]
     return out
 
 

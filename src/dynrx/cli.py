@@ -3,9 +3,10 @@ run the identity-verification suites, emit machine-readable reports.
 
 Exit codes: 0 all identities hold exactly; 1 mathematical failure; 2 invalid
 usage/config, including an odd power of q^{1/2} asked for at a q whose square
-root is irrational (an sl2 R at q = 2); 3 a sampled lambda is non-generic (a
-determinant or denominator the computation divides by vanishes there); the
-sampled point is not redrawn.
+root is irrational or, for q < 0, not real (an sl2 R at q = 2), and
+`--format csv` off `compute --object sixj-table`; 3 a sampled lambda is
+non-generic (a determinant or denominator the computation divides by vanishes
+there); the sampled point is not redrawn.
 The Verma fusion matrix J exits 3 only where the inner intertwiner's solve is
 singular: it never solves the outer intertwiner, so a lambda where only that
 solve is singular still gives J.
@@ -63,7 +64,6 @@ from .scalars import (
     NonGenericLambda,
     QParam,
     RatFunc,
-    classical_q,
     scalar_to_str,
 )
 from .sixj import pentagon_residuals, sixj_table
@@ -73,10 +73,8 @@ class ConfigError(ValueError):
 
 
 def parse_q(text: str) -> QParam:
-    if text == "classical":
-        return classical_q()
     try:
-        return QParam.from_q(Fraction(text))
+        return QParam("1" if text == "classical" else text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad q value {text!r}: {exc}") from exc
 
@@ -97,6 +95,8 @@ def check_options(args) -> None:
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     if args.bitsize < 0:
         raise ConfigError(f"--bitsize must be nonnegative, got {args.bitsize}")
+    if args.format == "csv" and getattr(args, "object", None) != "sixj-table":
+        raise ConfigError("--format csv applies to compute --object sixj-table only")
     if args.method == "abrr" and parse_q(args.q).classical:
         raise ConfigError("--method abrr applies to the trigonometric case; "
                           "classical J uses --method verma")
@@ -143,7 +143,7 @@ def matrix_json(M, basis) -> dict:
 
 
 def _emit(args, payload: dict, csv_rows=None):
-    if args.format == "csv" and csv_rows is not None:
+    if args.format == "csv":  # check_options allows it for sixj-table alone
         buf = io.StringIO()
         w = csv.writer(buf)
         for row in csv_rows:

@@ -53,7 +53,6 @@ _fusion = memo.table("fusion")
 _fusion_inverse = memo.table("fusion_inverse")
 _exchange = memo.table("exchange")
 _kmat = memo.table("kmat")
-_kprime = memo.table("kprime")
 _abrr_plan = memo.table("abrr_plan")  # (W, V) -> the lambda-free part of the ABRR sweep
 # (V, lambda, i) -> the expansion of Phi^{v_i}_lambda; the Verma route alone reads it
 _intertwiner = memo.table("intertwiner")
@@ -133,26 +132,14 @@ def fusion_matrix_abrr(W: FinRep, V: FinRep, lam: Lambda):
 
     where every J[s][c] on the right has drop below k and is already final.
     Only theta depends on lambda; the rest is the pair's `abrr_plan` entry."""
-    spec = W.spec
-    if spec.qp.classical:
+    if W.spec.qp.classical:
         raise ValueError("ABRR applies to the trigonometric case; classical J uses Verma fusion")
-    strict, order = _abrr_plan.get((W.key, V.key), _abrr_plan_impl, W, V)
+    strict, order, factors = _abrr_plan.get((W.key, V.key), _abrr_plan_impl, W, V)
     dV = V.dim
     d = W.dim * dV
     zero, one = lam.zero(), lam.one()
-
-    def theta_v(jV, lV):
-        # scale factor of D X D^{-1} on the matrix unit (row <- col); it reads
-        # only the second-slot indices jV = row % dV, lV = col % dV
-        beta = wt_sub(V.weights[jV], V.weights[lV])
-        exp = (
-            spec.rho_pairing2(beta)
-            - spec.pairing2(V.weights[lV], beta)
-            - spec.pairing2(beta, beta) // 2
-        )
-        return lam.root_qpow2(beta) * lam.scalar(spec.qp.qpow(exp))
-
-    theta = [[theta_v(jV, lV) for lV in range(dV)] for jV in range(dV)]
+    # theta of the matrix unit (row <- col) reads only jV = row % dV, lV = col % dV
+    theta = [[lam.root_qpow2(beta) * lam.scalar(c) for beta, c in row] for row in factors]
     J = [[one if r == c else zero for c in range(d)] for r in range(d)]
     for k, r, c in order:
         val = zero
@@ -170,8 +157,11 @@ def fusion_matrix_abrr(W: FinRep, V: FinRep, lam: Lambda):
 
 def _abrr_plan_impl(W: FinRep, V: FinRep):
     """The lambda-free part of the ABRR sweep on W (x) V: the rows of the
-    strictly triangular part of R0^{21} = flip(R0 on V (x) W), and the sorted
-    (drop, r, c) visit order of the entries those rows can reach."""
+    strictly triangular part of R0^{21} = flip(R0 on V (x) W), the sorted
+    (drop, r, c) visit order of the entries those rows can reach, and the
+    factors[jV][lV] = (beta, q^exp) of theta = q^{2 (lambda, beta)} q^exp on the
+    matrix units whose second-slot indices are jV <- lV."""
+    spec = W.spec
     dW, dV = W.dim, V.dim
     d = dW * dV
     R021 = flip(r_zero_part(V, W), dV, dW)  # acts on W (x) V
@@ -186,7 +176,14 @@ def _abrr_plan_impl(W: FinRep, V: FinRep):
               for r in range(d)]
     order = sorted((drop(r, c), r, c) for r in range(d) if strict[r] for c in range(d)
                    if drop(r, c) >= 1)
-    return strict, order
+
+    def factor(jV, lV):
+        beta = wt_sub(V.weights[jV], V.weights[lV])
+        exp = (spec.rho_pairing2(beta) - spec.pairing2(V.weights[lV], beta)
+               - spec.pairing2(beta, beta) // 2)
+        return beta, spec.qp.qpow(exp)
+
+    return strict, order, [[factor(jV, lV) for lV in range(dV)] for jV in range(dV)]
 
 
 class NotUnipotent(ValueError):
@@ -414,13 +411,9 @@ def ktilde(V: FinRep, lam: Lambda, method: str = "verma"):
 
 def kprime(V: FinRep, lam: Lambda, method: str = "verma"):
     """K'(lambda) = m(J^{t1}_{V,*V}(lambda)) on *V: K'[r][s] = sum_p J[(p,p)][(r,s)],
-    so that <v, K'(lambda) v*> is the two-point pairing."""
-    return _kprime.get((V.key, lam.key(), method), _kprime_impl, V, lam, method)
-
-
-def _kprime_impl(V: FinRep, lam: Lambda, method: str):
-    sV = dual_rep(V)
-    J = fusion_matrix(V, sV, lam, method)
+    so that <v, K'(lambda) v*> is the two-point pairing.  Not memoized: J comes
+    from the `fusion` table, and the partial trace is rarely asked for twice."""
+    J = fusion_matrix(V, dual_rep(V), lam, method)
     d = V.dim
     zero = lam.zero()
     K = [[zero for _ in range(d)] for _ in range(d)]
@@ -559,19 +552,11 @@ def asymptotic_leading(V: FinRep, W: FinRep) -> Report:
     d = V.dim * W.dim
     for r in range(d):
         for c in range(d):
-            entry = RatFunc.coerce(J[r][c])
-            if r == c:
-                entry = entry - RatFunc.const(1)
-            coeff = entry.inf_coeff(1)
-            if coeff != -fe[r][c]:
-                rep.fail(matrix="J", entry=(r, c), got=str(coeff), want=str(-fe[r][c]))
-            entry = RatFunc.coerce(R[r][c])
-            if r == c:
-                entry = entry - RatFunc.const(1)
-            coeff = entry.inf_coeff(1)
-            want = fe[r][c] - ef[r][c]
-            if coeff != want:
-                rep.fail(matrix="R", entry=(r, c), got=str(coeff), want=str(want))
+            for name, M, want in (("J", J, -fe[r][c]), ("R", R, fe[r][c] - ef[r][c])):
+                entry = RatFunc.coerce(M[r][c])
+                coeff = (entry - RatFunc.const(1) if r == c else entry).inf_coeff()
+                if coeff != want:
+                    rep.fail(matrix=name, entry=(r, c), got=str(coeff), want=str(want))
     return rep
 
 

@@ -28,7 +28,7 @@ class NonGenericLambda(ValueError):
 
 class IrrationalHalfPower(ValueError):
     """An odd power of s = q^{1/2} was asked for at a q whose square root is
-    irrational."""
+    irrational or, for q < 0, not real."""
 
 
 def scalar_to_str(a: Fraction) -> str:
@@ -46,68 +46,41 @@ def _exact_sqrt(q: Fraction) -> Fraction | None:
 
 
 class QParam:
-    """Deformation parameter.  The primary datum is s = q^{1/2} (the half power
-    is needed because q^{h (x) h / 2} produces s-powers on integer weights);
-    when only q itself is rational (e.g. q = 2), construct with from_q and any
-    operation that genuinely needs an odd s-power raises.  classical=True
-    selects the q=1 degeneration; q-numbers then collapse to plain integers.
+    """Deformation parameter: a rational q other than 0 and -1.  s = q^{1/2} is
+    its positive rational square root, or None where there is none (the half
+    power is needed because q^{h (x) h / 2} produces s-powers on integer
+    weights; an operation that genuinely needs an odd s-power then raises).
+    q = 1 is the classical degeneration: q-numbers collapse to plain integers.
     """
 
-    __slots__ = ("s", "classical", "_q", "_hash")
+    __slots__ = ("q", "s", "classical", "_hash")
 
-    def __init__(self, s: Fraction | None, classical: bool = False, _q: Fraction | None = None):
-        s = None if s is None else Fraction(s)
-        if s is None:
-            if _q is None:
-                raise ValueError("need s or q")
-            q = Fraction(_q)
-        else:
-            if s == 0:
-                raise ValueError("s must be nonzero")
-            q = s * s
-        if q == 0:
-            raise ValueError("q must be nonzero")
-        if classical:
-            if q != 1:
-                raise ValueError("classical QParam must have q = 1")
-        else:
-            if q == 1 or q == -1:
-                raise ValueError("q = 1 requires the classical flag; q = -1 unsupported")
-        self.s, self.classical, self._q = s, classical, q
-        self._hash = hash(self._fields())  # memo keys end in a QParam
-
-    def _fields(self) -> tuple:
-        return (self.s, self.classical, self._q)
+    def __init__(self, q):
+        q = Fraction(q)
+        if q == 0 or q == -1:
+            raise ValueError(f"q must be nonzero and not -1, got {q}")
+        self.q, self.s, self.classical = q, _exact_sqrt(q), q == 1
+        self._hash = hash(q)  # memo keys end in a QParam
 
     def __eq__(self, other):
         if other.__class__ is not QParam:
             return NotImplemented
-        return self._fields() == other._fields()
+        return self.q == other.q
 
     def __hash__(self):
         return self._hash
 
-    @staticmethod
-    def from_q(q, classical: bool = False) -> "QParam":
-        q = Fraction(q)
-        if classical or q == 1:
-            return classical_q()
-        return QParam(_exact_sqrt(q), classical=False, _q=q)
-
-    @property
-    def q(self) -> Fraction:
-        return self._q
-
     def qpow(self, k: int) -> Fraction:
         """q^k, exact (k may be negative)."""
-        return self._q ** k
+        return self.q ** k
 
     def spow(self, k: int) -> Fraction:
         """s^k = q^{k/2}; exact for even k, needs rational s for odd k."""
         if k % 2 == 0:
-            return self._q ** (k // 2)
+            return self.q ** (k // 2)
         if self.s is None:
-            raise IrrationalHalfPower(f"q^{{1/2}} is irrational for q = {self._q}; "
+            kind = "not real" if self.q < 0 else "irrational"
+            raise IrrationalHalfPower(f"q^{{1/2}} is {kind} for q = {self.q}; "
                                       "odd half-powers unavailable")
         return self.s ** k
 
@@ -115,12 +88,8 @@ class QParam:
         """The q-integer [n] = (q^n - q^-n)/(q - q^-1); equals n at q = 1."""
         if self.classical:
             return Fraction(n)
-        q = self._q
+        q = self.q
         return (q ** n - q ** -n) / (q - 1 / q)
-
-
-def classical_q() -> QParam:
-    return QParam(Fraction(1), classical=True)
 
 
 # ---------------------------------------------------------------------------
@@ -529,29 +498,16 @@ class RatFunc:
         rd = [0] * (L - dd) + list(self.den.nums[::-1])
         return RatFunc.make(Poly._make(rn, self.num.denom), Poly._make(rd, self.den.denom))
 
-    def inf_coeff(self, order: int) -> Fraction:
-        """Coefficient of x^{-order} in the expansion at infinity, for functions
-        vanishing there (deg num < deg den).  Exact; used for 1/lambda asymptotics."""
+    def inf_coeff(self) -> Fraction:
+        """Coefficient of 1/x in the expansion at infinity, for functions
+        vanishing there (deg num < deg den): lc(num)/lc(den) where the degrees
+        differ by one, else 0.  Exact; used for 1/lambda asymptotics."""
         if not self:
             return Fraction(0)
         gap = self.den.degree - self.num.degree
         if gap <= 0:
             raise ValueError("function does not vanish at infinity")
-        if order < gap:
-            return Fraction(0)
-        # expand num/den = x^{-gap} (lc_n/lc_d) (1 + ...) via series division
-        k = order - gap
-        n = self.num.coeffs[::-1]  # high degree first
-        d = self.den.coeffs[::-1]
-        series = []
-        rem = list(n) + [Fraction(0)] * (k + 1)
-        for i in range(k + 1):
-            c = rem[i] / d[0]
-            series.append(c)
-            for j, dj in enumerate(d):
-                if i + j < len(rem):
-                    rem[i + j] -= c * dj
-        return series[k]
+        return self.num.leading() / self.den.leading() if gap == 1 else Fraction(0)
 
     def to_json(self) -> dict:
         return {

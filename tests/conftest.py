@@ -1,19 +1,19 @@
 import pytest
 from fractions import Fraction
 
-from dynrx.scalars import QParam, classical_q
+from dynrx.scalars import QParam
 
 
 @pytest.fixture
 def qp4():
-    return QParam(Fraction(2))  # q = 4
+    return QParam(4)
 
 
 @pytest.fixture
 def qp_half():
-    return QParam(Fraction(1, 2))  # q = 1/4
+    return QParam(Fraction(1, 4))
 
 
 @pytest.fixture
 def qpc():
-    return classical_q()
+    return QParam(1)

@@ -45,12 +45,12 @@ from dynrx.gauge import (
 )
 from dynrx.lam import Lambda
 from dynrx.liealg import irrep_sl2, tensor, vector_rep_gln
-from dynrx.scalars import QParam, RatFunc, classical_q
+from dynrx.scalars import QParam, RatFunc
 from dynrx.sixj import pentagon_residuals, sixj_table
 
-QP = QParam(Fraction(2))        # q = 4
-QPC = classical_q()
-QP_SMALL = QParam(Fraction(1, 2))  # q = 1/4
+QP = QParam(4)
+QPC = QParam(1)
+QP_SMALL = QParam(Fraction(1, 4))
 
 
 def report_line(num, name, ok, dt, bound):
@@ -175,7 +175,7 @@ def test_criterion_6_k_matrix_identities():
 def test_criterion_7_sixj():
     t0 = time.perf_counter()
     ok = True
-    for qp in (QPC, QParam.from_q(2)):
+    for qp in (QPC, QParam(2)):
         tf = sixj_table(qp, Fraction(1), "fusion")
         to = sixj_table(qp, Fraction(1), "oracle")
         keys = set(tf.values) | set(to.values)

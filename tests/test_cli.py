@@ -81,11 +81,25 @@ def test_import_loads_no_dataclass_machinery():
     (("verify", "--suites", "asymptotics", "--algebra", "gl3", "--q", "classical"), None),
     # an --output path that cannot be written
     (("compute", "--samples", "1", "--output", "/nonexistent/dir/x.json"), None),
+    # csv is the sixj-table format only
+    (("compute", "--format", "csv", "--samples", "1"), None),
+    (("verify", "--suites", "qdyb", "--format", "csv", "--samples", "1"), None),
 ])
 def test_bad_config_exits_two_without_traceback(args, env):
     r = run(*args, env=env)
     assert r.returncode == 2
     assert r.stderr.startswith("config error: ") and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("args, why", [
+    (("verify", "--suites", "asymptotics", "--q", "-1/4"), "not real for q = -1/4"),
+    (("compute", "--q", "-4", "--object", "exchange", "--samples", "1"), "not real for q = -4"),
+    (("compute", "--q", "2", "--object", "exchange", "--samples", "1"), "irrational for q = 2"),
+])
+def test_odd_half_power_error_names_the_kind_of_root(args, why):
+    r = run(*args)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith(f"config error: q^{{1/2}} is {why};")
 
 
 @pytest.mark.parametrize("option, value, rest", [
@@ -348,8 +362,8 @@ def cli_argv(draw, command, algebra):
             "--samples", str(draw(st.integers(1, 2))), "--seed", str(draw(st.integers(0, 99))),
             "--bitsize", str(draw(st.integers(1, 16))),
             "--method", draw(st.sampled_from(["verma", "abrr"])),
-            "--max-spin", draw(st.sampled_from(["0", "1/2", "1"])),
-            "--format", draw(st.sampled_from(["json", "pretty", "csv"]))]
+            "--max-spin", draw(st.sampled_from(["0", "1/2", "1"]))]
+    fmt = draw(st.sampled_from(["json", "pretty", "csv"]))
     if reps:
         argv += ["--reps", *reps]
     if command == "compute":
@@ -359,7 +373,10 @@ def cli_argv(draw, command, algebra):
     else:
         argv += ["--suites", *draw(st.lists(st.sampled_from(cli.ALL_SUITES), min_size=1,
                                             max_size=2, unique=True))]
-    return argv
+    # csv is the sixj-table format alone; a csv draw elsewhere runs as json
+    if fmt == "csv" and "sixj-table" not in argv:
+        fmt = "json"
+    return argv + ["--format", fmt]
 
 
 # one case per command and algebra, so that each is drawn from, whatever the

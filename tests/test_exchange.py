@@ -39,7 +39,6 @@ from dynrx.scalars import (
     NonGenericLambda,
     QParam,
     RatFunc,
-    classical_q,
 )
 
 
@@ -198,7 +197,7 @@ def test_abrr_matches_bucketed_reference(qp4, qp_half):
                 lam = sampled(W.spec, seed)
                 assert_same_entries(fusion_matrix_abrr(W, V, lam), abrr_bucketed(W, V, lam))
     for q in (Fraction(4), Fraction(1, 3)):
-        qp = QParam.from_q(q)
+        qp = QParam(q)
         for N in (2, 3, 4):
             W = vector_rep_gln(N, qp)
             lam = sampled(W.spec, N)
@@ -238,7 +237,7 @@ def test_abrr_plan_built_once_per_pair(monkeypatch):
 
     monkeypatch.setattr(exchange, "r_zero_part", counted)
     memo.clear()
-    V = vector_rep_gln(4, QParam.from_q(4))
+    V = vector_rep_gln(4, QParam(4))
     Js = [fusion_matrix_abrr(V, V, sampled(V.spec, seed)) for seed in (1, 2, 3)]
     assert len(calls) == 1
     assert memo.stats()["abrr_plan"] == {"hits": 2, "misses": 1, "size": 1}
@@ -375,7 +374,7 @@ def test_k_matrices(qp4):
 def test_two_point_classical_limit():
     # B_{t rho, V} approaches the canonical pairing as t grows: entries differ
     # from delta by O(1/t)
-    qp = classical_q()
+    qp = QParam(1)
     V = irrep_sl2(Fraction(1, 2), qp)
     spec = V.spec
     prev = None
@@ -412,7 +411,7 @@ def test_asymptotic_leading_classical(qpc):
     Wg = vector_rep_gln(2, qpc)
     assert asymptotic_leading(Wg, Wg).passed
     with pytest.raises(ValueError):
-        asymptotic_leading(irrep_sl2(1, QParam(Fraction(2))), irrep_sl2(1, QParam(Fraction(2))))
+        asymptotic_leading(irrep_sl2(1, QParam(4)), irrep_sl2(1, QParam(4)))
 
 
 def test_asymptotic_alcove(qp_half):
@@ -422,7 +421,7 @@ def test_asymptotic_alcove(qp_half):
     W = vector_rep_gln(2, qp_half)
     assert asymptotic_alcove(W, W, "positive", range(5, 10)).passed
     with pytest.raises(ValueError):
-        asymptotic_alcove(irrep_sl2(1, QParam(Fraction(2))), irrep_sl2(1, QParam(Fraction(2))),
+        asymptotic_alcove(irrep_sl2(1, QParam(4)), irrep_sl2(1, QParam(4)),
                           "positive", range(5, 8))
 
 

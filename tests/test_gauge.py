@@ -27,7 +27,7 @@ from dynrx.gauge import (
 )
 from dynrx.lam import Lambda
 from dynrx.liealg import AlgebraSpec, vector_rep_gln
-from dynrx.scalars import QParam, RatFunc, classical_q
+from dynrx.scalars import QParam, RatFunc
 
 
 def pts(qp, N, n, bits=8):
@@ -357,7 +357,7 @@ def assert_same_coefficients(R, ref):
     assert R.alpha == dict(ref.alpha) and R.beta == dict(ref.beta)
 
 
-REF_QPS = [QParam.from_q(4), QParam.from_q(Fraction(1, 3)), classical_q()]
+REF_QPS = [QParam(4), QParam(Fraction(1, 3)), QParam(1)]
 
 
 @pytest.mark.parametrize("qp", REF_QPS, ids=["q4", "q1/3", "classical"])

@@ -17,9 +17,9 @@ from dynrx.gauge import (
 )
 from dynrx.lam import Lambda
 from dynrx.liealg import AlgebraSpec
-from dynrx.scalars import QParam, RatFunc, classical_q
+from dynrx.scalars import QParam, RatFunc
 
-QPS = [QParam.from_q(4), QParam.from_q(Fraction(1, 3)), classical_q()]
+QPS = [QParam(4), QParam(Fraction(1, 3)), QParam(1)]
 QP_IDS = ["q=4", "q=1/3", "classical"]
 
 
@@ -147,7 +147,7 @@ PINNED = [
 @pytest.mark.parametrize("draw, coords", PINNED, ids=[str(d) for d, _ in PINNED])
 def test_sample_coordinates_are_pinned(draw, coords):
     seed, bits, n = draw
-    qp = QParam.from_q(4)
+    qp = QParam(4)
     spec = AlgebraSpec("sl2", 1, qp) if n == 1 else AlgebraSpec("gln", n, qp)
     lam = Lambda.sample(spec, seed, bits)
     assert lam.coords == tuple(Fraction(c) for c in coords)
@@ -155,7 +155,7 @@ def test_sample_coordinates_are_pinned(draw, coords):
 
 
 def test_sample_json():
-    lam = Lambda.sample(AlgebraSpec("gln", 2, QParam.from_q(4)), 42)
+    lam = Lambda.sample(AlgebraSpec("gln", 2, QParam(4)), 42)
     assert lam.to_json() == {
         "case": "trigonometric", "s": "2", "coords": ["-36352/3279", "6561/32099"],
         "z": ["1321467904/10751841", "43046721/1030345801"], "seed": 42, "draw_index": 0}

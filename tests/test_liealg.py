@@ -23,7 +23,7 @@ from dynrx.liealg import (
     universal_r,
     vector_rep_gln,
 )
-from dynrx.scalars import IrrationalHalfPower, QParam, RatFunc, classical_q
+from dynrx.scalars import IrrationalHalfPower, QParam, RatFunc
 
 
 def all_zero(mats):
@@ -63,7 +63,7 @@ def coproduct_op(V, W, i, gen, opposite=False):
 def test_irrep_sl2_examples(qp4, qpc):
     V0 = irrep_sl2(0, qp4)
     assert V0.dim == 1 and linalg.mat_is_zero(V0.e[0]) and linalg.mat_is_zero(V0.f[0])
-    V = irrep_sl2(Fraction(1, 2), QParam.from_q(2))
+    V = irrep_sl2(Fraction(1, 2), QParam(2))
     assert V.K_diag(0) == [Fraction(2), Fraction(1, 2)]
     assert all_zero(chevalley_residuals(V))
     # classical spin 1: ef - fe = h = diag(2, 0, -2)
@@ -86,7 +86,7 @@ def test_vector_rep_gln(qp4):
     with pytest.raises(ValueError):
         vector_rep_gln(5, qp4)
     # [e1, f1] = (K - K^-1)/(q - q^-1) acts as diag(1, -1) on the weight pairing
-    q = QParam.from_q(3)
+    q = QParam(3)
     V = vector_rep_gln(2, q)
     comm = linalg.mat_sub(linalg.mat_mul(V.e[0], V.f[0]), linalg.mat_mul(V.f[0], V.e[0]))
     dK = V.K_diag(0)
@@ -292,7 +292,7 @@ def test_universal_r_matches_the_references(qval):
     from dynrx import memo
 
     memo.clear()
-    qp = QParam.from_q(Fraction(qval))
+    qp = QParam(Fraction(qval))
     for V, W, reference in reference_pairs(qp):
         try:
             want = reference(V, W)
@@ -374,7 +374,7 @@ def test_cg_decompose(qp4):
     parts = cg_decompose(V, irrep_sl2(1, qp4))
     assert sorted(U.dim for U, _, _ in parts) == [2, 4]
     # q = 3 exactness
-    V3 = irrep_sl2(Fraction(1, 2), QParam.from_q(3))
+    V3 = irrep_sl2(Fraction(1, 2), QParam(3))
     for U, tau, taubar in cg_decompose(V3, V3):
         assert linalg.mat_eq(linalg.mat_mul(taubar, tau), linalg.eye(U.dim))
 
@@ -413,7 +413,7 @@ def test_dual_rep_pairing(qp4):
 @pytest.mark.parametrize("qval", ["4", "1/4", "classical"])
 def test_r_zero_part_is_r_times_inverse_cartan_factor(qval):
     # reference: R times the inverse of the dense diagonal q^{sum x_i (x) x_i}
-    qp = classical_q() if qval == "classical" else QParam.from_q(Fraction(qval))
+    qp = QParam(1) if qval == "classical" else QParam(Fraction(qval))
     spins = [Fraction(1, 2), Fraction(1), Fraction(3, 2)]
     pairs = [(irrep_sl2(a, qp), irrep_sl2(b, qp))
              for a in spins for b in spins if a * b <= Fraction(3, 2)]  # up to 3/2 (x) 1
@@ -428,7 +428,7 @@ def test_r_zero_part_is_r_times_inverse_cartan_factor(qval):
 @pytest.mark.parametrize("qval", ["4", "1/4", "classical"])
 def test_dual_rep_generators_are_transposed_inverse_antipodes(qval):
     # *V acts through S^{-1}: e -> (-K^{-1} e)^t and f -> (-f K)^t
-    qp = classical_q() if qval == "classical" else QParam.from_q(Fraction(qval))
+    qp = QParam(1) if qval == "classical" else QParam(Fraction(qval))
     half = irrep_sl2(Fraction(1, 2), qp)
     reps = [irrep_sl2(s, qp) for s in (0, Fraction(1, 2), 1, Fraction(3, 2))]
     reps += [tensor(half, irrep_sl2(1, qp))] + [vector_rep_gln(N, qp) for N in (2, 3, 4)]
@@ -470,7 +470,7 @@ QVALS = ["4", "2", "1/3", "classical"]
 
 
 def parse_qval(qval):
-    return classical_q() if qval == "classical" else QParam.from_q(Fraction(qval))
+    return QParam(1) if qval == "classical" else QParam(Fraction(qval))
 
 
 def all_specs(qp):

@@ -13,7 +13,7 @@ from dynrx.sixj import pentagon_residuals, sixj_table
 
 def test_sixj_inverts_each_fusion_matrix_once():
     memo.clear()
-    qp = QParam.from_q(2)
+    qp = QParam(2)
     sixj_table(qp, Fraction(1))
     assert pentagon_residuals(qp, Fraction(1)) == []
     st = memo.stats()
@@ -33,7 +33,7 @@ def test_pentagon_reads_every_symbol_through_the_sixj_table(monkeypatch):
 
     monkeypatch.setattr(sixj, "sixj_fusion", counted)
     memo.clear()
-    qp = QParam.from_q(2)
+    qp = QParam(2)
     sixj_table(qp, Fraction(1))
     assert memo.stats()["sixj"] == {"hits": 0, "misses": 99, "size": 99}
     assert pentagon_residuals(qp, Fraction(1)) == []
@@ -65,7 +65,7 @@ def test_sixj_suite_builds_each_ingredient_once(monkeypatch):
     monkeypatch.setattr(sixj, "_combine", counted("combine", sixj._combine))
     monkeypatch.setattr(sixj, "tensor", counted("tensor", sixj.tensor))
     memo.clear()
-    qp = QParam.from_q(2)
+    qp = QParam(2)
     assert len(sixj_table(qp, Fraction(1)).values) == 99
     assert len(sixj_table(qp, Fraction(1), "oracle").values) == 99
     assert pentagon_residuals(qp, Fraction(1)) == []
@@ -86,7 +86,7 @@ def test_oracle_table_is_read_by_the_oracle_alone(monkeypatch):
 
     monkeypatch.setattr(sixj, "_recouple", forbidden)
     memo.clear()
-    qp = QParam.from_q(2)
+    qp = QParam(2)
     assert len(sixj_table(qp, Fraction(1)).values) == 99
     assert pentagon_residuals(qp, Fraction(1)) == []
     assert memo.stats()["sixj_oracle"] == {"hits": 0, "misses": 0, "size": 0}
@@ -98,7 +98,7 @@ def test_content_equal_reps_share_a_key(qp4):
     C = irrep_sl2(1, qp4)
     C.e[0][0][1] += 1  # changed before it is first keyed
     assert C.key != A.key
-    assert irrep_sl2(1, QParam.from_q(9)).key != A.key
+    assert irrep_sl2(1, QParam(9)).key != A.key
     lam = Lambda(A.spec, (Fraction(3, 5),))
     again = Lambda(A.spec, (Fraction(3, 5),))
     assert lam.key() == again.key() != lam.shifted((2,)).key()
@@ -108,7 +108,7 @@ def test_clear_then_recompute_gives_equal_values(qp4):
     V = irrep_sl2(Fraction(1, 2), qp4)
     W = irrep_sl2(1, qp4)
     lam = Lambda(V.spec, (Fraction(7, 3),))
-    qp2 = QParam.from_q(2)
+    qp2 = QParam(2)
 
     def compute():
         return (fusion_matrix(V, W, lam), fusion_matrix(V, W, lam, "abrr"),
@@ -148,7 +148,7 @@ def test_verma_fusion_reads_no_universal_r_and_no_abrr(monkeypatch):
     monkeypatch.setattr(exchange, "_abrr_plan_impl", forbidden)
     monkeypatch.setattr(exchange, "r_zero_part", forbidden)
     memo.clear()
-    qp = QParam.from_q(4)
+    qp = QParam(4)
     for V in (irrep_sl2(1, qp), vector_rep_gln(3, qp)):
         lam = Lambda.sample(V.spec, 12)
         fusion_matrix(V, V, lam)
@@ -169,7 +169,7 @@ def test_abrr_route_reads_no_intertwiner(monkeypatch):
     monkeypatch.setattr(exchange, "solve_intertwiner", forbidden)
     monkeypatch.setattr(intertwine, "solve_intertwiner", forbidden)
     memo.clear()
-    qp = QParam.from_q(4)
+    qp = QParam(4)
     for V in (irrep_sl2(1, qp), vector_rep_gln(3, qp)):
         lam = Lambda.sample(V.spec, 12)
         fusion_matrix(V, V, lam, "abrr")

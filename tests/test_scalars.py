@@ -14,7 +14,6 @@ from dynrx.scalars import (
     QParam,
     RatFunc,
     ScalarDivisionError,
-    classical_q,
     scalar_to_str,
 )
 
@@ -50,21 +49,25 @@ def test_division_by_zero_is_explicit():
 
 
 def test_qnum_examples():
-    assert QParam(Fraction(5)).qnum(1) == 1
+    assert QParam(25).qnum(1) == 1
     # n=2, q=2: [2] = q + 1/q = 5/2
-    assert QParam.from_q(2).qnum(2) == Fraction(5, 2)
-    assert classical_q().qnum(3) == 3
+    assert QParam(2).qnum(2) == Fraction(5, 2)
+    assert QParam(1).qnum(3) == 3
 
 
 def test_qparam_validation():
     with pytest.raises(ValueError):
         QParam(Fraction(0))
     with pytest.raises(ValueError):
-        QParam(Fraction(1))  # q = 1 needs classical flag
+        QParam(-1)
+    assert QParam(1).classical and not QParam(4).classical
+    assert QParam(1) == QParam(Fraction(2, 2)) and hash(QParam(1)) == hash(QParam("1"))
     with pytest.raises(ValueError):
-        QParam.from_q(2).spow(1)  # sqrt(2) irrational
-    assert QParam.from_q(2).spow(4) == 4
-    assert QParam.from_q(Fraction(9, 4)).s == Fraction(3, 2)
+        QParam(2).spow(1)  # sqrt(2) irrational
+    with pytest.raises(ValueError, match="not real for q = -1/4"):
+        QParam(Fraction(-1, 4)).spow(1)
+    assert QParam(2).spow(4) == 4
+    assert QParam(Fraction(9, 4)).s == Fraction(3, 2)
 
 
 @settings(max_examples=100, deadline=None)
@@ -237,14 +240,14 @@ def test_sample_point_basics(qp4):
     assert sh.coords[0] == Fraction(3, 2) / 16  # q^{-2} = 1/16
     with pytest.raises(ValueError):
         Lambda(AlgebraSpec("sl2", 1, qp4), (Fraction(0),))
-    ptc = Lambda(AlgebraSpec("sl2", 1, classical_q()), (Fraction(5),))
+    ptc = Lambda(AlgebraSpec("sl2", 1, QParam(1)), (Fraction(5),))
     assert ptc.shifted((2,)).coords[0] == 3
 
 
 def test_sample_point_json_s_is_null_when_irrational(qp4):
     assert Lambda(AlgebraSpec("sl2", 1, qp4), (Fraction(3, 2),)).to_json()["s"] == "2"
     # q = 2: q^{1/2} is irrational, written as JSON null
-    assert Lambda(AlgebraSpec("sl2", 1, QParam.from_q(2)), (Fraction(3, 2),)).to_json()["s"] is None
+    assert Lambda(AlgebraSpec("sl2", 1, QParam(2)), (Fraction(3, 2),)).to_json()["s"] is None
 
 
 def test_random_regular_point_reproducible(qp4):

@@ -7,7 +7,7 @@ from dynrx import memo
 from dynrx.exchange import fusion_inverse
 from dynrx.lam import Lambda
 from dynrx.liealg import cg_decompose, irrep_sl2, tensor
-from dynrx.scalars import Poly, QParam, RatFunc, classical_q
+from dynrx.scalars import Poly, QParam, RatFunc
 from dynrx.sixj import (
     _combine,
     admissible,
@@ -56,7 +56,7 @@ def _cg_reference_intertwiners(b, c, qp):
 
 @pytest.mark.parametrize("qval", ["2", "4", "1/3", "classical"])
 def test_normalized_intertwiner_matches_cg_reference(qval):
-    qp = classical_q() if qval == "classical" else QParam.from_q(Fraction(qval))
+    qp = QParam(1) if qval == "classical" else QParam(Fraction(qval))
     spins = spin_range(Fraction(5, 2))
     for b in spins:
         for c in spins:
@@ -71,19 +71,19 @@ def test_normalized_intertwiner_matches_cg_reference(qval):
 
 def test_trivial_recoupling():
     # b = 0 forces n = a, j = c, and the coefficient is 1
-    qp = classical_q()
+    qp = QParam(1)
     assert sixj_fusion(1, 0, 1, 2, 3, 2, qp) == 1
     assert sixj_fusion(1, 0, 1, 2, 3, 1, qp) == 0
 
 
 def test_inadmissible_is_zero(qp4):
-    assert sixj_fusion(2, 2, 6, 2, 2, 2, QParam.from_q(2)) == 0
-    assert sixj_oracle(2, 2, 6, 2, 2, 2, classical_q()) == 0
+    assert sixj_fusion(2, 2, 6, 2, 2, 2, QParam(2)) == 0
+    assert sixj_oracle(2, 2, 6, 2, 2, 2, QParam(1)) == 0
 
 
 @pytest.mark.parametrize("qval", ["classical", "2"])
 def test_fusion_equals_oracle_spot(qval):
-    qp = classical_q() if qval == "classical" else QParam.from_q(Fraction(qval))
+    qp = QParam(1) if qval == "classical" else QParam(Fraction(qval))
     # spot checks across the table (the full sweep runs in the acceptance suite)
     tuples = [
         (1, 1, 2, 1, 2, 2),
@@ -97,7 +97,7 @@ def test_fusion_equals_oracle_spot(qval):
 
 
 def test_classical_sixj_rational_values():
-    qp = classical_q()
+    qp = QParam(1)
     # an admissible tuple with all four triangles integral
     v = sixj_fusion(1, 1, 2, 1, 1, 2, qp)
     assert v != 0
@@ -106,12 +106,12 @@ def test_classical_sixj_rational_values():
 
 def test_pentagon_small():
     # tiny-domain pentagon run (spins <= 1/2); the full desk-spin sweep is in acceptance
-    assert pentagon_residuals(classical_q(), Fraction(1, 2)) == []
-    assert pentagon_residuals(QParam.from_q(2), Fraction(1, 2)) == []
+    assert pentagon_residuals(QParam(1), Fraction(1, 2)) == []
+    assert pentagon_residuals(QParam(2), Fraction(1, 2)) == []
 
 
 def test_table_structure(qp4):
-    tab = sixj_table(QParam.from_q(2), Fraction(1, 2))
+    tab = sixj_table(QParam(2), Fraction(1, 2))
     for key, val in tab.values.items():
         a, b, n, c, k, j = (int(2 * x) for x in key)  # keys are Fraction spins
         assert admissible(a, b, n) and admissible(b, c, j)
@@ -150,7 +150,7 @@ def _combine_ref(row, col):
 
 
 def _qp(qval):
-    return classical_q() if qval == "classical" else QParam.from_q(Fraction(qval))
+    return QParam(1) if qval == "classical" else QParam(Fraction(qval))
 
 
 def test_int_labels_match_fraction_labels():

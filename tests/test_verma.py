@@ -5,7 +5,7 @@ import pytest
 from dynrx import linalg
 from dynrx.lam import Lambda
 from dynrx.liealg import AlgebraSpec
-from dynrx.scalars import Poly, QParam, RatFunc, classical_q
+from dynrx.scalars import Poly, QParam, RatFunc
 from dynrx.verma import CutoffExceeded, VermaSlice, word_basis
 
 
@@ -46,7 +46,7 @@ def test_e_f_bracket_sl2(qp4):
 
 def test_classical_level2_action():
     # classical, lambda(h) = 5: e f^2 v = 2(5 - 1) f v = 8 f v
-    M = sl2_slice(classical_q(), lam_coord=5)
+    M = sl2_slice(QParam(1), lam_coord=5)
     el = {(): M.lam.one()}
     el = act_f(M, 0, act_f(M, 0, el))
     out = M.act_e(0, el)
@@ -63,7 +63,7 @@ def test_gram_level0_and_sign(qpc):
 def test_gram_level2_vanishes_at_singular_weight():
     # at q = 4 the level-2 singular vector sits at lambda(h) = 1 (bracket [l-1] = 0);
     # locate it by solving e (a f^2 + b f) v = 0 and compare with the determinant zero set
-    qp = QParam(Fraction(2))
+    qp = QParam(4)
     spec = AlgebraSpec("sl2", 1, qp)
     x = RatFunc.x()
     lam = Lambda.symbolic(spec)
@@ -86,7 +86,7 @@ def test_gram_invertible_at_regular_points(qp4):
 
 
 def test_gram_symmetric_classical():
-    spec = AlgebraSpec("gln", 3, classical_q())
+    spec = AlgebraSpec("gln", 3, QParam(1))
     M = VermaSlice(spec, Lambda.sample(spec, 1), 3)
     for n in range(4):
         G = M.shapovalov_gram(n)
@@ -109,7 +109,7 @@ def test_word_basis_dims_match_poincare():
                     new[i] += coeffs[i - k * h]
                     k += 1
             coeffs = new
-        wb = word_basis(AlgebraSpec("gln", N, QParam(Fraction(2))), cutoff)
+        wb = word_basis(AlgebraSpec("gln", N, QParam(4)), cutoff)
         dims[N] = [len(wb.basis[n]) for n in range(cutoff + 1)]
         assert dims[N] == coeffs, N
     assert dims[3] == [1, 2, 4, 6, 9, 12, 16]
@@ -137,7 +137,7 @@ def test_word_basis_reducers_and_serre(N, q):
     import itertools
 
     nsimple, cutoff = N - 1, 6
-    qp = QParam.from_q(q)
+    qp = QParam(q)
     qnum2 = qp.qnum(2)
     wb = word_basis(AlgebraSpec("gln", N, qp), cutoff)
     # every reducer is weight-homogeneous and expands in basis words or other reducers
@@ -163,7 +163,7 @@ def test_word_basis_reducers_and_serre(N, q):
 def test_word_basis_levels_shared_across_cutoffs():
     from dynrx import memo
 
-    spec = AlgebraSpec("gln", 4, QParam(Fraction(2)))
+    spec = AlgebraSpec("gln", 4, QParam(4))
     wb6 = word_basis(spec, 6)
     misses = memo.stats()["word_basis"]["misses"]
     wb3 = word_basis(spec, 3)
@@ -189,7 +189,7 @@ def test_positive_side_dimensions_match(qp4):
 
 def test_gl2_determinant_matches_sl2_under_difference():
     # gl2 level-1 determinant equals the sl2 one under lambda -> lambda_1 - lambda_2
-    qp = QParam(Fraction(2))
+    qp = QParam(4)
     sl2 = AlgebraSpec("sl2", 1, qp)
     gl2 = AlgebraSpec("gln", 2, qp)
     d_sl2 = VermaSlice(sl2, Lambda.symbolic(sl2), 1).shapovalov_det(1)
