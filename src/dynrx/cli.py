@@ -181,7 +181,6 @@ def cmd_compute(args) -> int:
     reps = build_reps(args.algebra, qp, args.reps)
     spec = reps[0].spec
     cfg = {"command": "compute", "object": args.object, **config_dict(args)}
-    basis2 = [f"{i},{j}" for i in range(reps[0].dim) for j in range(reps[-1].dim)]
 
     if args.object == "sixj-table":
         if spec.kind != "sl2":
@@ -197,6 +196,7 @@ def cmd_compute(args) -> int:
         return 0
 
     W, V = reps[0], reps[1] if len(reps) > 1 else reps[0]
+    basis2 = [f"{i},{j}" for i in range(W.dim) for j in range(V.dim)]
     results = []
     if args.symbolic:
         if spec.kind == "gln" and spec.n > 2:
@@ -356,7 +356,8 @@ def _r00(args, qp, reps, lams):
 # three --reps, the last one repeated to fill, so reps[:2] is the pair.
 # reason(args, qp, spec) says why the suite does not apply (or raises ConfigError
 # on a bad option the suite reads), and is None where the suite always applies.
-# `cmd_verify` asks every requested suite's reason before it runs any suite.
+# `cmd_verify` asks every requested suite's reason before it runs any suite;
+# with no --suites it runs, in this order, every suite whose reason is None.
 SUITES = {
     "cocycle": (lambda args, qp, reps, lams: [verify_cocycle(*reps, lams, args.method)], None),
     "qdyb": (lambda args, qp, reps, lams: [verify_qdyb(*reps, lams, args.method)], None),
@@ -381,7 +382,6 @@ SUITES = {
     "asymptotics": (_asymptotics, _asymptotics_reason),
     "r00": (_r00, None),
 }
-ALL_SUITES = list(SUITES)
 
 
 def cmd_verify(args) -> int:
@@ -389,13 +389,15 @@ def cmd_verify(args) -> int:
     reps = build_reps(args.algebra, qp, args.reps)
     spec = reps[0].spec
     lams = sample_lambdas(spec, args.samples, args.seed, args.bitsize)
-    suites = args.suites or ALL_SUITES
-    for s in suites:
+    for s in args.suites or ():
         if s not in SUITES:
             raise ConfigError(f"unknown suite {s!r}")
-    for s in suites:
+    suites = []
+    for s in args.suites or SUITES:
         reason = SUITES[s][1] and SUITES[s][1](args, qp, spec)
-        if reason:
+        if not reason:
+            suites.append(s)
+        elif args.suites:
             raise ConfigError(reason)
     trip = (reps + [reps[-1], reps[-1]])[:3]
     reports = [r.to_json() for s in suites for r in SUITES[s][0](args, qp, trip, lams)]

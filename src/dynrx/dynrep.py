@@ -158,17 +158,12 @@ def verify_coproduct_compat(V: FinRep, W: FinRep, U: FinRep, lams, method: str =
     return rep
 
 
-def antipode_generator(V: FinRep, U: FinRep, lam: Lambda, method: str = "verma",
-                       which: str = "K") -> dict:
+def antipode_generator(V: FinRep, U: FinRep, lam: Lambda, K, method: str = "verma") -> dict:
     """pi_U of the antipode image of L^V:
-    Lbar^V = (:K^(1)(l^1) L^{*V} (K^(1)(l^2))^{-1}:)^{t1}, K from the fused
-    K-matrix (which='K') or K' (which='Kprime')."""
+    Lbar^V = (:K^(1)(l^1) L^{*V} (K^(1)(l^2))^{-1}:)^{t1}, K(lambda) a K-matrix
+    on *V (the fused K or K') given as a function of lambda."""
     sV = dual_rep(V)
     reps = [sV, trivial_rep(V.spec), U]  # *V (x) C (x) U: embed3 places the one-slot K
-
-    def K(lh):
-        return kmat(V, lh, method) if which == "K" else kprime(V, lh, method)
-
     left = embed3(K, reps, 0, 1, lam, True)
     right = embed3(lambda lh: linalg.mat_inv(K(lh)), reps, 0, 1, lam, False)
     return {b: _transpose_slot(linalg.mat_mul(left, linalg.mat_mul(M, right)), V.dim)
@@ -192,7 +187,7 @@ def verify_antipode(V: FinRep, U: FinRep, lams, method: str = "verma") -> Report
         return pi_generator(V, U, lh, method)
 
     def Lbar(lh):
-        return antipode_generator(V, U, lh, method, "K")
+        return antipode_generator(V, U, lh, lambda lk: kmat(V, lk, method), method)
 
     for idx, lam in enumerate(lams):
         S = Lbar(lam)
@@ -200,7 +195,8 @@ def verify_antipode(V: FinRep, U: FinRep, lams, method: str = "verma") -> Report
             bad = next(_bad_blocks(prod, ident, V.dim), None)
             if bad is not None:
                 rep.fail(sample=idx, order=label, entry=bad)
-        bad = next(_bad_blocks(S, antipode_generator(V, U, lam, method, "Kprime"), V.dim), None)
+        Sp = antipode_generator(V, U, lam, lambda lh: kprime(V, lh, method), method)
+        bad = next(_bad_blocks(S, Sp, V.dim), None)
         if bad is not None:
             rep.fail(sample=idx, order="K vs K'", entry=bad)
     return rep

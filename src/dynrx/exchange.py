@@ -387,28 +387,6 @@ def hecke_report(Rmat, V: FinRep, qp: QParam) -> Report:
 # K-matrices and the two-point function
 
 
-def ktilde(V: FinRep, lam: Lambda, method: str = "verma"):
-    """Ktilde(lambda) = m((J_{*V,V}(lambda)^{-1})^{t2}) on *V.
-
-    With this package's dual convention (*V acts through S^{-1}, so the plain
-    pairing V (x) *V -> C is a module map) the inverse fusion matrix is the one
-    whose partial dualization satisfies K = K'; the antipode suite re-checks
-    this choice independently.
-    """
-    sV = dual_rep(V)
-    Ji = fusion_inverse(sV, V, lam, method)
-    d = V.dim
-    zero = lam.zero()
-    K = [[zero for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        for k in range(d):
-            acc = zero
-            for j in range(d):
-                acc = acc + Ji[i * d + k][j * d + j]
-            K[i][k] = acc
-    return K
-
-
 def kprime(V: FinRep, lam: Lambda, method: str = "verma"):
     """K'(lambda) = m(J^{t1}_{V,*V}(lambda)) on *V: K'[r][s] = sum_p J[(p,p)][(r,s)],
     so that <v, K'(lambda) v*> is the two-point pairing.  Not memoized: J comes
@@ -427,7 +405,15 @@ def kprime(V: FinRep, lam: Lambda, method: str = "verma"):
 
 
 def kmat(V: FinRep, lam: Lambda, method: str = "verma"):
-    """K(lambda) = (Ktilde(lambda - h))^{-1} on *V (h = the *V weight acted on)."""
+    """K(lambda) = (Ktilde(lambda - h))^{-1} on *V (h = the *V weight acted on),
+    Ktilde(lambda) = m((J_{*V,V}(lambda)^{-1})^{t2}): the *V columns of weight mu
+    are those of the partial trace of J_{*V,V}(lambda - mu)^{-1}.
+
+    With this package's dual convention (*V acts through S^{-1}, so the plain
+    pairing V (x) *V -> C is a module map) the inverse fusion matrix is the one
+    whose partial dualization satisfies K = K'; the antipode suite re-checks
+    this choice independently.
+    """
     return _kmat.get((V.key, lam.key(), method), _kmat_impl, V, lam, method)
 
 
@@ -437,10 +423,13 @@ def _kmat_impl(V: FinRep, lam: Lambda, method: str):
     zero = lam.zero()
     M = [[zero for _ in range(d)] for _ in range(d)]
     for mu, ks in sV.weight_spaces().items():
-        col = ktilde(V, lam.shifted(mu), method)
+        Ji = fusion_inverse(sV, V, lam.shifted(mu), method)
         for k in ks:
             for i in range(d):
-                M[i][k] = col[i][k]
+                acc = zero
+                for j in range(d):
+                    acc = acc + Ji[i * d + k][j * d + j]
+                M[i][k] = acc
     try:
         return linalg.mat_inv(M)
     except linalg.SingularMatrixError as exc:
@@ -460,11 +449,11 @@ def two_point(V: FinRep, lam: Lambda) -> list:
                 continue
             w = [Fraction(1) if t == i else Fraction(0) for t in range(d)]
             v = [Fraction(1) if t == j else Fraction(0) for t in range(d)]
-            comp = compose_intertwiners(lam, V, w, sV, v)
-            for wd in {wd for (wd, _, _) in comp.terms}:
+            terms = compose_intertwiners(lam, V, w, sV, v)
+            for wd in {wd for (wd, _, _) in terms}:
                 s = zero  # the contraction <x_a, phi_b> = delta_ab of the wd part
                 for jj in range(d):
-                    s = s + comp.terms.get((wd, jj, jj), zero)
+                    s = s + terms.get((wd, jj, jj), zero)
                 if wd == ():
                     B[i][j] = s
                 elif s:

@@ -126,19 +126,9 @@ def raising_residual(exp: IntertwinerExpansion) -> dict:
     return out
 
 
-class Composition:
-    """Expansion of Phi^{w,v}_lambda v_lambda in M_nu (x) W (x) V:
-    terms[(word, jW, jV)] = coefficient."""
-
-    __slots__ = ("spec", "lam", "W", "V", "nu", "terms")
-
-    def __init__(self, spec: AlgebraSpec, lam: Lambda, W: FinRep, V: FinRep, nu: Lambda,
-                 terms: dict):
-        self.spec, self.lam, self.W, self.V, self.nu, self.terms = spec, lam, W, V, nu, terms
-
-
-def compose_intertwiners(lam: Lambda, W: FinRep, w: list, V: FinRep, v: list) -> Composition:
-    """(Phi^w_{lambda - wt v} (x) 1) Phi^v_lambda applied to v_lambda."""
+def compose_intertwiners(lam: Lambda, W: FinRep, w: list, V: FinRep, v: list) -> dict:
+    """(Phi^w_{lambda - wt v} (x) 1) Phi^v_lambda applied to v_lambda, in
+    M_nu (x) W (x) V: {(word, jW, jV): coefficient of (word . v_nu) (x) w_jW (x) v_jV}."""
     spec = V.spec
     inner = solve_intertwiner(lam, v, V)
     mu = inner.mu
@@ -186,5 +176,4 @@ def compose_intertwiners(lam: Lambda, W: FinRep, w: list, V: FinRep, v: list) ->
                 key = (wd, jW, jV)
                 val = out_terms.get(key, lam.zero()) + c * cv
                 out_terms[key] = val
-    out_terms = {k: v for k, v in out_terms.items() if v}
-    return Composition(spec, lam, W, V, nu, out_terms)
+    return {k: v for k, v in out_terms.items() if v}

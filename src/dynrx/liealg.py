@@ -233,9 +233,17 @@ def tensor(V: FinRep, W: FinRep) -> FinRep:
     return FinRep(spec, weights, zdeg, es, fs, name=f"{V.name}(x){W.name}")
 
 
+_dual_rep = memo.table("dual_rep")
+
+
 def dual_rep(V: FinRep) -> FinRep:
     """Left dual *V on V^*: x . phi = phi(S^{-1}(x) .), so the canonical pairing
-    <v, phi> = phi(v) is a module map V (x) *V -> C."""
+    <v, phi> = phi(v) is a module map V (x) *V -> C.  Built once per V; the key
+    ignores names, so *V is named after the first V it was built from."""
+    return _dual_rep.get(V.key, _dual_rep_impl, V)
+
+
+def _dual_rep_impl(V: FinRep) -> FinRep:
     spec = V.spec
     weights = [wt_neg(w) for w in V.weights]
     zdeg = [-d for d in V.zdeg]

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -222,6 +223,38 @@ def test_suite_that_does_not_apply_exits_two_before_any_suite_runs(args, message
     assert out == "" and err == f"config error: {message}\n"
 
 
+@pytest.mark.parametrize("args, skipped", [
+    (("--algebra", "gl2", "--q", "4"), {"sixj", "asymptotics"}),
+    (("--algebra", "sl2", "--q", "1/4"), {"hecke", "closed-form"}),
+], ids=["gl2", "sl2"])
+def test_verify_without_suites_runs_every_suite_that_applies(args, skipped):
+    r = run("verify", "--samples", "1", *args)
+    assert r.returncode == 0, r.stderr
+    suites = json.loads(r.stdout)["config"]["suites"]
+    assert suites == [s for s in cli.SUITES if s not in skipped] and len(suites) == 13
+
+
+def test_compute_basis_labels_the_pair_it_computes():
+    # with three reps J is computed on the first two, and so are its labels
+    r = run("compute", "--reps", "1/2", "1", "3/2", "--samples", "1")
+    assert r.returncode == 0, r.stderr
+    m = json.loads(r.stdout)["results"][0]["matrix"]
+    assert m["rows"] == 6 and len(m["basis"]) == m["rows"]
+
+
+def test_perfbench_trace_names_resolve():
+    # trace_child counts a function it cannot find as 0, so a renamed function
+    # would silently zero its counter.  The file is compiled from its text, not
+    # imported, so nothing is written next to it.
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "trace_child.py")
+    trace = types.ModuleType("trace_child")
+    with open(path) as fh:
+        exec(compile(fh.read(), path, "exec"), trace.__dict__)
+    known = set(trace._qualnames("dynrx").values())
+    wanted = set(trace.CALLS.values()) | {fn for fns in trace.INCLUSIVE.values() for fn in fns}
+    assert wanted and wanted <= known, sorted(wanted - known)
+
+
 # sha256 of stdout for fixed configurations, each captured before a refactor
 # of the code it runs (the exact kernels, the difference-operator suites):
 # refactors must leave every output byte unchanged.  Re-captured once when the
@@ -371,7 +404,7 @@ def cli_argv(draw, command, algebra):
         if draw(st.booleans()):
             argv.append("--symbolic")
     else:
-        argv += ["--suites", *draw(st.lists(st.sampled_from(cli.ALL_SUITES), min_size=1,
+        argv += ["--suites", *draw(st.lists(st.sampled_from(list(cli.SUITES)), min_size=1,
                                             max_size=2, unique=True))]
     # csv is the sixj-table format alone; a csv draw elsewhere runs as json
     if fmt == "csv" and "sixj-table" not in argv:

@@ -13,7 +13,7 @@ from dynrx.dynrep import (
     verify_product_relation,
     verify_rll,
 )
-from dynrx.exchange import Report, exchange_matrix, r00_block
+from dynrx.exchange import Report, exchange_matrix, kmat, kprime, r00_block
 from dynrx.lam import Lambda
 from dynrx.liealg import cg_decompose, irrep_sl2, tensor, trivial_rep, vector_rep_gln
 from dynrx.scalars import RatFunc
@@ -210,8 +210,8 @@ def test_product_trivial_v(qp4):
 def test_antipode_via_kprime_matches(qp4):
     V = U = irrep_sl2(Fraction(1, 2), qp4)
     lam = sampled(V.spec, 11)
-    A = antipode_generator(V, U, lam, "verma", "K")
-    B = antipode_generator(V, U, lam, "verma", "Kprime")
+    A = antipode_generator(V, U, lam, lambda lh: kmat(V, lh), "verma")
+    B = antipode_generator(V, U, lam, lambda lh: kprime(V, lh), "verma")
     assert ops_equal(A, B)
 
 

@@ -15,7 +15,6 @@ from dynrx.exchange import (
     invert_unipotent,
     kmat,
     kprime,
-    ktilde,
     r00_block,
     r00_cross_check,
     r00_scalar_check,
@@ -362,7 +361,7 @@ def test_k_matrices(qp4):
         assert mats_equal(B, Kp)
         T = trivial_rep(V.spec)
         lam0 = sampled(V.spec, 8)
-        assert linalg.mat_eq(ktilde(T, lam0), linalg.eye(1))
+        assert linalg.mat_eq(kmat(T, lam0), linalg.eye(1))
         assert linalg.mat_eq(kprime(T, lam0), linalg.eye(1))
         assert linalg.mat_eq(two_point(T, lam0), linalg.eye(1))
         for seed in range(3):

@@ -20,8 +20,8 @@ def unit(dim, i):
 
 
 def degree0(comp):
-    """The degree-0 part of a Composition: {(jW, jV): coefficient}."""
-    return {(jW, jV): c for (wd, jW, jV), c in comp.terms.items() if wd == ()}
+    """The degree-0 part of a composition: {(jW, jV): coefficient}."""
+    return {(jW, jV): c for (wd, jW, jV), c in comp.items() if wd == ()}
 
 
 def test_trivial_module_embedding(qp4):
@@ -132,7 +132,7 @@ def test_compose_with_trivial(qp4):
     T = trivial_rep(spec)
     comp = compose_intertwiners(lam, T, unit(1, 0), V, unit(2, 1))
     inner = solve_intertwiner(lam, unit(2, 1), V)
-    assert {(w, jv): c for (w, jw, jv), c in comp.terms.items()} == inner.terms
+    assert {(w, jv): c for (w, jw, jv), c in comp.items()} == inner.terms
 
 
 def test_compose_degree0_defines_fusion_column(qp4):

@@ -1,4 +1,6 @@
 import copy
+import os
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -208,3 +210,13 @@ def test_threads_share_tables_without_lost_updates():
     # one int per distinct value, the same int in every thread
     assert all(row == ids[0] for row in ids)
     assert len(set(ids[0])) == nkeys
+
+
+def test_readme_lists_every_memo_table():
+    import dynrx.cli  # noqa: F401  each module makes its tables when it is imported
+
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        text = fh.read()
+    sentence = text.partition("lives in one named table of `dynrx.memo`:")[2].partition(".  ")[0]
+    names = re.findall(r"`([^`]+)`", sentence)
+    assert len(names) == len(set(names)) and set(names) == set(memo.stats())
