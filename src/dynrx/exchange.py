@@ -193,29 +193,23 @@ class NotUnipotent(ValueError):
 def invert_unipotent(J, W: FinRep, V: FinRep):
     """Exact inverse via the terminating Neumann series; input must be unipotent
     strictly triangular in the first-slot Z-degree."""
-    d = len(J)
     dV = V.dim
-    N = [[x - 1 if r == c else x for c, x in enumerate(row)] for r, row in enumerate(J)]
-    for r in range(d):
-        for c in range(d):
-            if N[r][c] and W.zdeg[r // dV] >= W.zdeg[c // dV]:
+    Jr = linalg.rows(J)
+    # the identity typed entry by entry like J and N = J - 1, so that N has the
+    # entries and types of J off the diagonal and every entry of the sum ends
+    # with the type of 1 - N + N^2 - ...
+    out = linalg.eye_like(Jr)
+    N = linalg.rows_add(Jr, out, -1)
+    for r, (_, ents) in enumerate(N):
+        for c, x in ents.items():
+            if x and W.zdeg[r // dV] >= W.zdeg[c // dV]:
                 raise NotUnipotent("J - Id is not strictly first-slot triangular")
-    # the identity typed entry by entry like N, so that the sum adds only nonzero
-    # entries of each power and every entry ends with the type of 1 - N + N^2 - ...
-    units = {}  # type -> (its zero, its one)
-    for row in N:
-        for x in row:
-            if type(x) not in units:
-                z = x - x
-                units[type(x)] = (z, z + 1)
-    out = [[units[type(x)][r == c] for c, x in enumerate(row)] for r, row in enumerate(N)]
-    P = N
-    step = linalg.mat_sub
-    while not linalg.mat_is_zero(P):
-        out = step(out, P)
-        P = linalg.mat_mul(P, N)
-        step = linalg.mat_add if step is linalg.mat_sub else linalg.mat_sub
-    return out
+    P, sign = N, -1
+    while not linalg.rows_is_zero(P):
+        out = linalg.rows_add(out, P, sign)
+        P = linalg.row_mul(P, N)
+        sign = -sign
+    return linalg.dense(out, len(J))
 
 
 def fusion_inverse(W: FinRep, V: FinRep, lam: Lambda, method: str = "verma"):
@@ -239,7 +233,8 @@ def _exchange_matrix_impl(V: FinRep, W: FinRep, lam: Lambda, method: str):
     R21 = flip(universal_r(W, V), W.dim, V.dim)
     J21 = flip(fusion_matrix(W, V, lam, method), W.dim, V.dim)
     Jinv = fusion_inverse(V, W, lam, method)
-    return linalg.mat_mul(Jinv, linalg.mat_mul(R21, J21))
+    R21J21 = linalg.row_mul(linalg.rows(R21), linalg.rows(J21))
+    return linalg.dense(linalg.row_mul(linalg.rows(Jinv), R21J21), len(Jvw))
 
 
 # ---------------------------------------------------------------------------
@@ -267,29 +262,15 @@ class Report:
         }
 
 
-def _first_difference(lhs, rhs):
-    """(r, c, str(lhs - rhs)) at the first entry, in row-major order, where lhs
-    and rhs differ; None if they are equal.  A pair of zeros is never compared."""
-    for r, (lrow, rrow) in enumerate(zip(lhs, rhs)):
-        for c, (x, y) in enumerate(zip(lrow, rrow)):
-            if (x or y) and x != y:
-                return r, c, str(x - y)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # triple-slot embedding with weight shifts
 
 
-def embed3(matfn, reps, s0: int, s1: int, lam: Lambda, shift_spectator: bool):
-    """Matrix on reps[0](x)reps[1](x)reps[2] acting by matfn(lam') in slots (s0,s1),
-    identity in the spectator slot t; lam' = lam - (weight of the spectator vector)
-    when shift_spectator is set."""
+def _embed3_blocks(matfn, reps, s0: int, s1: int, lam: Lambda, shift_spectator: bool):
+    """(d, base, [(M, offsets)]) for the matrix that `embed3` describes: M acts
+    from column base[j] + off to row base[i] + off for every off in offsets."""
     t = ({0, 1, 2} - {s0, s1}).pop()
     dims = [r.dim for r in reps]
-    d = dims[0] * dims[1] * dims[2]
-    zero = lam.zero()
-    out = [[zero for _ in range(d)] for _ in range(d)]
     if shift_spectator:
         blocks = [(matfn(lam.shifted(wt)), its) for wt, its in reps[t].weight_spaces().items()]
     else:
@@ -297,12 +278,35 @@ def embed3(matfn, reps, s0: int, s1: int, lam: Lambda, shift_spectator: bool):
     # base[a * dims[s1] + b]: the basis index of (a in slot s0, b in slot s1, 0 in slot t)
     stride = [dims[1] * dims[2], dims[2], 1]
     base = [a * stride[s0] + b * stride[s1] for a in range(dims[s0]) for b in range(dims[s1])]
-    for M, its in blocks:
+    return (dims[0] * dims[1] * dims[2], base,
+            [(M, [it * stride[t] for it in its]) for M, its in blocks])
+
+
+def embed3(matfn, reps, s0: int, s1: int, lam: Lambda, shift_spectator: bool):
+    """Matrix on reps[0](x)reps[1](x)reps[2] acting by matfn(lam') in slots (s0,s1),
+    identity in the spectator slot t; lam' = lam - (weight of the spectator vector)
+    when shift_spectator is set."""
+    d, base, blocks = _embed3_blocks(matfn, reps, s0, s1, lam, shift_spectator)
+    zero = lam.zero()
+    out = [[zero for _ in range(d)] for _ in range(d)]
+    for M, offsets in blocks:
         nonzero = [(base[i], base[j], v) for i, row in enumerate(M) for j, v in enumerate(row) if v]
-        for it in its:
-            off = it * stride[t]
+        for off in offsets:
             for r, c, v in nonzero:
                 out[r + off][c + off] = v
+    return out
+
+
+def embed3_rows(matfn, reps, s0: int, s1: int, lam: Lambda, shift_spectator: bool) -> list:
+    """`embed3` in the row form of `linalg`, made with no dense triple matrix."""
+    d, base, blocks = _embed3_blocks(matfn, reps, s0, s1, lam, shift_spectator)
+    out = [None] * d  # every basis index is (a, b) in slots (s0, s1) at one offset
+    for M, offsets in blocks:
+        Mr = [(base[i], den, {base[j]: x for j, x in ents.items()})
+              for i, (den, ents) in enumerate(linalg.rows(M, lam.zero()))]
+        for off in offsets:
+            for r, den, ents in Mr:
+                out[r + off] = (den, {c + off: x for c, x in ents.items()} if off else ents)
     return out
 
 
@@ -313,11 +317,11 @@ def verify_cocycle(V: FinRep, W: FinRep, U: FinRep, lams, method: str = "verma")
     VW = tensor(V, W)
     WU = tensor(W, U)
     for idx, lam in enumerate(lams):
-        A = fusion_matrix(VW, U, lam, method)
-        B = embed3(lambda lh: fusion_matrix(V, W, lh, method), [V, W, U], 0, 1, lam, True)
-        C = fusion_matrix(V, WU, lam, method)
-        D = embed3(lambda lh: fusion_matrix(W, U, lh, method), [V, W, U], 1, 2, lam, False)
-        bad = _first_difference(linalg.mat_mul(A, B), linalg.mat_mul(C, D))
+        A = linalg.rows(fusion_matrix(VW, U, lam, method))
+        B = embed3_rows(lambda lh: fusion_matrix(V, W, lh, method), [V, W, U], 0, 1, lam, True)
+        C = linalg.rows(fusion_matrix(V, WU, lam, method))
+        D = embed3_rows(lambda lh: fusion_matrix(W, U, lh, method), [V, W, U], 1, 2, lam, False)
+        bad = linalg.first_difference(linalg.row_mul(A, B), linalg.row_mul(C, D))
         if bad is not None:
             rep.fail(sample=idx, entry=bad[:2], value=bad[2])
     return rep
@@ -332,15 +336,15 @@ def verify_qdyb(V: FinRep, W: FinRep, U: FinRep, lams, method: str = "verma") ->
         return lambda lh: exchange_matrix(A, B, lh, method)
 
     for idx, lam in enumerate(lams):
-        R12s = embed3(Rfn(V, W), reps, 0, 1, lam, True)
-        R13 = embed3(Rfn(V, U), reps, 0, 2, lam, False)
-        R23s = embed3(Rfn(W, U), reps, 1, 2, lam, True)
-        lhs = linalg.mat_mul(R12s, linalg.mat_mul(R13, R23s))
-        R23 = embed3(Rfn(W, U), reps, 1, 2, lam, False)
-        R13s = embed3(Rfn(V, U), reps, 0, 2, lam, True)
-        R12 = embed3(Rfn(V, W), reps, 0, 1, lam, False)
-        rhs = linalg.mat_mul(R23, linalg.mat_mul(R13s, R12))
-        bad = _first_difference(lhs, rhs)
+        R12s = embed3_rows(Rfn(V, W), reps, 0, 1, lam, True)
+        R13 = embed3_rows(Rfn(V, U), reps, 0, 2, lam, False)
+        R23s = embed3_rows(Rfn(W, U), reps, 1, 2, lam, True)
+        lhs = linalg.row_mul(R12s, linalg.row_mul(R13, R23s))
+        R23 = embed3_rows(Rfn(W, U), reps, 1, 2, lam, False)
+        R13s = embed3_rows(Rfn(V, U), reps, 0, 2, lam, True)
+        R12 = embed3_rows(Rfn(V, W), reps, 0, 1, lam, False)
+        rhs = linalg.row_mul(R23, linalg.row_mul(R13s, R12))
+        bad = linalg.first_difference(lhs, rhs)
         if bad is not None:
             rep.fail(sample=idx, entry=bad[:2], value=bad[2])
     return rep

@@ -15,7 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg, memo
-from .linalg import Matrix, kron, mat_mul, mat_sub, mat_is_zero, eye, zeros
+from .linalg import (Matrix, dense, entry, eye, first_difference, kron, mat_mul, mat_sub,
+                     row_mul, rows, rows_add, rows_is_zero, zeros)
 from .scalars import QParam
 
 Weight = tuple  # integer tuples; length 1 for sl2 (h-eigenvalue), N for gl_N (eps basis)
@@ -161,8 +162,8 @@ class FinRep:
         return [qp.qpow(sign * self.spec.cartan_int(i, w)) for w in self.weights]
 
     def K_mat(self, i: int, sign: int = 1) -> Matrix:
-        d = self.K_diag(i, sign)
-        return [[d[r] if r == c else Fraction(0) for c in range(self.dim)] for r in range(self.dim)]
+        d, zero = self.K_diag(i, sign), Fraction(0)
+        return [[d[r] if r == c else zero for c in range(self.dim)] for r in range(self.dim)]
 
     def h_diag(self, i: int):
         return [Fraction(self.spec.cartan_int(i, w)) for w in self.weights]
@@ -335,16 +336,22 @@ def universal_r(V: FinRep, W: FinRep) -> Matrix:
 
 
 def _universal_r_impl(V: FinRep, W: FinRep) -> Matrix:
-    """D(x) is read from V (x) W, and D^op(x) = tau D(x) from W (x) V, flipped."""
+    """D(x) is read from V (x) W, and D^op(x) = tau D(x) from W (x) V, flipped;
+    both in the row form of `linalg`, as the products read them."""
     spec = V.spec
-    T, Top = tensor(V, W), tensor(W, V)
-    fs = [(T.f[i], flip(Top.f[i], W.dim, V.dim)) for i in range(spec.nsimple)]
+    T = tensor(V, W)
+    Top = T if V.key == W.key else tensor(W, V)
+
+    def d_pair(X, Xop):
+        return rows(X), rows(flip(Xop, W.dim, V.dim))
+
+    fs = [d_pair(T.f[i], Top.f[i]) for i in range(spec.nsimple)]
     R = eye(V.dim * W.dim) if spec.qp.classical else _word_ansatz_r(V, W, fs)
+    Rr = rows(R)
     for i in range(spec.nsimple):
-        K = T.K_mat(i)  # D(K_i) = D^op(K_i)
-        e_pair = (T.e[i], flip(Top.e[i], W.dim, V.dim))
-        for gen, (D, Dop) in (("e", e_pair), ("f", fs[i]), ("K", (K, K))):
-            if mat_mul(R, D) != mat_mul(Dop, R):
+        K = rows(T.K_mat(i))  # D(K_i) = D^op(K_i)
+        for gen, (D, Dop) in (("e", d_pair(T.e[i], Top.e[i])), ("f", fs[i]), ("K", (K, K))):
+            if first_difference(row_mul(Rr, D), row_mul(Dop, Rr)) is not None:
                 raise ArithmeticError(f"universal R fails R D(x) = D^op(x) R for {gen}_{i + 1}")
     if linalg.mat_det(R) == 0:
         raise ArithmeticError("universal R not invertible")
@@ -357,21 +364,23 @@ def _word_spans(X: list, dim: int) -> dict:
     Each level is the previous level's basis times each X_i, zero products
     dropped, row-reduced per content on the flattened matrices."""
     spans = {}
-    level = {(0,) * len(X): [eye(dim)]}
+    Xr = [rows(Xi) for Xi in X]
+    level = {(0,) * len(X): [rows(eye(dim))]}
     while level:
         products = {}
         for beta, mats in level.items():
-            for i, Xi in enumerate(X):
+            for i, Xi in enumerate(Xr):
                 gamma = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
                 for M in mats:
-                    P = mat_mul(M, Xi)
-                    if not mat_is_zero(P):
-                        products.setdefault(gamma, []).append([x for row in P for x in row])
+                    P = row_mul(M, Xi)
+                    if not rows_is_zero(P):
+                        products.setdefault(gamma, []).append([x for row in dense(P, dim)
+                                                               for x in row])
         level = {}
         for gamma, flat in products.items():
             basis, _ = linalg.row_reduce_basis(flat)
-            level[gamma] = spans[gamma] = [[b[r * dim:(r + 1) * dim] for r in range(dim)]
-                                           for b in basis]
+            spans[gamma] = [[b[r * dim:(r + 1) * dim] for r in range(dim)] for b in basis]
+            level[gamma] = [rows(B) for B in spans[gamma]]
     return spans
 
 
@@ -379,8 +388,9 @@ def _word_ansatz_r(V: FinRep, W: FinRep, fs: list) -> Matrix:
     """R = Q (1 + sum_beta sum_{A, B} c_{A,B} A (x) B), A and B over the bases of
     span{e_u} on V and span{f_w} on W for each letter content beta; the c_{A,B}
     are solved from R D(f_i) = D^op(f_i) R, fs holding the (D(f_i), D^op(f_i))
-    pair on V (x) W for every simple root i.  The Cartan factor sits on the
-    left, so each term is kron(A, B) with row r scaled by Q's diagonal entry r."""
+    pair on V (x) W, in row form, for every simple root i.  The Cartan factor
+    sits on the left, so each term is kron(A, B) with row r scaled by Q's
+    diagonal entry r."""
     Q = _cartan_diag(V, W)
     d = V.dim * W.dim
 
@@ -393,16 +403,17 @@ def _word_ansatz_r(V: FinRep, W: FinRep, fs: list) -> Matrix:
              for A in Es[beta] for B in Fs[beta]]
     if not terms:
         return R
-    rows, rhs = [], []
+    Ts = [rows(T) for T in [R] + terms]
+    eqs, rhs = [], []
     for D, Dop in fs:
-        mats = [mat_sub(mat_mul(T, D), mat_mul(Dop, T)) for T in [R] + terms]
+        Ms = [rows_add(row_mul(T, D), row_mul(Dop, T), -1) for T in Ts]  # T D - D^op T
         for r in range(d):
-            for c in range(d):
-                row = [M[r][c] for M in mats[1:]]
-                if any(row) or mats[0][r][c]:
-                    rows.append(row)
-                    rhs.append([-mats[0][r][c]])
-    sol = linalg.solve_linear(rows, rhs)
+            for c in sorted({c for M in Ms for c in M[r][1]}):
+                eq = [entry(M[r], c) for M in Ms]
+                if any(eq):
+                    eqs.append(eq[1:])
+                    rhs.append([-eq[0]])
+    sol = linalg.solve_linear(eqs, rhs)
     # sum_k c_k T_k as one product: the row (c_k) times the flattened terms
     S = mat_mul([[c for (c,) in sol]], [[x for row in T for x in row] for T in terms])[0]
     return linalg.mat_add(R, [S[r * d:(r + 1) * d] for r in range(d)])

@@ -1,4 +1,4 @@
-"""Field-generic exact dense matrices (lists of lists).
+"""Field-generic exact dense matrices (lists of lists), and their row form.
 
 Works over any field type supporting +, -, * and /, in practice Fraction and
 RatFunc.  A zero test is truthiness: `not x` holds exactly when x is zero, for
@@ -15,12 +15,18 @@ x / pivot.  Each such zero is made once per pair of types per call.
 `mat_add` and `mat_sub` return the other operand (negated for 0 - b) where
 one operand is a zero of the other's type, and add or subtract otherwise.
 
-`mat_mul` makes one type test per call, over the entries of both operands at
-C speed.  Where every entry is a Fraction, the product runs on integers: each
-row of B as numerators over the lcm of its denominators, each row of A over
-one common denominator, zero tests on `_numerator`, and one Fraction per
-nonzero output entry; every other entry is Fraction(0), as the loop gives.
-Any other operands take the generic loop.
+The row form (`rows`) holds a matrix as one pair per row.  A row whose
+entries are all Fractions is an integer row (den, {c: n}): the nonzero
+numerators over one positive int den, which `rows` makes the lcm of the
+row's denominators and which products and sums do not reduce.  Any other
+row is (zero, {c: x}): a typed zero (never a den, as an int zero is 0), and
+every entry that is not a zero of zero's type.  `row_mul` is the one
+product: an integer row of A times integer rows of B runs on integers, and
+any other row multiplies the nonzero values and follows the zero-typing rule
+above.  `rows_add` adds as `mat_add` and `mat_sub` do.  `dense` gives back
+the lists, entry types included, so `mat_mul` is rows -> `row_mul` ->
+`dense`.  `first_difference` compares two row forms entry by entry, integer
+rows by cross-multiplied numerators.
 """
 
 from __future__ import annotations
@@ -29,6 +35,8 @@ from fractions import Fraction
 from math import lcm
 
 Matrix = list  # list[list[field element]]
+_ZERO = Fraction(0)
+_FRACTION = frozenset([Fraction])
 
 
 def zeros(n: int, m: int, zero=Fraction(0)) -> Matrix:
@@ -70,68 +78,192 @@ def mat_scale(A: Matrix, c) -> Matrix:
     return [[a * c for a in row] for row in A]
 
 
-def _zero_row(a, row):
-    """Per entry b of row, a zero of the type of a * b: (a - a) * b, one
-    product per type of b."""
-    za = a - a
-    by_type = {}
-    for b in row:
-        if type(b) not in by_type:
-            by_type[type(b)] = za * b
-    return [by_type[type(b)] for b in row]
-
-
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    """A B, multiplying only nonzero pairs; each entry sums its terms in
-    increasing inner index.  Fraction operands take `_mat_mul_fractions`."""
-    types = set()
+    """A B through the row form, multiplying only nonzero pairs."""
+    return dense(row_mul(rows(A), rows(B)), len(B[0]))
+
+
+# ---------------------------------------------------------------------------
+# the row form
+
+
+def _int_row(nz):
+    """The integer row of the pairs (c, x), each x a Fraction."""
+    den = lcm(*[x._denominator for _, x in nz])
+    return den, {c: x._numerator * (den // x._denominator) for c, x in nz if x._numerator}
+
+
+def _row_of(zero, ents: dict):
+    """The row whose entries are ents and zero elsewhere: an integer row when
+    zero and every value are Fractions, (zero, ents) otherwise."""
+    if type(zero) is Fraction and _FRACTION.issuperset(map(type, ents.values())):
+        return _int_row(ents.items())
+    return zero, ents
+
+
+def rows(A: Matrix, zero=None) -> list:
+    """The row form of A; given zero, of A with every zero entry replaced by zero."""
+    int_zero = zero is None or type(zero) is Fraction
+    out = []
     for row in A:
-        types.update(map(type, row))
-    for row in B:
-        types.update(map(type, row))
-    if types == {Fraction}:
-        return _mat_mul_fractions(A, B)
-    m = len(B[0])
-    B_nz = [[(c, b) for c, b in enumerate(row) if b] for row in B]
-    zero_rows = {}  # type(A[i][0]) -> the zero of each column c, typed like A[i][0] * B[0][c]
+        if int_zero and _FRACTION.issuperset(map(type, row)):
+            out.append(_int_row([(c, x) for c, x in enumerate(row) if x._numerator]))
+        elif zero is not None:
+            out.append(_row_of(zero, {c: x for c, x in enumerate(row) if x}))
+        else:
+            z = next((x for x in row if not x), row[0] - row[0])
+            out.append(_row_of(z, {c: x for c, x in enumerate(row) if x or type(x) is not type(z)}))
+    return out
+
+
+def eye_like(A: list) -> list:
+    """The row form of the identity typed entry by entry like the row form A:
+    entry (r, c) is a zero, or for c = r a one, of the type of A's entry."""
     out = []
-    for Ai in A:
-        acc = [None] * m
-        for a, Br in zip(Ai, B_nz):
-            if not Br or not a:
+    units = {}  # type -> (its zero, its one)
+    for r, (d, ents) in enumerate(A):
+        if type(d) is int and d:
+            out.append((1, {r: 1}))
+            continue
+        for x in (d, *ents.values()):
+            if type(x) not in units:
+                units[type(x)] = (x - x, x - x + 1)
+        row = {c: units[type(x)][c == r] for c, x in ents.items()}
+        row.setdefault(r, units[type(d)][1])
+        out.append(_row_of(d, row))
+    return out
+
+
+def entry(row, c):
+    """The entry in column c of a row."""
+    d, ents = row
+    if type(d) is int and d:
+        return Fraction(ents[c], d) if c in ents else _ZERO
+    return ents.get(c, d)
+
+
+def _values(row) -> dict:
+    """{c: x} over the nonzero entries of a row."""
+    d, ents = row
+    if type(d) is int and d:
+        return {c: Fraction(n, d) for c, n in ents.items()}
+    return {c: x for c, x in ents.items() if x}
+
+
+def dense(A: list, m: int) -> Matrix:
+    """The lists of a row form with m columns."""
+    out = []
+    for d, ents in A:
+        if type(d) is int and d:
+            row = [_ZERO] * m
+            for c, n in ents.items():
+                row[c] = Fraction(n, d)
+        else:
+            row = [d] * m
+            for c, x in ents.items():
+                row[c] = x
+        out.append(row)
+    return out
+
+
+def rows_is_zero(A: list) -> bool:
+    return not any(x for _, ents in A for x in ents.values())
+
+
+def _int_row_mul(d: int, ents: dict, B: list):
+    """The integer row (d, ents) times the integer rows B: numerators summed
+    over d times the lcm of the denominators of the rows of B it reaches."""
+    terms = [(n, B[k]) for k, n in ents.items() if B[k][1]]
+    den = lcm(*[bd for _, (bd, _) in terms])
+    acc = {}
+    for n, (bd, bents) in terms:
+        f = n * (den // bd)
+        for c, x in bents.items():
+            acc[c] = acc[c] + f * x if c in acc else f * x
+    return den * d, {c: x for c, x in acc.items() if x}
+
+
+def row_mul(A: list, B: list) -> list:
+    """The row form of A B, from the row forms of A and B."""
+    b_int = all(type(d) is int and d for d, _ in B)
+    Bv = None  # each row of B as {c: nonzero value}, made for the first non-integer row
+    fills = {}  # type(A[i][0]) -> (the zero of row i, {c: its zeros of another type})
+    out = []
+    for d, ents in A:
+        if b_int and type(d) is int and d:
+            out.append(_int_row_mul(d, ents, B))
+            continue
+        if Bv is None:
+            Bv = [_values(row) for row in B]
+        acc = {}
+        for k, a in _values((d, ents)).items():
+            for c, b in Bv[k].items():
+                acc[c] = acc[c] + a * b if c in acc else a * b
+        a0 = entry((d, ents), 0)
+        fill = fills.get(type(a0))
+        if fill is None:
+            # a no-term entry is a zero typed like A[i][0] * B[0][c]
+            za = a0 - a0
+            d0, e0 = B[0]
+            if type(d0) is int and d0:
+                d0, e0 = _ZERO, {}
+            zero, by_type = za * d0, {}
+            for b in e0.values():
+                if type(b) not in by_type:
+                    by_type[type(b)] = za * b
+            fill = fills[type(a0)] = (zero, {c: by_type[type(b)] for c, b in e0.items()
+                                             if type(by_type[type(b)]) is not type(zero)})
+        zero, other = fill
+        out.append(_row_of(zero, {**other, **acc}))
+    return out
+
+
+def rows_add(A: list, B: list, sign: int = 1) -> list:
+    """The row form of A + sign B (sign 1 or -1), each entry as `mat_add` or
+    `mat_sub` makes it."""
+    step = _add if sign > 0 else _sub
+    out = []
+    for ra, rb in zip(A, B):
+        (da, ea), (db, eb) = ra, rb
+        if type(da) is int and da and type(db) is int and db:
+            if not eb or not ea:
+                out.append(ra if not eb else rb if sign > 0 else
+                           (db, {c: -y for c, y in eb.items()}))
                 continue
-            for c, b in Br:
-                s = acc[c]
-                acc[c] = a * b if s is None else s + a * b
-        zr = zero_rows.get(type(Ai[0]))
-        if zr is None:
-            zr = zero_rows[type(Ai[0])] = _zero_row(Ai[0], B[0])
-        out.append([z if s is None else s for s, z in zip(acc, zr)])
+            den = lcm(da, db)
+            fa, fb = den // da, sign * (den // db)
+            acc = {c: x * fa for c, x in ea.items()}
+            for c, y in eb.items():
+                acc[c] = acc[c] + y * fb if c in acc else y * fb
+            out.append((den, {c: x for c, x in acc.items() if x}))
+            continue
+        za = _ZERO if type(da) is int and da else da
+        zb = _ZERO if type(db) is int and db else db
+        ents = {c: step(entry(ra, c), entry(rb, c)) for c in ea.keys() | eb.keys()}
+        out.append(_row_of(step(za, zb), ents))
     return out
 
 
-def _mat_mul_fractions(A: Matrix, B: Matrix) -> Matrix:
-    """A B for Fraction matrices, on integers: each row of B as numerators over
-    the lcm of its denominators, each row of A over one common denominator of
-    its terms, and one Fraction per nonzero entry."""
-    B_int = []  # per row of B: (its lcm denominator, [(c, numerator over it)])
-    for row in B:
-        nz = [(c, b) for c, b in enumerate(row) if b._numerator]
-        den = lcm(*[b._denominator for _, b in nz])
-        B_int.append((den, [(c, b._numerator * (den // b._denominator)) for c, b in nz]))
-    zero = Fraction(0)
-    m = len(B[0])
-    out = []
-    for Ai in A:
-        terms = [(a, Bk) for a, Bk in zip(Ai, B_int) if a._numerator and Bk[1]]
-        den = lcm(*[a._denominator * Bk[0] for a, Bk in terms])
-        acc = [0] * m
-        for a, (bden, nums) in terms:
-            f = a._numerator * (den // (a._denominator * bden))
-            for c, n in nums:
-                acc[c] += f * n
-        out.append([Fraction(x, den) if x else zero for x in acc])
-    return out
+def first_difference(A: list, B: list):
+    """(r, c, str(x - y)) at the first entry, in row-major order, where the row
+    forms A and B differ, x and y their entries there; None if they are equal.
+    A pair of zeros is never compared.  Integer rows compare cross-multiplied
+    numerators and make a Fraction only for the value."""
+    for r, (ra, rb) in enumerate(zip(A, B)):
+        (da, ea), (db, eb) = ra, rb
+        if type(da) is int and da and type(db) is int and db:
+            if da == db and ea == eb:
+                continue
+            for c in sorted(ea.keys() | eb.keys()):
+                x, y = ea.get(c, 0), eb.get(c, 0)
+                if x * db != y * da:
+                    return r, c, str(Fraction(x, da) - Fraction(y, db))
+            continue
+        for c in sorted(ea.keys() | eb.keys()):
+            x, y = entry(ra, c), entry(rb, c)
+            if (x or y) and x != y:
+                return r, c, str(x - y)
+    return None
 
 
 def kron(A: Matrix, B: Matrix) -> Matrix:

@@ -259,7 +259,8 @@ def test_abrr_plan_rejects_non_unipotent_r0(qp4, monkeypatch):
 
 
 def loop_first_difference(lhs, rhs):
-    """_first_difference as it was: every pair compared, zeros included."""
+    """The first difference of two dense matrices as the cocycle and QDYB checks
+    once found it: every pair compared, zeros included."""
     for r, (lrow, rrow) in enumerate(zip(lhs, rhs)):
         for c, (x, y) in enumerate(zip(lrow, rrow)):
             if x != y:
@@ -268,8 +269,6 @@ def loop_first_difference(lhs, rhs):
 
 
 def test_first_difference_matches_loop():
-    from dynrx.exchange import _first_difference
-
     def with_entry(M, r, c, v):
         M = [row[:] for row in M]
         M[r][c] = v
@@ -288,7 +287,8 @@ def test_first_difference_matches_loop():
         (with_entry(base, 0, 0, RatFunc.const(0)), base, None),
     ]
     for lhs, rhs, want in cases:
-        assert _first_difference(lhs, rhs) == loop_first_difference(lhs, rhs) == want
+        got = linalg.first_difference(linalg.rows(lhs), linalg.rows(rhs))
+        assert got == loop_first_difference(lhs, rhs) == want
 
 
 def test_invert_unipotent(qp4):
@@ -500,6 +500,61 @@ def test_cocycle_qdyb_failure_records_under_corruption(name, verify, want_sample
     assert verify(A, B, A, [sampled(A.spec, s) for s in range(2)]).failures == want_sampled
     G = vector_rep_gln(2, qp4)
     assert verify(G, G, G, [Lambda.symbolic(G.spec)]).failures == want_symbolic
+
+
+_LEAK_QDYB_SYMBOLIC = (
+    "RatFunc(num=Poly(coeffs=(Fraction(0, 1), Fraction(0, 1), Fraction(15, 2))), "
+    "den=Poly(coeffs=(Fraction(-1, 16), Fraction(0, 1), Fraction(1, 1))))"
+)
+
+
+# One entry outside the weight-zero pattern, M[0][-1] (top weight to bottom
+# weight), raised by 1 on the 1/2 (x) 1 pair only.  The records were captured
+# on the dense checks, which compared every entry of the triple products; a
+# check that skips entries by weight would lose them.
+@pytest.mark.parametrize("name, verify, want", [
+    ("exchange_matrix", verify_qdyb,
+     [dict(sample=0, entry=(0, 5), value="611618/69165"),
+      dict(sample=1, entry=(0, 5), value="6740280/894479"),
+      dict(sample=2, entry=(0, 5), value=_LEAK_QDYB_SYMBOLIC)]),
+    ("fusion_matrix", verify_cocycle,
+     [dict(sample=0, entry=(0, 10), value="1"),
+      dict(sample=1, entry=(0, 10), value="1"),
+      dict(sample=2, entry=(0, 10), value="RatFunc(num=Poly(coeffs=(Fraction(1, 1),)), "
+                                          "den=Poly(coeffs=(Fraction(1, 1),)))")]),
+])
+def test_cocycle_qdyb_report_an_entry_outside_the_weight_pattern(name, verify, want, qp4,
+                                                                 monkeypatch):
+    import dynrx.exchange as exchange
+
+    A, B = irrep_sl2(Fraction(1, 2), qp4), irrep_sl2(1, qp4)
+    real = getattr(exchange, name)
+
+    def leaking(V, W, *rest):
+        M = real(V, W, *rest)
+        if (V.key, W.key) == (A.key, B.key):
+            M = [list(row) for row in M]
+            assert V.weights[0] != V.weights[-1] and not M[0][-1]  # off the weight-zero pattern
+            M[0][-1] += 1
+        return M
+
+    monkeypatch.setattr(exchange, name, leaking)
+    lams = [sampled(A.spec, s) for s in range(2)] + [Lambda.symbolic(A.spec)]
+    assert verify(A, B, A, lams).failures == want
+
+
+@pytest.mark.parametrize("verify", [verify_cocycle, verify_qdyb])
+@pytest.mark.parametrize("method", ["verma", "abrr"])
+def test_cocycle_qdyb_build_no_dense_triple_matrix(verify, method, qp4, monkeypatch):
+    import dynrx.exchange as exchange
+
+    def no_dense(*args):
+        raise AssertionError("a dense matrix on V (x) W (x) U was built")
+
+    monkeypatch.setattr(exchange, "embed3", no_dense)
+    G = vector_rep_gln(2, qp4)
+    rep = verify(G, G, G, [sampled(G.spec, 3), Lambda.symbolic(G.spec)], method)
+    assert rep.passed and not rep.failures
 
 
 @pytest.mark.parametrize("corrupt", [

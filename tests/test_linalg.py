@@ -515,51 +515,102 @@ sparse_fraction = st.one_of(
     st.just(Fraction(0)), st.just(Fraction(0)), st.just(Fraction(0)),
     st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 12)))
 
+# Sparse RatFuncs: mostly zero, (a + b x) / (c + d x) with small coefficients.
+sparse_ratfunc = st.one_of(
+    st.just(RatFunc.const(0)), st.just(RatFunc.const(0)), st.just(RatFunc.const(0)),
+    st.builds(lambda a, b, c, d: RatFunc.make(Poly.of(a, b), Poly.of(c, d)),
+              st.integers(-3, 3), st.integers(-3, 3), st.integers(1, 3), st.integers(-2, 2)))
+
+OPERAND_KINDS = {
+    "fraction": sparse_fraction,
+    "ratfunc": sparse_ratfunc,
+    "mixed": st.one_of(sparse_fraction, sparse_ratfunc),
+}
+
+
+def sparse_matrix(draw, rows, cols):
+    """A rows x cols matrix, all Fraction, all RatFunc or mixed, with some rows
+    and columns made all zero, in zeros of either type unless all Fraction."""
+    kind = draw(st.sampled_from(sorted(OPERAND_KINDS)))
+    M = draw(st.lists(st.lists(OPERAND_KINDS[kind], min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    zero = st.just(Fraction(0)) if kind == "fraction" else st.sampled_from(
+        [Fraction(0), RatFunc.const(0)])
+    zr = draw(st.sets(st.integers(0, rows - 1), max_size=rows))
+    zc = draw(st.sets(st.integers(0, cols - 1), max_size=cols))
+    return [[draw(zero) if i in zr or j in zc else x for j, x in enumerate(row)]
+            for i, row in enumerate(M)]
+
 
 @st.composite
-def sparse_fraction_pair(draw):
-    """(A, B) with A n x k and B k x m (1 x n and n x 1 shapes included), and
-    some rows and columns of each made all zero."""
+def sparse_pair(draw):
+    """(A, B) with A n x k and B k x m (1 x 1, 1 x n and n x 1 shapes included)."""
     n, k, m = (draw(st.integers(1, 6)) for _ in range(3))
+    return sparse_matrix(draw, n, k), sparse_matrix(draw, k, m)
 
-    def matrix(rows, cols):
-        M = draw(st.lists(st.lists(sparse_fraction, min_size=cols, max_size=cols),
-                          min_size=rows, max_size=rows))
-        zr = draw(st.sets(st.integers(0, rows - 1), max_size=rows))
-        zc = draw(st.sets(st.integers(0, cols - 1), max_size=cols))
-        return [[Fraction(0) if i in zr or j in zc else x for j, x in enumerate(row)]
-                for i, row in enumerate(M)]
 
-    return matrix(n, k), matrix(k, m)
+@st.composite
+def same_shape_pair(draw):
+    """(A, B) of one shape, B agreeing with A on a drawn set of entries."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    A, B = sparse_matrix(draw, n, m), sparse_matrix(draw, n, m)
+    same = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, m - 1))))
+    return A, [[A[i][j] if (i, j) in same else x for j, x in enumerate(row)]
+               for i, row in enumerate(B)]
 
 
 @settings(max_examples=300, deadline=None)
-@given(sparse_fraction_pair())
+@given(sparse_pair())
 def test_mat_mul_integer_path_matches_loop(pair):
     A, B = pair
-    assert_same_entries(mat_mul(A, B), loop_mat_mul(A, B))
+    want = loop_mat_mul(A, B)
+    assert_same_entries(mat_mul(A, B), want)
+    assert_same_entries(linalg.dense(linalg.row_mul(linalg.rows(A), linalg.rows(B)), len(B[0])),
+                        want)
+    assert_same_entries(linalg.dense(linalg.rows(A), len(A[0])), A)
+
+
+@settings(max_examples=200, deadline=None)
+@given(same_shape_pair())
+def test_row_difference_and_comparison_match_dense(pair):
+    A, B = pair
+    Ar, Br = linalg.rows(A), linalg.rows(B)
+    assert_same_entries(linalg.dense(linalg.rows_add(Ar, Br), len(A[0])), ref_mat_add(A, B))
+    assert_same_entries(linalg.dense(linalg.rows_add(Ar, Br, -1), len(A[0])), ref_mat_sub(A, B))
+    want = next(((r, c, str(x - y)) for r, (ra, rb) in enumerate(zip(A, B))
+                 for c, (x, y) in enumerate(zip(ra, rb)) if x != y), None)
+    assert linalg.first_difference(Ar, Br) == want
+    assert linalg.first_difference(Ar, Ar) is None
 
 
 def test_mat_mul_integer_path_only_for_all_fraction_operands(monkeypatch):
+    """The integer kernel runs once per all-Fraction row of A, and only when
+    every entry of B is a Fraction."""
     calls = []
-    real = linalg._mat_mul_fractions
+    real = linalg._int_row_mul
 
-    def counted(A, B):
+    def counted(*args):
         calls.append(1)
-        return real(A, B)
+        return real(*args)
 
-    monkeypatch.setattr(linalg, "_mat_mul_fractions", counted)
+    def all_fraction(row):
+        return all(type(x) is Fraction for x in row)
+
+    monkeypatch.setattr(linalg, "_int_row_mul", counted)
     rng = random.Random("paths")
     F = random_fractions(rng, 3, 3, 0.6)
     G = random_fractions(rng, 3, 3, 0.6)
-    assert_same_entries(mat_mul(F, G), loop_mat_mul(F, G))
-    assert len(calls) == 1
     R = random_ratfuncs(rng, 3, 3, 0.6)
     patch = kind_matrix(rng, "patch", 3, 3, 0.6)
     ints = [[1, 0, Fraction(2, 3)], [0, -2, 0], [Fraction(0), 3, 1]]
-    for X, Y in ((F, R), (R, F), (patch, G), (F, patch), (ints, G), (F, ints), (ints, ints)):
+    for X, Y in ((F, G), (F, R), (R, F), (patch, G), (F, patch), (ints, G), (F, ints),
+                 (ints, ints)):
+        calls.clear()
         assert_same_entries(mat_mul(X, Y), loop_mat_mul(X, Y))
-    assert len(calls) == 1
+        assert len(calls) == (sum(map(all_fraction, X)) if all(map(all_fraction, Y)) else 0)
+    calls.clear()
+    mat_mul(F, G)
+    assert len(calls) == 3
 
 
 def test_fraction_private_fields_equal_public_ones():
