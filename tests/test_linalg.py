@@ -608,9 +608,6 @@ def test_mat_mul_integer_path_only_for_all_fraction_operands(monkeypatch):
         calls.clear()
         assert_same_entries(mat_mul(X, Y), loop_mat_mul(X, Y))
         assert len(calls) == (sum(map(all_fraction, X)) if all(map(all_fraction, Y)) else 0)
-    calls.clear()
-    mat_mul(F, G)
-    assert len(calls) == 3
 
 
 def test_fraction_private_fields_equal_public_ones():
