@@ -200,10 +200,9 @@ def invert_unipotent(J, W: FinRep, V: FinRep):
     # with the type of 1 - N + N^2 - ...
     out = linalg.eye_like(Jr)
     N = linalg.rows_add(Jr, out, -1)
-    for r, (_, ents) in enumerate(N):
-        for c, x in ents.items():
-            if x and W.zdeg[r // dV] >= W.zdeg[c // dV]:
-                raise NotUnipotent("J - Id is not strictly first-slot triangular")
+    for r, row in enumerate(N):
+        if any(W.zdeg[r // dV] >= W.zdeg[c // dV] for c in linalg.support(row)):
+            raise NotUnipotent("J - Id is not strictly first-slot triangular")
     P, sign = N, -1
     while not linalg.rows_is_zero(P):
         out = linalg.rows_add(out, P, sign)
@@ -266,9 +265,10 @@ class Report:
 # triple-slot embedding with weight shifts
 
 
-def _embed3_blocks(matfn, reps, s0: int, s1: int, lam: Lambda, shift_spectator: bool):
-    """(d, base, [(M, offsets)]) for the matrix that `embed3` describes: M acts
-    from column base[j] + off to row base[i] + off for every off in offsets."""
+def embed3_rows(matfn, reps, s0: int, s1: int, lam: Lambda, shift_spectator: bool) -> list:
+    """The row form of the matrix on reps[0](x)reps[1](x)reps[2] acting by
+    matfn(lam') in slots (s0,s1), identity in the spectator slot t; lam' = lam -
+    (weight of the spectator vector) when shift_spectator is set."""
     t = ({0, 1, 2} - {s0, s1}).pop()
     dims = [r.dim for r in reps]
     if shift_spectator:
@@ -278,36 +278,16 @@ def _embed3_blocks(matfn, reps, s0: int, s1: int, lam: Lambda, shift_spectator: 
     # base[a * dims[s1] + b]: the basis index of (a in slot s0, b in slot s1, 0 in slot t)
     stride = [dims[1] * dims[2], dims[2], 1]
     base = [a * stride[s0] + b * stride[s1] for a in range(dims[s0]) for b in range(dims[s1])]
-    return (dims[0] * dims[1] * dims[2], base,
-            [(M, [it * stride[t] for it in its]) for M, its in blocks])
+    out = [None] * (dims[0] * dims[1] * dims[2])  # each index is (a, b) at one offset
+    for M, its in blocks:
+        linalg.place(out, linalg.rows(M, lam.zero()), base, [it * stride[t] for it in its])
+    return out
 
 
 def embed3(matfn, reps, s0: int, s1: int, lam: Lambda, shift_spectator: bool):
-    """Matrix on reps[0](x)reps[1](x)reps[2] acting by matfn(lam') in slots (s0,s1),
-    identity in the spectator slot t; lam' = lam - (weight of the spectator vector)
-    when shift_spectator is set."""
-    d, base, blocks = _embed3_blocks(matfn, reps, s0, s1, lam, shift_spectator)
-    zero = lam.zero()
-    out = [[zero for _ in range(d)] for _ in range(d)]
-    for M, offsets in blocks:
-        nonzero = [(base[i], base[j], v) for i, row in enumerate(M) for j, v in enumerate(row) if v]
-        for off in offsets:
-            for r, c, v in nonzero:
-                out[r + off][c + off] = v
-    return out
-
-
-def embed3_rows(matfn, reps, s0: int, s1: int, lam: Lambda, shift_spectator: bool) -> list:
-    """`embed3` in the row form of `linalg`, made with no dense triple matrix."""
-    d, base, blocks = _embed3_blocks(matfn, reps, s0, s1, lam, shift_spectator)
-    out = [None] * d  # every basis index is (a, b) in slots (s0, s1) at one offset
-    for M, offsets in blocks:
-        Mr = [(base[i], den, {base[j]: x for j, x in ents.items()})
-              for i, (den, ents) in enumerate(linalg.rows(M, lam.zero()))]
-        for off in offsets:
-            for r, den, ents in Mr:
-                out[r + off] = (den, {c + off: x for c, x in ents.items()} if off else ents)
-    return out
+    """`embed3_rows` as a dense matrix."""
+    return linalg.dense(embed3_rows(matfn, reps, s0, s1, lam, shift_spectator),
+                        reps[0].dim * reps[1].dim * reps[2].dim)
 
 
 def verify_cocycle(V: FinRep, W: FinRep, U: FinRep, lams, method: str = "verma") -> Report:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import linalg, memo
 from .linalg import (Matrix, dense, entry, eye, first_difference, kron, mat_mul, mat_sub,
-                     row_mul, rows, rows_add, rows_is_zero, zeros)
+                     row_mul, rows, rows_add, rows_is_zero, support, zeros)
 from .scalars import QParam
 
 Weight = tuple  # integer tuples; length 1 for sl2 (h-eigenvalue), N for gl_N (eps basis)
@@ -408,11 +408,10 @@ def _word_ansatz_r(V: FinRep, W: FinRep, fs: list) -> Matrix:
     for D, Dop in fs:
         Ms = [rows_add(row_mul(T, D), row_mul(Dop, T), -1) for T in Ts]  # T D - D^op T
         for r in range(d):
-            for c in sorted({c for M in Ms for c in M[r][1]}):
+            for c in sorted({c for M in Ms for c in support(M[r])}):
                 eq = [entry(M[r], c) for M in Ms]
-                if any(eq):
-                    eqs.append(eq[1:])
-                    rhs.append([-eq[0]])
+                eqs.append(eq[1:])
+                rhs.append([-eq[0]])
     sol = linalg.solve_linear(eqs, rhs)
     # sum_k c_k T_k as one product: the row (c_k) times the flattened terms
     S = mat_mul([[c for (c,) in sol]], [[x for row in T for x in row] for T in terms])[0]

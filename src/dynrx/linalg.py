@@ -26,7 +26,8 @@ any other row multiplies the nonzero values and follows the zero-typing rule
 above.  `rows_add` adds as `mat_add` and `mat_sub` do.  `dense` gives back
 the lists, entry types included, so `mat_mul` is rows -> `row_mul` ->
 `dense`.  `first_difference` compares two row forms entry by entry, integer
-rows by cross-multiplied numerators.
+rows by cross-multiplied numerators.  `entry`, `support` and `place` read and
+move rows, so no other module reads the pairs.
 """
 
 from __future__ import annotations
@@ -170,6 +171,24 @@ def rows_is_zero(A: list) -> bool:
     return not any(x for _, ents in A for x in ents.values())
 
 
+def support(row) -> list:
+    """The columns of a row's nonzero entries."""
+    d, ents = row
+    if type(d) is int and d:
+        return list(ents)
+    return [c for c, x in ents.items() if x]
+
+
+def place(out: list, A: list, index, offsets) -> None:
+    """Write the row form A into the row form out once per offset off: row i
+    of A becomes row index[i] + off, its column c column index[c] + off."""
+    moved = [(index[i], d, {index[c]: x for c, x in ents.items()})
+             for i, (d, ents) in enumerate(A)]
+    for off in offsets:
+        for r, d, ents in moved:
+            out[r + off] = (d, {c + off: x for c, x in ents.items()} if off else ents)
+
+
 def _int_row_mul(d: int, ents: dict, B: list):
     """The integer row (d, ents) times the integer rows B: numerators summed
     over d times the lcm of the denominators of the rows of B it reaches."""
@@ -287,10 +306,6 @@ def kron(A: Matrix, B: Matrix) -> Matrix:
                         typed_zero[t] = (a - a) * b
                     row[j * q + c] = typed_zero[t]
     return out
-
-
-def mat_is_zero(A: Matrix) -> bool:
-    return not any(x for row in A for x in row)
 
 
 def mat_eq(A: Matrix, B: Matrix) -> bool:

@@ -23,13 +23,17 @@ def sampled(spec, seed, bits=8):
     return Lambda.sample(spec, seed, bits)
 
 
+def mat_is_zero(A):
+    return not any(x for row in A for x in row)
+
+
 def ops_equal(A, B):
     """Operators {shift: matrix} are equal: every shift's coefficients agree."""
     for b in A.keys() | B.keys():
         if b in A and b in B:
             if not linalg.mat_eq(A[b], B[b]):
                 return False
-        elif not linalg.mat_is_zero(A[b] if b in A else B[b]):
+        elif not mat_is_zero(A[b] if b in A else B[b]):
             return False
     return True
 

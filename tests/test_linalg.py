@@ -292,6 +292,10 @@ def test_nullspace_spans_kernel_with_unit_free_columns(kind, n, m, r, density):
 # type (Fraction or RatFunc) as these.
 
 
+def mat_is_zero(A):
+    return not any(x for row in A for x in row)
+
+
 def ref_mat_add(A, B):
     return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
 
@@ -321,7 +325,7 @@ def ref_invert_unipotent(J):
     one_mat = linalg.eye(len(J))
     N = ref_mat_sub(J, one_mat)
     out, P, sign = one_mat, N, -1
-    while not linalg.mat_is_zero(P):
+    while not mat_is_zero(P):
         out = ref_mat_add(out, [[x * Fraction(sign) for x in row] for row in P])
         P = ref_mat_mul(P, N)
         sign = -sign
@@ -483,7 +487,7 @@ def test_invert_unipotent_matches_reference_on_real_fusion_matrices():
             assert_same_entries(Ji, ref_invert_unipotent(M))
             assert linalg.mat_mul(M, Ji) == linalg.eye(d), name
         N = ref_mat_sub(J, linalg.eye(d))
-        squares_zero.append(linalg.mat_is_zero(ref_mat_mul(N, N)))
+        squares_zero.append(mat_is_zero(ref_mat_mul(N, N)))
     assert not all(squares_zero)  # the series is longer than 1 - N somewhere
 
 
@@ -528,10 +532,11 @@ OPERAND_KINDS = {
 }
 
 
-def sparse_matrix(draw, rows, cols):
-    """A rows x cols matrix, all Fraction, all RatFunc or mixed, with some rows
-    and columns made all zero, in zeros of either type unless all Fraction."""
-    kind = draw(st.sampled_from(sorted(OPERAND_KINDS)))
+def sparse_matrix(draw, rows, cols, kinds=tuple(OPERAND_KINDS)):
+    """A rows x cols matrix of one of kinds (all Fraction, all RatFunc or
+    mixed), with some rows and columns made all zero, in zeros of either type
+    unless all Fraction."""
+    kind = draw(st.sampled_from(kinds))
     M = draw(st.lists(st.lists(OPERAND_KINDS[kind], min_size=cols, max_size=cols),
                       min_size=rows, max_size=rows))
     zero = st.just(Fraction(0)) if kind == "fraction" else st.sampled_from(
@@ -543,10 +548,11 @@ def sparse_matrix(draw, rows, cols):
 
 
 @st.composite
-def sparse_pair(draw):
-    """(A, B) with A n x k and B k x m (1 x 1, 1 x n and n x 1 shapes included)."""
+def sparse_pair(draw, kinds):
+    """(A, B) with A n x k and B k x m (1 x 1, 1 x n and n x 1 shapes
+    included), each of a kind drawn from kinds."""
     n, k, m = (draw(st.integers(1, 6)) for _ in range(3))
-    return sparse_matrix(draw, n, k), sparse_matrix(draw, k, m)
+    return sparse_matrix(draw, n, k, kinds), sparse_matrix(draw, k, m, kinds)
 
 
 @st.composite
@@ -559,15 +565,25 @@ def same_shape_pair(draw):
                for i, row in enumerate(B)]
 
 
-@settings(max_examples=300, deadline=None)
-@given(sparse_pair())
-def test_mat_mul_integer_path_matches_loop(pair):
-    A, B = pair
+def check_products(A, B):
+    """mat_mul, the row product and the rows round trip against the loop."""
     want = loop_mat_mul(A, B)
     assert_same_entries(mat_mul(A, B), want)
     assert_same_entries(linalg.dense(linalg.row_mul(linalg.rows(A), linalg.rows(B)), len(B[0])),
                         want)
     assert_same_entries(linalg.dense(linalg.rows(A), len(A[0])), A)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_pair(["fraction"]))
+def test_mat_mul_integer_path_matches_loop(pair):
+    check_products(*pair)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_pair(sorted(OPERAND_KINDS)))
+def test_row_mul_matches_loop_on_every_operand_kind(pair):
+    check_products(*pair)
 
 
 @settings(max_examples=200, deadline=None)
@@ -581,6 +597,33 @@ def test_row_difference_and_comparison_match_dense(pair):
                  for c, (x, y) in enumerate(zip(ra, rb)) if x != y), None)
     assert linalg.first_difference(Ar, Br) == want
     assert linalg.first_difference(Ar, Ar) is None
+
+
+@st.composite
+def square_matrix(draw):
+    k = draw(st.integers(1, 5))
+    return sparse_matrix(draw, k, k)
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrix())
+def test_support_and_place_match_dense(A):
+    """support lists a row's nonzero columns; place at index 2i and offsets 0,
+    1 puts entry (i, j) of A at (2i + off, 2j + off) and zeros elsewhere."""
+    k = len(A)
+    Ar = linalg.rows(A)
+    assert [linalg.support(row) for row in Ar] == [[c for c, x in enumerate(row) if x]
+                                                   for row in A]
+    out = [None] * (2 * k)
+    linalg.place(out, Ar, [2 * i for i in range(k)], [0, 1])
+    placed, dA = linalg.dense(out, 2 * k), linalg.dense(Ar, k)
+    for r, row in enumerate(placed):
+        for c, x in enumerate(row):
+            if r % 2 == c % 2:
+                want = dA[r // 2][c // 2]
+                assert x == want and type(x) is type(want)
+            else:
+                assert not x
 
 
 def test_mat_mul_integer_path_only_for_all_fraction_operands(monkeypatch):
