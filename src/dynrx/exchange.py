@@ -52,6 +52,7 @@ def rep_fingerprint(V: FinRep):
 _fusion = memo.table("fusion")
 _fusion_inverse = memo.table("fusion_inverse")
 _exchange = memo.table("exchange")
+_r21 = memo.table("r21")  # (V, W) -> the lambda-free R21 = flip(universal_r(W, V)), in row form
 _kmat = memo.table("kmat")
 _abrr_plan = memo.table("abrr_plan")  # (W, V) -> the lambda-free part of the ABRR sweep
 # (V, lambda, i) -> the expansion of Phi^{v_i}_lambda; the Verma route alone reads it
@@ -229,10 +230,10 @@ def exchange_matrix(V: FinRep, W: FinRep, lam: Lambda, method: str = "verma"):
 
 def _exchange_matrix_impl(V: FinRep, W: FinRep, lam: Lambda, method: str):
     Jvw = fusion_matrix(V, W, lam, method)
-    R21 = flip(universal_r(W, V), W.dim, V.dim)
+    R21 = _r21.get((V.key, W.key), lambda: linalg.rows(flip(universal_r(W, V), W.dim, V.dim)))
     J21 = flip(fusion_matrix(W, V, lam, method), W.dim, V.dim)
     Jinv = fusion_inverse(V, W, lam, method)
-    R21J21 = linalg.row_mul(linalg.rows(R21), linalg.rows(J21))
+    R21J21 = linalg.row_mul(R21, linalg.rows(J21))
     return linalg.dense(linalg.row_mul(linalg.rows(Jinv), R21J21), len(Jvw))
 
 
@@ -284,12 +285,6 @@ def embed3_rows(matfn, reps, s0: int, s1: int, lam: Lambda, shift_spectator: boo
     return out
 
 
-def embed3(matfn, reps, s0: int, s1: int, lam: Lambda, shift_spectator: bool):
-    """`embed3_rows` as a dense matrix."""
-    return linalg.dense(embed3_rows(matfn, reps, s0, s1, lam, shift_spectator),
-                        reps[0].dim * reps[1].dim * reps[2].dim)
-
-
 def verify_cocycle(V: FinRep, W: FinRep, U: FinRep, lams, method: str = "verma") -> Report:
     """J_{V(x)W,U}(lambda)(J_{V,W}(lambda-h^(3)) (x) 1) =
     J_{V,W(x)U}(lambda)(1 (x) J_{W,U}(lambda)), exactly."""
@@ -301,9 +296,9 @@ def verify_cocycle(V: FinRep, W: FinRep, U: FinRep, lams, method: str = "verma")
         B = embed3_rows(lambda lh: fusion_matrix(V, W, lh, method), [V, W, U], 0, 1, lam, True)
         C = linalg.rows(fusion_matrix(V, WU, lam, method))
         D = embed3_rows(lambda lh: fusion_matrix(W, U, lh, method), [V, W, U], 1, 2, lam, False)
-        bad = linalg.first_difference(linalg.row_mul(A, B), linalg.row_mul(C, D))
+        bad = next(linalg.differences(linalg.row_mul(A, B), linalg.row_mul(C, D)), None)
         if bad is not None:
-            rep.fail(sample=idx, entry=bad[:2], value=bad[2])
+            rep.fail(sample=idx, entry=bad[:2], value=str(bad[2] - bad[3]))
     return rep
 
 
@@ -324,9 +319,9 @@ def verify_qdyb(V: FinRep, W: FinRep, U: FinRep, lams, method: str = "verma") ->
         R13s = embed3_rows(Rfn(V, U), reps, 0, 2, lam, True)
         R12 = embed3_rows(Rfn(V, W), reps, 0, 1, lam, False)
         rhs = linalg.row_mul(R23, linalg.row_mul(R13s, R12))
-        bad = linalg.first_difference(lhs, rhs)
+        bad = next(linalg.differences(lhs, rhs), None)
         if bad is not None:
-            rep.fail(sample=idx, entry=bad[:2], value=bad[2])
+            rep.fail(sample=idx, entry=bad[:2], value=str(bad[2] - bad[3]))
     return rep
 
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg, memo
-from .linalg import (Matrix, dense, entry, eye, first_difference, kron, mat_mul, mat_sub,
-                     row_mul, rows, rows_add, rows_is_zero, support, zeros)
+from .linalg import (Matrix, dense, differences, entry, eye, kron, mat_mul, mat_sub, row_mul,
+                     rows, rows_add, rows_is_zero, support, zeros)
 from .scalars import QParam
 
 Weight = tuple  # integer tuples; length 1 for sl2 (h-eigenvalue), N for gl_N (eps basis)
@@ -351,7 +351,7 @@ def _universal_r_impl(V: FinRep, W: FinRep) -> Matrix:
     for i in range(spec.nsimple):
         K = rows(T.K_mat(i))  # D(K_i) = D^op(K_i)
         for gen, (D, Dop) in (("e", d_pair(T.e[i], Top.e[i])), ("f", fs[i]), ("K", (K, K))):
-            if first_difference(row_mul(Rr, D), row_mul(Dop, Rr)) is not None:
+            if next(differences(row_mul(Rr, D), row_mul(Dop, Rr)), None) is not None:
                 raise ArithmeticError(f"universal R fails R D(x) = D^op(x) R for {gen}_{i + 1}")
     if linalg.mat_det(R) == 0:
         raise ArithmeticError("universal R not invertible")

@@ -25,9 +25,10 @@ product: an integer row of A times integer rows of B runs on integers, and
 any other row multiplies the nonzero values and follows the zero-typing rule
 above.  `rows_add` adds as `mat_add` and `mat_sub` do.  `dense` gives back
 the lists, entry types included, so `mat_mul` is rows -> `row_mul` ->
-`dense`.  `first_difference` compares two row forms entry by entry, integer
-rows by cross-multiplied numerators.  `entry`, `support` and `place` read and
-move rows, so no other module reads the pairs.
+`dense`.  `differences` compares two row forms entry by entry, integer rows
+by cross-multiplied numerators, and is the one comparator of the identity
+checks.  `entry`, `support`, `place` and `transpose_blocks` read and move
+rows, so no other module reads the pairs.
 """
 
 from __future__ import annotations
@@ -263,11 +264,11 @@ def rows_add(A: list, B: list, sign: int = 1) -> list:
     return out
 
 
-def first_difference(A: list, B: list):
-    """(r, c, str(x - y)) at the first entry, in row-major order, where the row
-    forms A and B differ, x and y their entries there; None if they are equal.
-    A pair of zeros is never compared.  Integer rows compare cross-multiplied
-    numerators and make a Fraction only for the value."""
+def differences(A: list, B: list):
+    """Yield (r, c, x, y), in row-major order, at every entry where the row
+    forms A and B differ, x and y their entries there.  A pair of zeros is
+    never compared.  Integer rows compare cross-multiplied numerators and make
+    Fractions only for an entry that differs."""
     for r, (ra, rb) in enumerate(zip(A, B)):
         (da, ea), (db, eb) = ra, rb
         if type(da) is int and da and type(db) is int and db:
@@ -276,13 +277,20 @@ def first_difference(A: list, B: list):
             for c in sorted(ea.keys() | eb.keys()):
                 x, y = ea.get(c, 0), eb.get(c, 0)
                 if x * db != y * da:
-                    return r, c, str(Fraction(x, da) - Fraction(y, db))
+                    yield r, c, Fraction(x, da), Fraction(y, db)
             continue
         for c in sorted(ea.keys() | eb.keys()):
             x, y = entry(ra, c), entry(rb, c)
             if (x or y) and x != y:
-                return r, c, str(x - y)
-    return None
+                yield r, c, x, y
+
+
+def transpose_blocks(A: list, n: int) -> list:
+    """The row form of the square A with its n x n grid of blocks transposed,
+    each block left as it is; every entry keeps its type."""
+    k = len(A) // n
+    return rows([[entry(A[c // k * k + r % k], r // k * k + c % k) for c in range(len(A))]
+                 for r in range(len(A))])
 
 
 def kron(A: Matrix, B: Matrix) -> Matrix:
@@ -306,10 +314,6 @@ def kron(A: Matrix, B: Matrix) -> Matrix:
                         typed_zero[t] = (a - a) * b
                     row[j * q + c] = typed_zero[t]
     return out
-
-
-def mat_eq(A: Matrix, B: Matrix) -> bool:
-    return A == B
 
 
 class SingularMatrixError(ValueError):

@@ -84,7 +84,7 @@ def test_criterion_1_closed_form_reproduction():
         cf = closed_form_hecke(3, qp)
         for seed in range(20):
             lam = sampled(W3.spec, seed)
-            ok = ok and linalg.mat_eq(exchange_matrix(W3, W3, lam), cf.to_matrix(lam))
+            ok = ok and exchange_matrix(W3, W3, lam) == cf.to_matrix(lam)
     report_line(1, "exchange matrix equals the closed gl_N forms", ok, time.perf_counter() - t0, 10)
 
 
@@ -110,16 +110,12 @@ def test_criterion_3_two_method_agreement():
     for sa, sb in itertools.product(spins, repeat=2):
         A, B = irrep_sl2(sa, QP), irrep_sl2(sb, QP)
         for lam in lams:
-            ok = ok and linalg.mat_eq(
-                fusion_matrix(A, B, lam, "verma"), fusion_matrix(A, B, lam, "abrr")
-            )
+            ok = ok and fusion_matrix(A, B, lam, "verma") == fusion_matrix(A, B, lam, "abrr")
     for N in (2, 3):
         W = vector_rep_gln(N, QP)
         for s in range(20):
             lam = sampled(W.spec, s)
-            ok = ok and linalg.mat_eq(
-                fusion_matrix(W, W, lam, "verma"), fusion_matrix(W, W, lam, "abrr")
-            )
+            ok = ok and fusion_matrix(W, W, lam, "verma") == fusion_matrix(W, W, lam, "abrr")
     report_line(3, "Verma fusion = ABRR fixed point (sl2 spins <= 3/2, gl2/gl3)", ok,
                 time.perf_counter() - t0, 60)
 
@@ -165,8 +161,8 @@ def test_criterion_6_k_matrix_identities():
         for s in range(10):
             lam = sampled(V.spec, 200 + s)
             K, Kp, B = kmat(V, lam), kprime(V, lam), two_point(V, lam)
-            ok = ok and linalg.mat_eq(K, Kp)
-            ok = ok and linalg.mat_eq(B, Kp)
+            ok = ok and K == Kp
+            ok = ok and B == Kp
             ok = ok and linalg.mat_det(B) != 0
     report_line(6, "K = K', B = <v, K' v*>, det B != 0 (10 samples)", ok,
                 time.perf_counter() - t0, 30)

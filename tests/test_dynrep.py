@@ -27,11 +27,18 @@ def mat_is_zero(A):
     return not any(x for row in A for x in row)
 
 
-def ops_equal(A, B):
-    """Operators {shift: matrix} are equal: every shift's coefficients agree."""
+def op_rows(op):
+    """The operator {shift: dense matrix} in the row form of `linalg`."""
+    return {b: linalg.rows(M) for b, M in op.items()}
+
+
+def ops_equal(A, B, m):
+    """Operators {shift: row form with m columns} are equal: every shift's
+    coefficients agree."""
+    A, B = ({b: linalg.dense(M, m) for b, M in op.items()} for op in (A, B))
     for b in A.keys() | B.keys():
         if b in A and b in B:
-            if not linalg.mat_eq(A[b], B[b]):
+            if A[b] != B[b]:
                 return False
         elif not mat_is_zero(A[b] if b in A else B[b]):
             return False
@@ -53,7 +60,7 @@ def test_bad_blocks_compares_entries_and_one_sided_shifts():
         return M
 
     def bad(A, B):
-        return list(_bad_blocks(A, B, 2))
+        return _bad_blocks(op_rows(A), op_rows(B), 2)
 
     assert bad({}, {}) == [] and bad({(0,): eye}, {(0,): eye}) == []
     assert bad({(0,): eye}, {(0,): with_entry(eye, 1, 2, Fraction(5))}) == [(0, 1)]
@@ -65,7 +72,8 @@ def test_bad_blocks_compares_entries_and_one_sided_shifts():
 
 
 def loop_bad_blocks(A, B, n):
-    """_bad_blocks as it was: every pair compared, zeros included."""
+    """_bad_blocks as it was on dense operators: every pair compared, zeros
+    included."""
     if not (A or B):
         return
     d = len(next(iter((A or B).values())))
@@ -98,9 +106,15 @@ def test_bad_blocks_matches_loop():
         # a shift on one side only, against the other side's zero blocks
         ({(0,): with_entry(base, 1, 3, RatFunc.const(0))}, {(0,): base, (2,): base},
          [(0, 0), (1, 0), (1, 1)]),
+        # an integer row (row 0 of base) against a RatFunc row of equal values, and of
+        # one value that differs
+        ({(0,): base}, {(0,): with_entry(base, 0, 3, RatFunc.const(0))}, []),
+        ({(0,): base}, {(0,): with_entry(base, 0, 1, RatFunc.const(Fraction(3, 4)))}, []),
+        ({(0,): with_entry(base, 0, 2, RatFunc.const(1))}, {(0,): base}, [(0, 1)]),
+        ({(0,): base}, {(0,): with_entry(base, 0, 1, sym)}, [(0, 0)]),
     ]
     for A, B, want in cases:
-        assert list(_bad_blocks(A, B, 2)) == list(loop_bad_blocks(A, B, 2)) == want
+        assert _bad_blocks(op_rows(A), op_rows(B), 2) == list(loop_bad_blocks(A, B, 2)) == want
 
 
 def test_diffop_composition_shifts(qp4):
@@ -111,9 +125,9 @@ def test_diffop_composition_shifts(qp4):
     def fco(lh):
         return diag([lh.simple(0), Fraction(1)])
 
-    C = compose({(2,): fco(lam)}, lambda lh: {(-2,): fco(lh)}, lam)
+    C = compose({(2,): linalg.rows(fco(lam))}, lambda lh: {(-2,): linalg.rows(fco(lh))}, lam)
     assert set(C) == {(0,)}
-    got = C[(0,)]
+    got = linalg.dense(C[(0,)], 2)
     x = lam.simple(0)
     xs = lam.shifted((2,)).simple(0)
     assert got[0][0] == x * xs and got[1][1] == 1
@@ -130,7 +144,7 @@ def test_diffop_associativity(qp4):
 
     lhs = compose(compose(L(lam), L, lam), L, lam)
     rhs = compose(L(lam), lambda lh: compose(L(lh), L, lh), lam)
-    assert ops_equal(lhs, rhs)
+    assert ops_equal(lhs, rhs, V.dim * U.dim)
 
 
 def test_bigrading_relations(qp4):
@@ -150,18 +164,19 @@ def test_bigrading_relations(qp4):
     def f_h(lh):  # f(lambda^1) on V (x) U: f(lambda - h^(U)), weight-diagonal in U
         return diag([f(lh.shifted(U.weights[i % dU])) for i in range(n)])
 
-    lhs = {b: linalg.mat_mul(f_h(lam), M) for b, M in L.items()}
+    lhs = {b: linalg.row_mul(linalg.rows(f_h(lam)), M) for b, M in L.items()}
     for a, alpha in enumerate(V.weights):
         # the shift by wt a depends on the row a, so compare the rows of block row a
-        rhs = compose(L, lambda lh: {(0,): f_h(up(lh, alpha))}, lam)
+        rhs = compose(L, lambda lh: {(0,): linalg.rows(f_h(up(lh, alpha)))}, lam)
         rows = slice(a * dU, (a + 1) * dU)
         assert ops_equal({b: M[rows] for b, M in lhs.items()},
-                         {b: M[rows] for b, M in rhs.items()}), (a, "lambda1")
+                         {b: M[rows] for b, M in rhs.items()}, n), (a, "lambda1")
     for b, M in L.items():
         # the shift of L_ab is wt b, the key of its coefficient
-        rhs2 = compose({b: M}, lambda lh: {(0,): linalg.mat_scale(linalg.eye(n), f(up(lh, b)))},
-                       lam)
-        assert ops_equal({b: linalg.mat_scale(M, f(lam))}, rhs2), (b, "lambda2")
+        rhs2 = compose({b: M}, lambda lh: {(0,): linalg.rows(
+            linalg.mat_scale(linalg.eye(n), f(up(lh, b))))}, lam)
+        scaled = linalg.rows(linalg.mat_scale(linalg.dense(M, n), f(lam)))
+        assert ops_equal({b: scaled}, rhs2, n), (b, "lambda2")
 
 
 def test_counit_is_pi_trivial(qp4):
@@ -170,14 +185,14 @@ def test_counit_is_pi_trivial(qp4):
     triv = trivial_rep(V.spec)
     lam = sampled(V.spec, 3)
     counit = {beta: diag([Fraction(w == beta) for w in V.weights]) for beta in V.weights}
-    assert ops_equal(pi_generator(V, triv, lam), counit)
+    assert ops_equal(pi_generator(V, triv, lam), op_rows(counit), V.dim)
 
 
 def test_trivial_v_is_unit(qp4):
     U = irrep_sl2(Fraction(1, 2), qp4)
     T = trivial_rep(U.spec)
     lam = sampled(U.spec, 4)
-    assert ops_equal(pi_generator(T, U, lam), {(0,): linalg.eye(U.dim)})
+    assert ops_equal(pi_generator(T, U, lam), op_rows({(0,): linalg.eye(U.dim)}), U.dim)
 
 
 @pytest.mark.parametrize("case", ["sl2-half", "sl2-one", "gl2"])
@@ -216,7 +231,7 @@ def test_antipode_via_kprime_matches(qp4):
     lam = sampled(V.spec, 11)
     A = antipode_generator(V, U, lam, lambda lh: kmat(V, lh), "verma")
     B = antipode_generator(V, U, lam, lambda lh: kprime(V, lh), "verma")
-    assert ops_equal(A, B)
+    assert ops_equal(A, B, V.dim * U.dim)
 
 
 def morphism_rigidity_check(W, U, b, Vs, lams, method="verma"):
@@ -234,7 +249,7 @@ def morphism_rigidity_check(W, U, b, Vs, lams, method="verma"):
             B2 = r00_block(V, U, lam, method)
             lhsM = linalg.mat_mul(bmat(lam), B1)
             rhsM = linalg.mat_mul(B2, bmat(lam.shifted(wt0)))
-            if not linalg.mat_eq(lhsM, rhsM):
+            if lhsM != rhsM:
                 rep.fail(sample=idx, V=V.name, condition="L00 intertwining")
             # full generator-block intertwining (necessary for any morphism):
             # b(lambda) R^{V,W}_{ab}(lambda) = R^{V,U}_{ab}(lambda) b(lambda - wt_V(b))
@@ -248,7 +263,7 @@ def morphism_rigidity_check(W, U, b, Vs, lams, method="verma"):
                             for y in range(U.dim)]
                     lhsM = linalg.mat_mul(bmat(lam), blkW)
                     rhsM = linalg.mat_mul(blkU, bmat(lam.shifted(V.weights[bb])))
-                    if not linalg.mat_eq(lhsM, rhsM):
+                    if lhsM != rhsM:
                         rep.fail(sample=idx, V=V.name, block=(a, bb),
                                  condition="generator-block intertwining")
                         break
@@ -260,7 +275,7 @@ def morphism_rigidity_check(W, U, b, Vs, lams, method="verma"):
             for X_W, X_U, nm in ((W.e[i], U.e[i], "e"), (W.f[i], U.f[i], "f")):
                 lhsM = linalg.mat_mul(bmat(lams[0]), X_W)
                 rhsM = linalg.mat_mul(X_U, bmat(lams[0]))
-                if not linalg.mat_eq(lhsM, rhsM):
+                if lhsM != rhsM:
                     rep.fail(condition=f"classical {nm}-intertwining", index=i)
     return rep
 
@@ -319,3 +334,48 @@ def test_failure_records_under_corruption(name, want, qp4, monkeypatch):
 
     monkeypatch.setattr(dynrep, name, _corrupted(getattr(dynrep, name)))
     assert _relation_failures(qp4) == want
+
+
+@pytest.mark.parametrize("suite", ["rll", "product", "coproduct", "antipode"])
+@pytest.mark.parametrize("method", ["verma", "abrr"])
+def test_relation_suites_build_no_dense_triple_matrix(suite, method, qp4, no_dense_on):
+    G = vector_rep_gln(2, qp4)
+    lams = [sampled(G.spec, 3), Lambda.symbolic(G.spec)]
+    verify = {"rll": verify_rll, "product": verify_product_relation,
+              "coproduct": verify_coproduct_compat, "antipode": verify_antipode}[suite]
+    args = (G, G) if suite == "antipode" else (G, G, G)
+    assert verify(*args, lams, method).passed  # fills the memo tables
+    no_dense_on(G.dim ** 3 if suite != "antipode" else G.dim ** 2)
+    rep = verify(*args, lams, method)
+    assert rep.passed and not rep.failures
+
+
+# One entry outside the weight-zero pattern, R[0][-1] (top weight to bottom
+# weight), raised by 1 on the 1/2 (x) 1 pair only.  The records were captured
+# on the dense suites, which compared every entry of both sides; a check that
+# skips entries by weight would lose them.
+def test_relation_suites_report_an_entry_outside_the_weight_pattern(qp4, monkeypatch):
+    import dynrx.dynrep as dynrep
+
+    A, B = irrep_sl2(Fraction(1, 2), qp4), irrep_sl2(1, qp4)
+    real = dynrep.exchange_matrix
+
+    def leaking(V, W, *rest):
+        M = real(V, W, *rest)
+        if (V.key, W.key) == (A.key, B.key):
+            M = [list(row) for row in M]
+            assert V.weights[0] != V.weights[-1] and not M[0][-1]  # off the weight-zero pattern
+            M[0][-1] += 1
+        return M
+
+    monkeypatch.setattr(dynrep, "exchange_matrix", leaking)
+    lams = [sampled(A.spec, s) for s in range(2)] + [Lambda.symbolic(A.spec)]
+    reports = (verify_rll(A, B, B, lams), verify_product_relation(A, B, B, lams),
+               verify_coproduct_compat(A, B, B, lams), verify_antipode(A, B, lams))
+    every = range(3)
+    assert [r.failures for r in reports] == [
+        [dict(sample=s, entry=(0, 1)) for s in every],
+        [dict(sample=s, entry=(0, 1)) for s in every],
+        [dict(sample=s, entry=e) for s in every for e in ((0, 0), (0, 1), (1, 1))],
+        [dict(sample=s, order=o, entry=(0, 1)) for s in every for o in ("L.SL", "SL.L")],
+    ]

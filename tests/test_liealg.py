@@ -365,22 +365,20 @@ def test_cg_decompose(qp4):
     T = tensor(V, V)
     total = [[Fraction(0)] * 4 for _ in range(4)]
     for U, tau, taubar in parts:
-        assert linalg.mat_eq(linalg.mat_mul(taubar, tau), linalg.eye(U.dim))
+        assert linalg.mat_mul(taubar, tau) == linalg.eye(U.dim)
         total = linalg.mat_add(total, linalg.mat_mul(tau, taubar))
         # tau intertwines the action
         for i in range(V.spec.nsimple):
             for X_T, X_U in ((T.e[i], U.e[i]), (T.f[i], U.f[i])):
-                assert linalg.mat_eq(
-                    linalg.mat_mul(X_T, tau), linalg.mat_mul(tau, X_U)
-                )
-    assert linalg.mat_eq(total, linalg.eye(4))
+                assert linalg.mat_mul(X_T, tau) == linalg.mat_mul(tau, X_U)
+    assert total == linalg.eye(4)
     # V_{1/2} (x) V_1 = V_{3/2} + V_{1/2}
     parts = cg_decompose(V, irrep_sl2(1, qp4))
     assert sorted(U.dim for U, _, _ in parts) == [2, 4]
     # q = 3 exactness
     V3 = irrep_sl2(Fraction(1, 2), QParam(3))
     for U, tau, taubar in cg_decompose(V3, V3):
-        assert linalg.mat_eq(linalg.mat_mul(taubar, tau), linalg.eye(U.dim))
+        assert linalg.mat_mul(taubar, tau) == linalg.eye(U.dim)
 
 
 def test_generate_subrep_rejects_orbit_that_is_not_e_stable(qp4, qpc):

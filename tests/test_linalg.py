@@ -593,10 +593,35 @@ def test_row_difference_and_comparison_match_dense(pair):
     Ar, Br = linalg.rows(A), linalg.rows(B)
     assert_same_entries(linalg.dense(linalg.rows_add(Ar, Br), len(A[0])), ref_mat_add(A, B))
     assert_same_entries(linalg.dense(linalg.rows_add(Ar, Br, -1), len(A[0])), ref_mat_sub(A, B))
-    want = next(((r, c, str(x - y)) for r, (ra, rb) in enumerate(zip(A, B))
-                 for c, (x, y) in enumerate(zip(ra, rb)) if x != y), None)
-    assert linalg.first_difference(Ar, Br) == want
-    assert linalg.first_difference(Ar, Ar) is None
+    want = [(r, c, x, y) for r, (ra, rb) in enumerate(zip(A, B))
+            for c, (x, y) in enumerate(zip(ra, rb)) if x != y]
+    got = list(linalg.differences(Ar, Br))
+    assert got == want
+    assert [tuple(map(type, d)) for d in got] == [tuple(map(type, d)) for d in want]
+    assert next(linalg.differences(Ar, Ar), None) is None
+
+
+def transpose_slot(M, n):
+    """Transpose the n x n grid of blocks of the dense M, leaving each block
+    as it is: the reference for `transpose_blocks`."""
+    k = len(M) // n
+    return [[M[c // k * k + r % k][r // k * k + c % k] for c in range(len(M))]
+            for r in range(len(M))]
+
+
+@st.composite
+def block_grid(draw):
+    """(M, n): M square with an n x n grid of square blocks."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return sparse_matrix(draw, n * k, n * k), n
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_grid())
+def test_transpose_blocks_matches_dense(grid):
+    M, n = grid
+    assert_same_entries(linalg.dense(linalg.transpose_blocks(linalg.rows(M), n), len(M)),
+                        transpose_slot(M, n))
 
 
 @st.composite

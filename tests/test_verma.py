@@ -90,7 +90,7 @@ def test_gram_symmetric_classical():
     M = VermaSlice(spec, Lambda.sample(spec, 1), 3)
     for n in range(4):
         G = M.shapovalov_gram(n)
-        assert linalg.mat_eq(G, transpose(G))
+        assert G == transpose(G)
 
 
 def test_word_basis_dims_match_poincare():
