@@ -71,7 +71,7 @@ def _placed(op: dict, reps, s0: int, s1: int, lam: Lambda) -> dict:
 # the representation pi_U
 
 
-def _pi_dense(V: FinRep, U: FinRep, lam: Lambda, method: str) -> dict:
+def _pi_masks(V: FinRep, U: FinRep, lam: Lambda, method: str) -> dict:
     """`pi_generator` with dense coefficients: masked copies of the cached R."""
     R = exchange_matrix(V, U, lam, method)
     zero = lam.zero()
@@ -82,7 +82,7 @@ def _pi_dense(V: FinRep, U: FinRep, lam: Lambda, method: str) -> dict:
 
 def pi_generator(V: FinRep, U: FinRep, lam: Lambda, method: str = "verma") -> dict:
     """pi_U(L^V) on V (x) U: pi(L^V_ab) = (R_{V,U}(lambda) block ab) T^{-1}_{wt b}."""
-    return {beta: linalg.rows(M) for beta, M in _pi_dense(V, U, lam, method).items()}
+    return {beta: linalg.rows(M) for beta, M in _pi_masks(V, U, lam, method).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +98,10 @@ def verify_rll(V: FinRep, W: FinRep, U: FinRep, lams, method: str = "verma") -> 
         return exchange_matrix(V, W, lh, method)
 
     def L13(lh):
-        return _placed(_pi_dense(V, U, lh, method), reps, 0, 2, lh)
+        return _placed(_pi_masks(V, U, lh, method), reps, 0, 2, lh)
 
     def L23(lh):
-        return _placed(_pi_dense(W, U, lh, method), reps, 1, 2, lh)
+        return _placed(_pi_masks(W, U, lh, method), reps, 1, 2, lh)
 
     for idx, lam in enumerate(lams):
         left = embed3_rows(R12, reps, 0, 1, lam, True)
@@ -124,10 +124,10 @@ def verify_product_relation(V: FinRep, W: FinRep, U0: FinRep, lams, method: str 
                 for Y, tau, taubar in cg_decompose(W, V)]
 
     def LW13(lh):
-        return _placed(_pi_dense(W, U0, lh, method), reps, 0, 2, lh)
+        return _placed(_pi_masks(W, U0, lh, method), reps, 0, 2, lh)
 
     for idx, lam in enumerate(lams):
-        lhs = compose(_placed(_pi_dense(V, U0, lam, method), reps, 1, 2, lam), LW13, lam)
+        lhs = compose(_placed(_pi_masks(V, U0, lam, method), reps, 1, 2, lam), LW13, lam)
         mid: dict = {}
         for Y, tau, taubar in summands:
             for b, M in pi_generator(Y, U0, lam, method).items():
@@ -155,7 +155,7 @@ def verify_coproduct_compat(V: FinRep, W: FinRep, U: FinRep, lams, method: str =
     for idx, lam in enumerate(lams):
         J = J23(lam)[origin]
         R12 = embed3_rows(lambda lh: exchange_matrix(V, W, lh, method), reps, 0, 1, lam, True)
-        barred = _placed(_pi_dense(V, U, lam, method), reps, 0, 2, lam)
+        barred = _placed(_pi_masks(V, U, lam, method), reps, 0, 2, lam)
         lhs = {b: linalg.row_mul(J, linalg.row_mul(R12, M)) for b, M in barred.items()}
         rhs = compose(pi_generator(V, WU, lam, method), J23, lam)
         for a, c in _bad_blocks(lhs, rhs, V.dim):
