@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Cold timings of the slow acceptance criteria (c3, c4, c7, c8), the suite
-sweep, the gl4 cocycle verify, the three perfbench workloads and the CLI
-start-up, appended as one run per measured checkout to a BENCH_<n>.json file.
+sweep, the gl4 cocycle verify, the gl4 product and antipode verify by Verma,
+the three perfbench workloads, the CLI start-up and a bare interpreter,
+appended as one run per measured checkout to a BENCH_<n>.json file.
 
 Each entry runs REPEATS times and reports the median wall time of one round.
 A round runs each of the entry's commands once, each in a fresh process, and
@@ -10,7 +11,9 @@ included).  A perfbench workload's commands are its invocation list from
 `perfbench/workloads.py` at seed WORKLOAD_SEED.  The `startup` entry runs
 perfbench's set-up command (`import dynrx.cli as cli; cli.make_parser()`, the
 cold import that its setup_s times) in STARTUP_PROCESSES fresh processes per
-round.  Run from the root of the repository:
+round.  The `bare` entry runs `python -c pass` in STARTUP_PROCESSES fresh
+processes per round: the floor under every entry that starts processes.
+Run from the root of the repository:
 
     python3 scripts/bench_cold.py --out BENCH_8.json --repo PARENT .
 
@@ -22,10 +25,10 @@ the run reads the same on each.  Each checkout is appended as its own run.  A
 process that outlives TIMEOUT_S seconds is stopped; that checkout's entry then
 records the timeout and a null median, and is not repeated.  Each run also
 records `src_lines`, the total line count of the checkout's `src/dynrx/*.py`.
-An entry whose commands all run the `dynrx` CLI (the perfbench workloads and
-gl4-cocycle) also records `stdout_sha256`, the sha256 of each command's stdout
-in the checkout's first round, so a run shows whether the checkouts print the
-same bytes.
+An entry whose commands all run the `dynrx` CLI (the perfbench workloads,
+gl4-cocycle and gl4-verma-relations), and the `bare` entry, also record
+`stdout_sha256`, the sha256 of each command's stdout in the checkout's first
+round, so a run shows whether the checkouts print the same bytes.
 
 Timed processes run without PYTHONDONTWRITEBYTECODE, as perfbench's do: an
 installed package runs from byte-compiled modules, so only the first process
@@ -53,6 +56,7 @@ STARTUP_PROCESSES = 10
 PYTEST = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
 CRITERIA = "tests/test_acceptance.py::test_criterion_"
 DYNRX = [sys.executable, "-m", "dynrx.cli"]
+BARE = [sys.executable, "-c", "pass"]
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 
@@ -77,7 +81,10 @@ ENTRIES = [
     ("sweep", "cli", [[sys.executable, "scripts/run_verify_all.py"]]),
     ("gl4-cocycle", "cli", [DYNRX + ["verify", "--suites", "cocycle", "--algebra", "gl4",
                                      "--q", "4", "--samples", "5"]]),
-] + perfbench_entries()
+    ("gl4-verma-relations", "cli", [DYNRX + ["verify", "--algebra", "gl4", "--q", "4", "--suites",
+                                             "product", "antipode", "--samples", "5",
+                                             "--seed", "0"]]),
+] + perfbench_entries() + [("bare", "cli", [BARE] * STARTUP_PROCESSES)]
 
 
 def git(repo: str, *args: str) -> str:
@@ -116,7 +123,8 @@ def time_round(repo: str, argvs: list):
 def time_entry(repos: list, argvs: list) -> dict:
     """{repo: entry}: times_s holds one wall time per round, returncodes the
     first nonzero exit code of each round's processes, or 0, and, where every
-    command runs the dynrx CLI, stdout_sha256 the digests of the first round."""
+    command runs the dynrx CLI or is BARE, stdout_sha256 the digests of the
+    first round."""
     times = {repo: [] for repo in repos}
     codes = {repo: [] for repo in repos}
     digests = {}
@@ -141,7 +149,8 @@ def time_entry(repos: list, argvs: list) -> dict:
         else:
             out[repo] = {"median_s": round(statistics.median(times[repo]), 3),
                          "repeats": REPEATS, "times_s": times[repo], "returncodes": codes[repo]}
-        if repo in digests and all(argv[:len(DYNRX)] == DYNRX for argv in argvs):
+        if repo in digests and all(argv[:len(DYNRX)] == DYNRX or argv == BARE
+                                   for argv in argvs):
             out[repo]["stdout_sha256"] = digests[repo]
     return out
 

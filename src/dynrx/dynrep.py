@@ -15,8 +15,8 @@ lambda^2 multiplies on the right as the plain f(lambda).
 `exchange.embed3_rows` makes both placements.  (This is forced by the
 bigrading relations: with it, the RLL relation in a representation is
 literally the QDYB equation.)  So the suites run as the cocycle and QDYB
-checks do: products by `linalg.row_mul`, comparisons by `linalg.differences`,
-and no dense matrix on the triple.
+checks do: they read J, J^-1 and R in row form from their tables and convert
+none of them, multiply by `linalg.row_mul` and compare by `linalg.differences`.
 """
 
 from __future__ import annotations
@@ -54,16 +54,16 @@ def _bad_blocks(A: dict, B: dict, n: int) -> list:
     never compared."""
     if not (A or B):
         return []
-    d = len(next(iter((A or B).values())))
-    zero = linalg.rows(linalg.zeros(d, d))  # a shift on one side only is compared against zero
-    k = d // n
+    M = next(iter((A or B).values()))
+    zero = linalg.mask(M, ())  # a shift on one side only is compared against zero
+    k = len(M) // n
     return sorted({(r // k, c // k) for b in A.keys() | B.keys()
                    for r, c, _, _ in linalg.differences(A.get(b, zero), B.get(b, zero))})
 
 
 def _placed(op: dict, reps, s0: int, s1: int, lam: Lambda) -> dict:
-    """The operator of dense matrices op on reps[s0] (x) reps[s1], acting on
-    those slots of the triple."""
+    """The operator op on reps[s0] (x) reps[s1], acting on those slots of the
+    triple."""
     return {b: embed3_rows(lambda lh, M=M: M, reps, s0, s1, lam, False) for b, M in op.items()}
 
 
@@ -71,18 +71,11 @@ def _placed(op: dict, reps, s0: int, s1: int, lam: Lambda) -> dict:
 # the representation pi_U
 
 
-def _pi_masks(V: FinRep, U: FinRep, lam: Lambda, method: str) -> dict:
-    """`pi_generator` with dense coefficients: masked copies of the cached R."""
-    R = exchange_matrix(V, U, lam, method)
-    zero = lam.zero()
-    return {beta: [[x if V.weights[c // U.dim] == beta else zero for c, x in enumerate(row)]
-                   for row in R]
-            for beta in dict.fromkeys(V.weights)}
-
-
 def pi_generator(V: FinRep, U: FinRep, lam: Lambda, method: str = "verma") -> dict:
     """pi_U(L^V) on V (x) U: pi(L^V_ab) = (R_{V,U}(lambda) block ab) T^{-1}_{wt b}."""
-    return {beta: linalg.rows(M) for beta, M in _pi_masks(V, U, lam, method).items()}
+    R = exchange_matrix(V, U, lam, method)
+    return {beta: linalg.mask(R, {c for c in range(len(R)) if V.weights[c // U.dim] == beta})
+            for beta in dict.fromkeys(V.weights)}
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +91,10 @@ def verify_rll(V: FinRep, W: FinRep, U: FinRep, lams, method: str = "verma") -> 
         return exchange_matrix(V, W, lh, method)
 
     def L13(lh):
-        return _placed(_pi_masks(V, U, lh, method), reps, 0, 2, lh)
+        return _placed(pi_generator(V, U, lh, method), reps, 0, 2, lh)
 
     def L23(lh):
-        return _placed(_pi_masks(W, U, lh, method), reps, 1, 2, lh)
+        return _placed(pi_generator(W, U, lh, method), reps, 1, 2, lh)
 
     for idx, lam in enumerate(lams):
         left = embed3_rows(R12, reps, 0, 1, lam, True)
@@ -124,10 +117,10 @@ def verify_product_relation(V: FinRep, W: FinRep, U0: FinRep, lams, method: str 
                 for Y, tau, taubar in cg_decompose(W, V)]
 
     def LW13(lh):
-        return _placed(_pi_masks(W, U0, lh, method), reps, 0, 2, lh)
+        return _placed(pi_generator(W, U0, lh, method), reps, 0, 2, lh)
 
     for idx, lam in enumerate(lams):
-        lhs = compose(_placed(_pi_masks(V, U0, lam, method), reps, 1, 2, lam), LW13, lam)
+        lhs = compose(_placed(pi_generator(V, U0, lam, method), reps, 1, 2, lam), LW13, lam)
         mid: dict = {}
         for Y, tau, taubar in summands:
             for b, M in pi_generator(Y, U0, lam, method).items():
@@ -155,7 +148,7 @@ def verify_coproduct_compat(V: FinRep, W: FinRep, U: FinRep, lams, method: str =
     for idx, lam in enumerate(lams):
         J = J23(lam)[origin]
         R12 = embed3_rows(lambda lh: exchange_matrix(V, W, lh, method), reps, 0, 1, lam, True)
-        barred = _placed(_pi_masks(V, U, lam, method), reps, 0, 2, lam)
+        barred = _placed(pi_generator(V, U, lam, method), reps, 0, 2, lam)
         lhs = {b: linalg.row_mul(J, linalg.row_mul(R12, M)) for b, M in barred.items()}
         rhs = compose(pi_generator(V, WU, lam, method), J23, lam)
         for a, c in _bad_blocks(lhs, rhs, V.dim):
@@ -169,8 +162,8 @@ def antipode_generator(V: FinRep, U: FinRep, lam: Lambda, K, method: str = "verm
     on *V (the fused K or K') given as a function of lambda."""
     sV = dual_rep(V)
     reps = [sV, trivial_rep(V.spec), U]  # *V (x) C (x) U: embed3_rows places the one-slot K
-    left = embed3_rows(K, reps, 0, 1, lam, True)
-    right = embed3_rows(lambda lh: linalg.mat_inv(K(lh)), reps, 0, 1, lam, False)
+    left = embed3_rows(lambda lh: linalg.rows(K(lh)), reps, 0, 1, lam, True)
+    right = embed3_rows(lambda lh: linalg.rows(linalg.mat_inv(K(lh))), reps, 0, 1, lam, False)
     return {b: linalg.transpose_blocks(linalg.row_mul(left, linalg.row_mul(M, right)), V.dim)
             for b, M in pi_generator(sV, U, lam, method).items()}
 
@@ -179,7 +172,7 @@ def verify_antipode(V: FinRep, U: FinRep, lams, method: str = "verma") -> Report
     """pi(L^V) pi(S L^V) = Id (x) 1 = pi(S L^V) pi(L^V), with S L^V built from the
     K-matrix; also checks the K'-built variant gives the same operator."""
     rep = Report("antipode", {"V": V.name, "U": U.name, "method": method})
-    ident = {tuple(0 for _ in U.weights[0]): linalg.rows(linalg.eye(V.dim * U.dim))}
+    ident = {tuple(0 for _ in U.weights[0]): linalg.eye_rows(V.dim * U.dim)}
 
     def L(lh):
         return pi_generator(V, U, lh, method)

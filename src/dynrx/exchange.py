@@ -48,7 +48,8 @@ def rep_fingerprint(V: FinRep):
 
 
 # Memo tables.  The fusion method is part of every J, J^-1, R and K key, so
-# the Verma and ABRR routes never serve each other's results.
+# the Verma and ABRR routes never serve each other's results.  J, J^-1 and R
+# are held in the row form of `linalg`, K as lists: every reader of K is dense.
 _fusion = memo.table("fusion")
 _fusion_inverse = memo.table("fusion_inverse")
 _exchange = memo.table("exchange")
@@ -60,15 +61,15 @@ _intertwiner = memo.table("intertwiner")
 
 
 def fusion_matrix(W: FinRep, V: FinRep, lam: Lambda, method: str = "verma"):
-    """J_{W,V}(lambda) on W (x) V (W is the first slot)."""
+    """J_{W,V}(lambda) on W (x) V (W is the first slot), in row form."""
     return _fusion.get((W.key, V.key, lam.key(), method), _fusion_impl, W, V, lam, method)
 
 
 def _fusion_impl(W: FinRep, V: FinRep, lam: Lambda, method: str):
     if method == "verma":
-        return _fusion_verma(W, V, lam)
+        return linalg.rows(_fusion_verma(W, V, lam))
     if method == "abrr":
-        return fusion_matrix_abrr(W, V, lam)
+        return linalg.rows(fusion_matrix_abrr(W, V, lam))
     raise ValueError(f"unknown fusion method {method!r}")
 
 
@@ -192,15 +193,14 @@ class NotUnipotent(ValueError):
 
 
 def invert_unipotent(J, W: FinRep, V: FinRep):
-    """Exact inverse via the terminating Neumann series; input must be unipotent
-    strictly triangular in the first-slot Z-degree."""
+    """The row form of J^{-1} by the terminating Neumann series; the row form J
+    must be unipotent strictly triangular in the first-slot Z-degree."""
     dV = V.dim
-    Jr = linalg.rows(J)
     # the identity typed entry by entry like J and N = J - 1, so that N has the
     # entries and types of J off the diagonal and every entry of the sum ends
     # with the type of 1 - N + N^2 - ...
-    out = linalg.eye_like(Jr)
-    N = linalg.rows_add(Jr, out, -1)
+    out = linalg.eye_like(J)
+    N = linalg.rows_add(J, out, -1)
     for r, row in enumerate(N):
         if any(W.zdeg[r // dV] >= W.zdeg[c // dV] for c in linalg.support(row)):
             raise NotUnipotent("J - Id is not strictly first-slot triangular")
@@ -209,7 +209,7 @@ def invert_unipotent(J, W: FinRep, V: FinRep):
         out = linalg.rows_add(out, P, sign)
         P = linalg.row_mul(P, N)
         sign = -sign
-    return linalg.dense(out, len(J))
+    return out
 
 
 def fusion_inverse(W: FinRep, V: FinRep, lam: Lambda, method: str = "verma"):
@@ -229,12 +229,11 @@ def exchange_matrix(V: FinRep, W: FinRep, lam: Lambda, method: str = "verma"):
 
 
 def _exchange_matrix_impl(V: FinRep, W: FinRep, lam: Lambda, method: str):
-    Jvw = fusion_matrix(V, W, lam, method)
     R21 = _r21.get((V.key, W.key), lambda: linalg.rows(flip(universal_r(W, V), W.dim, V.dim)))
-    J21 = flip(fusion_matrix(W, V, lam, method), W.dim, V.dim)
-    Jinv = fusion_inverse(V, W, lam, method)
-    R21J21 = linalg.row_mul(R21, linalg.rows(J21))
-    return linalg.dense(linalg.row_mul(linalg.rows(Jinv), R21J21), len(Jvw))
+    J21 = [None] * (W.dim * V.dim)  # J_{W,V} flipped onto V (x) W: w (x) v -> v (x) w
+    linalg.place(J21, fusion_matrix(W, V, lam, method),
+                 [b * W.dim + a for a in range(W.dim) for b in range(V.dim)], [0])
+    return linalg.row_mul(fusion_inverse(V, W, lam, method), linalg.row_mul(R21, J21))
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +266,9 @@ class Report:
 
 
 def embed3_rows(matfn, reps, s0: int, s1: int, lam: Lambda, shift_spectator: bool) -> list:
-    """The row form of the matrix on reps[0](x)reps[1](x)reps[2] acting by
-    matfn(lam') in slots (s0,s1), identity in the spectator slot t; lam' = lam -
-    (weight of the spectator vector) when shift_spectator is set."""
+    """The row form of the matrix on reps[0](x)reps[1](x)reps[2] acting by the
+    row form matfn(lam') in slots (s0,s1), identity in the spectator slot t;
+    lam' = lam - (weight of the spectator vector) when shift_spectator is set."""
     t = ({0, 1, 2} - {s0, s1}).pop()
     dims = [r.dim for r in reps]
     if shift_spectator:
@@ -281,7 +280,7 @@ def embed3_rows(matfn, reps, s0: int, s1: int, lam: Lambda, shift_spectator: boo
     base = [a * stride[s0] + b * stride[s1] for a in range(dims[s0]) for b in range(dims[s1])]
     out = [None] * (dims[0] * dims[1] * dims[2])  # each index is (a, b) at one offset
     for M, its in blocks:
-        linalg.place(out, linalg.rows(M, lam.zero()), base, [it * stride[t] for it in its])
+        linalg.place(out, M, base, [it * stride[t] for it in its])
     return out
 
 
@@ -292,9 +291,9 @@ def verify_cocycle(V: FinRep, W: FinRep, U: FinRep, lams, method: str = "verma")
     VW = tensor(V, W)
     WU = tensor(W, U)
     for idx, lam in enumerate(lams):
-        A = linalg.rows(fusion_matrix(VW, U, lam, method))
+        A = fusion_matrix(VW, U, lam, method)
         B = embed3_rows(lambda lh: fusion_matrix(V, W, lh, method), [V, W, U], 0, 1, lam, True)
-        C = linalg.rows(fusion_matrix(V, WU, lam, method))
+        C = fusion_matrix(V, WU, lam, method)
         D = embed3_rows(lambda lh: fusion_matrix(W, U, lh, method), [V, W, U], 1, 2, lam, False)
         bad = next(linalg.differences(linalg.row_mul(A, B), linalg.row_mul(C, D)), None)
         if bad is not None:
@@ -373,14 +372,8 @@ def kprime(V: FinRep, lam: Lambda, method: str = "verma"):
     J = fusion_matrix(V, dual_rep(V), lam, method)
     d = V.dim
     zero = lam.zero()
-    K = [[zero for _ in range(d)] for _ in range(d)]
-    for r in range(d):
-        for s in range(d):
-            acc = zero
-            for p in range(d):
-                acc = acc + J[p * d + p][r * d + s]
-            K[r][s] = acc
-    return K
+    return [[sum((linalg.entry(J[p * d + p], r * d + s) for p in range(d)), zero)
+             for s in range(d)] for r in range(d)]
 
 
 def kmat(V: FinRep, lam: Lambda, method: str = "verma"):
@@ -405,10 +398,7 @@ def _kmat_impl(V: FinRep, lam: Lambda, method: str):
         Ji = fusion_inverse(sV, V, lam.shifted(mu), method)
         for k in ks:
             for i in range(d):
-                acc = zero
-                for j in range(d):
-                    acc = acc + Ji[i * d + k][j * d + j]
-                M[i][k] = acc
+                M[i][k] = sum((linalg.entry(Ji[i * d + k], j * d + j) for j in range(d)), zero)
     try:
         return linalg.mat_inv(M)
     except linalg.SingularMatrixError as exc:
@@ -450,7 +440,7 @@ def r00_block(V: FinRep, W: FinRep, lam: Lambda, method: str = "verma"):
     top = max(range(V.dim), key=lambda i: V.zdeg[i])
     R = exchange_matrix(V, W, lam, method)
     d = W.dim
-    return [[R[top * d + y][top * d + x] for x in range(d)] for y in range(d)]
+    return [[linalg.entry(R[top * d + y], top * d + x) for x in range(d)] for y in range(d)]
 
 
 def r00_scalar_check(V: FinRep, W: FinRep, lams, method: str = "verma") -> Report:
@@ -521,7 +511,7 @@ def asymptotic_leading(V: FinRep, W: FinRep) -> Report:
     for r in range(d):
         for c in range(d):
             for name, M, want in (("J", J, -fe[r][c]), ("R", R, fe[r][c] - ef[r][c])):
-                entry = RatFunc.coerce(M[r][c])
+                entry = RatFunc.coerce(linalg.entry(M[r], c))
                 coeff = (entry - RatFunc.const(1) if r == c else entry).inf_coeff()
                 if coeff != want:
                     rep.fail(matrix=name, entry=(r, c), got=str(coeff), want=str(want))
@@ -556,7 +546,7 @@ def asymptotic_alcove(V: FinRep, W: FinRep, direction: str, mgrid, method: str =
     for m in mgrid:
         lam = Lambda(spec, tuple(qp.spow(sgn * m * r2) for r2 in spec.rho2))  # sgn m rho
         J = fusion_matrix(V, W, lam, method)
-        dist = [[abs(J[r][c] - limit[r][c]) for c in range(d)] for r in range(d)]
+        dist = [[abs(linalg.entry(J[r], c) - limit[r][c]) for c in range(d)] for r in range(d)]
         if prev is not None:
             bound = abs(q2) * (1 + Fraction(1, m))
             for r in range(d):

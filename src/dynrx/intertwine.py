@@ -160,7 +160,7 @@ def compose_intertwiners(lam: Lambda, W: FinRep, w: list, V: FinRep, v: list) ->
                 key = (w2, jW)
                 nxt[key] = nxt.get(key, lam.zero()) + c * c2
             # K_i^{-1} (x) f_i   (1 (x) f_i classically)
-            kfac = bigv.k_eigen(i, wd, -1)
+            kfac = bigv.kinv_eigen(i, wd)
             for j2 in range(W.dim):
                 if W.f[i][j2][jW]:
                     key = (wd, j2)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import linalg, memo
 from .linalg import (Matrix, dense, differences, entry, eye, kron, mat_mul, mat_sub, row_mul,
-                     rows, rows_add, rows_is_zero, support, zeros)
+                     eye_rows, rows, rows_add, rows_is_zero, support, zeros)
 from .scalars import QParam
 
 Weight = tuple  # integer tuples; length 1 for sl2 (h-eigenvalue), N for gl_N (eps basis)
@@ -365,7 +365,7 @@ def _word_spans(X: list, dim: int) -> dict:
     dropped, row-reduced per content on the flattened matrices."""
     spans = {}
     Xr = [rows(Xi) for Xi in X]
-    level = {(0,) * len(X): [rows(eye(dim))]}
+    level = {(0,) * len(X): [eye_rows(dim)]}
     while level:
         products = {}
         for beta, mats in level.items():

@@ -15,20 +15,23 @@ x / pivot.  Each such zero is made once per pair of types per call.
 `mat_add` and `mat_sub` return the other operand (negated for 0 - b) where
 one operand is a zero of the other's type, and add or subtract otherwise.
 
-The row form (`rows`) holds a matrix as one pair per row.  A row whose
-entries are all Fractions is an integer row (den, {c: n}): the nonzero
-numerators over one positive int den, which `rows` makes the lcm of the
-row's denominators and which products and sums do not reduce.  Any other
-row is (zero, {c: x}): a typed zero (never a den, as an int zero is 0), and
-every entry that is not a zero of zero's type.  `row_mul` is the one
+The row form (`rows`, `eye_rows`) holds a matrix as one pair per row.  A
+row whose entries are all Fractions is an integer row (den, {c: n}): the
+nonzero numerators over one positive int den, which `rows` makes the lcm of
+the row's denominators and which products and sums do not reduce.  Any
+other row is (zero, {c: x}): a typed zero (never a den, as an int zero is
+0), and every entry that is not a zero of zero's type.  `row_mul` is the one
 product: an integer row of A times integer rows of B runs on integers, and
 any other row multiplies the nonzero values and follows the zero-typing rule
 above.  `rows_add` adds as `mat_add` and `mat_sub` do.  `dense` gives back
 the lists, entry types included, so `mat_mul` is rows -> `row_mul` ->
 `dense`.  `differences` compares two row forms entry by entry, integer rows
 by cross-multiplied numerators, and is the one comparator of the identity
-checks.  `entry`, `support`, `place` and `transpose_blocks` read and move
-rows, so no other module reads the pairs.
+checks.  It, `rows_add`, `mat_add` and `mat_sub` raise ValueError on
+operands with unequal row counts.  `entry`, `support`, `mask`, `place` and
+`transpose_blocks` read and move rows, so no other module reads the pairs.
+The J, J^-1 and R of `exchange` are held in this form; only readers that
+need lists call `dense`.
 """
 
 from __future__ import annotations
@@ -69,11 +72,11 @@ def _sub(a, b):
 
 
 def mat_add(A: Matrix, B: Matrix) -> Matrix:
-    return [[_add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+    return [[_add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B, strict=True)]
 
 
 def mat_sub(A: Matrix, B: Matrix) -> Matrix:
-    return [[_sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+    return [[_sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(A, B, strict=True)]
 
 
 def mat_scale(A: Matrix, c) -> Matrix:
@@ -103,19 +106,21 @@ def _row_of(zero, ents: dict):
     return zero, ents
 
 
-def rows(A: Matrix, zero=None) -> list:
-    """The row form of A; given zero, of A with every zero entry replaced by zero."""
-    int_zero = zero is None or type(zero) is Fraction
+def rows(A: Matrix) -> list:
+    """The row form of A."""
     out = []
     for row in A:
-        if int_zero and _FRACTION.issuperset(map(type, row)):
+        if _FRACTION.issuperset(map(type, row)):
             out.append(_int_row([(c, x) for c, x in enumerate(row) if x._numerator]))
-        elif zero is not None:
-            out.append(_row_of(zero, {c: x for c, x in enumerate(row) if x}))
         else:
             z = next((x for x in row if not x), row[0] - row[0])
             out.append(_row_of(z, {c: x for c, x in enumerate(row) if x or type(x) is not type(z)}))
     return out
+
+
+def eye_rows(n: int) -> list:
+    """The row form of eye(n)."""
+    return [(1, {r: 1}) for r in range(n)]
 
 
 def eye_like(A: list) -> list:
@@ -178,6 +183,11 @@ def support(row) -> list:
     if type(d) is int and d:
         return list(ents)
     return [c for c, x in ents.items() if x]
+
+
+def mask(A: list, cols) -> list:
+    """A with every entry outside the columns cols made its row's zero."""
+    return [(d, {c: x for c, x in ents.items() if c in cols}) for d, ents in A]
 
 
 def place(out: list, A: list, index, offsets) -> None:
@@ -243,7 +253,7 @@ def rows_add(A: list, B: list, sign: int = 1) -> list:
     `mat_sub` makes it."""
     step = _add if sign > 0 else _sub
     out = []
-    for ra, rb in zip(A, B):
+    for ra, rb in zip(A, B, strict=True):
         (da, ea), (db, eb) = ra, rb
         if type(da) is int and da and type(db) is int and db:
             if not eb or not ea:
@@ -265,10 +275,16 @@ def rows_add(A: list, B: list, sign: int = 1) -> list:
 
 
 def differences(A: list, B: list):
-    """Yield (r, c, x, y), in row-major order, at every entry where the row
-    forms A and B differ, x and y their entries there.  A pair of zeros is
-    never compared.  Integer rows compare cross-multiplied numerators and make
-    Fractions only for an entry that differs."""
+    """An iterator of (r, c, x, y), in row-major order, at every entry where
+    the row forms A and B differ, x and y their entries there; a pair of zeros
+    is never compared.  Integer rows compare cross-multiplied numerators.
+    Raises ValueError, when called, on forms with unequal row counts."""
+    if len(A) != len(B):
+        raise ValueError(f"cannot compare a {len(A)}-row and a {len(B)}-row matrix")
+    return _differences(A, B)
+
+
+def _differences(A: list, B: list):
     for r, (ra, rb) in enumerate(zip(A, B)):
         (da, ea), (db, eb) = ra, rb
         if type(da) is int and da and type(db) is int and db:

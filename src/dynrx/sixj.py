@@ -124,7 +124,8 @@ def _sixj_entry_impl(b, c, j, ib, ic, m, qp: QParam) -> RatFunc:
     is combined symbolically, before any evaluation, so that removable entry
     poles cancel."""
     Vb, Vc, phi = normalized_intertwiner(b, c, j, qp)
-    row = fusion_inverse(Vb, Vc, Lambda.symbolic(Vb.spec))[ib * Vc.dim + ic]
+    Ji = fusion_inverse(Vb, Vc, Lambda.symbolic(Vb.spec))
+    row = linalg.dense([Ji[ib * Vc.dim + ic]], len(Ji))[0]
     return _combine(row, [r[m] for r in phi])
 
 

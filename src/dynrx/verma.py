@@ -154,11 +154,11 @@ class VermaSlice:
                 out[w2] = out.get(w2, self.lam.zero()) + br * c2
         return _clean(out)
 
-    def k_eigen(self, i: int, w: Word, sign: int = 1):
-        """Eigenvalue of K_i^{sign} on (w v_lambda); K is 1 classically."""
+    def kinv_eigen(self, i: int, w: Word):
+        """Eigenvalue of K_i^{-1} on (w v_lambda); K is 1 classically."""
         if self.spec.qp.classical:
             return self.lam.one()
-        return self.lam.shifted(self.word_weight(w)).simple(i) ** sign
+        return self.lam.shifted(self.word_weight(w)).simple(i) ** -1
 
     # -- Shapovalov ---------------------------------------------------------
 
@@ -176,7 +176,7 @@ class VermaSlice:
                 elem = {w: self.lam.one()}
                 # S(e_{u_1} ... e_{u_k}) = S(e_{u_k}) ... S(e_{u_1}): apply S(e_{u_1}) first
                 for i in u:
-                    elem = {wd: c * self.k_eigen(i, wd, -1) for wd, c in elem.items()}
+                    elem = {wd: c * self.kinv_eigen(i, wd) for wd, c in elem.items()}
                     elem = self.act_e(i, elem)
                     elem = {wd: -c for wd, c in elem.items()}
                     if not elem:

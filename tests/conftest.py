@@ -35,3 +35,26 @@ def no_dense_on(monkeypatch):
                 return real(*args)
             monkeypatch.setattr(linalg, name, raising)
     return guard
+
+
+@pytest.fixture
+def no_conversion_on(monkeypatch):
+    """no_conversion_on(*sizes) makes `linalg.rows` and `linalg.dense`, as the
+    check paths of `exchange` and `dynrep` call them, raise on a square matrix
+    of any of those sizes, so a check that converts a J, J^-1 or R, or a
+    placement of one, fails."""
+    import types
+
+    from dynrx import dynrep, exchange, linalg
+
+    def guard(*sizes):
+        guarded = types.SimpleNamespace(**vars(linalg))
+        for name in ("rows", "dense"):
+            def raising(A, *m, real=getattr(linalg, name), name=name):
+                if len(A) in sizes and (m[0] if m else len(A[0])) == len(A):
+                    raise AssertionError(f"linalg.{name} converted a {len(A)}-square matrix")
+                return real(A, *m)
+            setattr(guarded, name, raising)
+        for module in (exchange, dynrep):
+            monkeypatch.setattr(module, "linalg", guarded)
+    return guard

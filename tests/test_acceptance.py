@@ -77,14 +77,14 @@ def test_criterion_1_closed_form_reproduction():
     for qp in (QP, QPC):
         W2 = vector_rep_gln(2, qp)
         ok = ok and sym_eq(
-            exchange_matrix(W2, W2, Lambda.symbolic(W2.spec)),
+            linalg.dense(exchange_matrix(W2, W2, Lambda.symbolic(W2.spec)), 4),
             closed_form_hecke(2, qp).to_matrix(Lambda.symbolic(W2.spec)),
         )
         W3 = vector_rep_gln(3, qp)
         cf = closed_form_hecke(3, qp)
         for seed in range(20):
             lam = sampled(W3.spec, seed)
-            ok = ok and exchange_matrix(W3, W3, lam) == cf.to_matrix(lam)
+            ok = ok and linalg.dense(exchange_matrix(W3, W3, lam), 9) == cf.to_matrix(lam)
     report_line(1, "exchange matrix equals the closed gl_N forms", ok, time.perf_counter() - t0, 10)
 
 
@@ -94,7 +94,7 @@ def test_criterion_2_fusion_closed_form():
     for qp in (QP, QPC):
         W2 = vector_rep_gln(2, qp)
         ok = ok and sym_eq(
-            fusion_matrix(W2, W2, Lambda.symbolic(W2.spec)),
+            linalg.dense(fusion_matrix(W2, W2, Lambda.symbolic(W2.spec)), 4),
             closed_form_fusion(2, qp).to_matrix(Lambda.symbolic(W2.spec)),
         )
     report_line(2, "gl2 fusion matrix equals the closed form, symbolically", ok,
@@ -145,10 +145,12 @@ def test_criterion_5_hecke_spectrum():
         for N in (2, 3):
             W = vector_rep_gln(N, qp)
             lam = sampled(W.spec, 7)
-            ok = ok and hecke_report(exchange_matrix(W, W, lam), W, qp).passed
+            R = exchange_matrix(W, W, lam)
+            ok = ok and hecke_report(linalg.dense(R, len(R)), W, qp).passed
         # symbolic for N = 2
         W2 = vector_rep_gln(2, qp)
-        ok = ok and hecke_report(exchange_matrix(W2, W2, Lambda.symbolic(W2.spec)), W2, qp).passed
+        R = linalg.dense(exchange_matrix(W2, W2, Lambda.symbolic(W2.spec)), 4)
+        ok = ok and hecke_report(R, W2, qp).passed
     report_line(5, "Hecke spectrum {q} on V_aa and {q, -1/q} on V_ab", ok,
                 time.perf_counter() - t0, 5)
 

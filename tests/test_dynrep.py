@@ -13,7 +13,8 @@ from dynrx.dynrep import (
     verify_product_relation,
     verify_rll,
 )
-from dynrx.exchange import Report, exchange_matrix, kmat, kprime, r00_block
+from dynrx.exchange import (Report, exchange_matrix, kmat, kprime, r00_block, verify_cocycle,
+                            verify_qdyb)
 from dynrx.lam import Lambda
 from dynrx.liealg import cg_decompose, irrep_sl2, tensor, trivial_rep, vector_rep_gln
 from dynrx.scalars import RatFunc
@@ -253,8 +254,8 @@ def morphism_rigidity_check(W, U, b, Vs, lams, method="verma"):
                 rep.fail(sample=idx, V=V.name, condition="L00 intertwining")
             # full generator-block intertwining (necessary for any morphism):
             # b(lambda) R^{V,W}_{ab}(lambda) = R^{V,U}_{ab}(lambda) b(lambda - wt_V(b))
-            RW = exchange_matrix(V, W, lam, method)
-            RU = exchange_matrix(V, U, lam, method)
+            RW = linalg.dense(exchange_matrix(V, W, lam, method), V.dim * W.dim)
+            RU = linalg.dense(exchange_matrix(V, U, lam, method), V.dim * U.dim)
             for a in range(V.dim):
                 for bb in range(V.dim):
                     blkW = [[RW[a * W.dim + y][bb * W.dim + x] for x in range(W.dim)]
@@ -295,13 +296,15 @@ def test_morphism_rigidity(qp4, qpc):
         assert not morphism_rigidity_check(T, T, bad, Vs, lams).passed
 
 
-def _corrupted(fn):
-    """fn returning a copy with its last nonzero entry (row-major order) raised by 1."""
+def _corrupted(fn, row_form):
+    """fn returning a copy with its last nonzero entry (row-major order) raised
+    by 1; row_form says fn returns a row form, not lists."""
     def wrapped(*args):
-        M = [list(row) for row in fn(*args)]
+        M = fn(*args)
+        M = linalg.dense(M, len(M)) if row_form else [list(row) for row in M]
         r, c = [(r, c) for r, row in enumerate(M) for c, x in enumerate(row) if x != 0][-1]
         M[r][c] += 1
-        return M
+        return linalg.rows(M) if row_form else M
     return wrapped
 
 
@@ -332,7 +335,8 @@ def _samples(**rec):
 def test_failure_records_under_corruption(name, want, qp4, monkeypatch):
     import dynrx.dynrep as dynrep
 
-    monkeypatch.setattr(dynrep, name, _corrupted(getattr(dynrep, name)))
+    row_form = name == "exchange_matrix"  # kprime, as the whole K family, is dense
+    monkeypatch.setattr(dynrep, name, _corrupted(getattr(dynrep, name), row_form))
     assert _relation_failures(qp4) == want
 
 
@@ -363,9 +367,10 @@ def test_relation_suites_report_an_entry_outside_the_weight_pattern(qp4, monkeyp
     def leaking(V, W, *rest):
         M = real(V, W, *rest)
         if (V.key, W.key) == (A.key, B.key):
-            M = [list(row) for row in M]
+            M = linalg.dense(M, len(M))
             assert V.weights[0] != V.weights[-1] and not M[0][-1]  # off the weight-zero pattern
             M[0][-1] += 1
+            M = linalg.rows(M)
         return M
 
     monkeypatch.setattr(dynrep, "exchange_matrix", leaking)
@@ -379,3 +384,41 @@ def test_relation_suites_report_an_entry_outside_the_weight_pattern(qp4, monkeyp
         [dict(sample=s, entry=e) for s in every for e in ((0, 0), (0, 1), (1, 1))],
         [dict(sample=s, order=o, entry=(0, 1)) for s in every for o in ("L.SL", "SL.L")],
     ]
+
+
+@pytest.mark.parametrize("suite", ["cocycle", "qdyb", "rll", "product", "coproduct", "antipode"])
+@pytest.mark.parametrize("method", ["verma", "abrr"])
+def test_checks_convert_no_matrix_of_the_pair_or_triple_size(suite, method, qp4,
+                                                             no_conversion_on):
+    # the fusion, fusion_inverse and exchange tables hold row forms, and every
+    # check reads them, places them and compares them in that form
+    G = vector_rep_gln(2, qp4)
+    lams = [sampled(G.spec, 3), Lambda.symbolic(G.spec)]
+    verify = {"cocycle": verify_cocycle, "qdyb": verify_qdyb, "rll": verify_rll,
+              "product": verify_product_relation, "coproduct": verify_coproduct_compat,
+              "antipode": verify_antipode}[suite]
+    args = (G, G) if suite == "antipode" else (G, G, G)
+    assert verify(*args, lams, method).passed  # fills the memo tables
+    no_conversion_on(G.dim ** 2, G.dim ** 3)
+    rep = verify(*args, lams, method)
+    assert rep.passed and not rep.failures
+
+
+def test_antipode_with_an_identity_of_the_wrong_size_does_not_pass(qp4):
+    # verify_antipode rebuilt with its identity on V.dim // U.dim rows, not on
+    # V (x) U: the comparison of the products with that identity must not pass
+    import inspect
+
+    import dynrx.dynrep as dynrep
+
+    source = inspect.getsource(dynrep.verify_antipode)
+    assert source.count("V.dim * U.dim") == 1
+    namespace = dict(vars(dynrep))
+    exec(source.replace("V.dim * U.dim", "V.dim // U.dim"), namespace)
+    mutant = namespace["verify_antipode"]
+    half, G = irrep_sl2(Fraction(1, 2), qp4), vector_rep_gln(2, qp4)
+    for V, U in ((half, half), (half, irrep_sl2(1, qp4)), (G, G)):
+        lams = [sampled(V.spec, s) for s in range(2)]
+        assert verify_antipode(V, U, lams).passed
+        with pytest.raises(ValueError, match="row"):
+            mutant(V, U, lams)

@@ -164,7 +164,7 @@ def test_gauge_preserves_qdyb(qp4, qpc):
             if step is not None:
                 current = apply_gauge(current, step)
             for lam in pts(qp, N, 3, bits=6):
-                fn = lambda lh, cur=current: cur.to_matrix(lh)
+                fn = lambda lh, cur=current: linalg.rows(cur.to_matrix(lh))
                 reps3 = [W, W, W]
                 lhs = linalg.mat_mul(
                     embed3(fn, reps3, 0, 1, lam, True),

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynrx import linalg
-from dynrx.exchange import fusion_matrix, invert_unipotent
+from dynrx import exchange, linalg
+from dynrx.exchange import exchange_matrix, fusion_inverse, fusion_matrix, invert_unipotent
 from dynrx.lam import Lambda
-from dynrx.liealg import irrep_sl2, vector_rep_gln
+from dynrx.liealg import flip, irrep_sl2, universal_r, vector_rep_gln
 from dynrx.linalg import mat_mul, row_reduce_basis
 from dynrx.scalars import Poly, QParam, RatFunc
 
@@ -479,16 +479,50 @@ def test_invert_unipotent_matches_reference_on_real_fusion_matrices():
     squares_zero = []
     for name, W, V, J in real_fusion_matrices():
         d = len(J)
+        J = linalg.dense(J, d)
         # the same J with every other entry in the other type where that type can hold it
         mixed = [[in_other_type(x) if (r + c) % 2 else x for c, x in enumerate(row)]
                  for r, row in enumerate(J)]
         for M in (J, mixed):
-            Ji = invert_unipotent(M, W, V)
+            Ji = linalg.dense(invert_unipotent(linalg.rows(M), W, V), d)
             assert_same_entries(Ji, ref_invert_unipotent(M))
             assert linalg.mat_mul(M, Ji) == linalg.eye(d), name
         N = ref_mat_sub(J, linalg.eye(d))
         squares_zero.append(mat_is_zero(ref_mat_mul(N, N)))
     assert not all(squares_zero)  # the series is longer than 1 - N somewhere
+
+
+def boundary_cases():
+    """(W, V, lambda): sl2 1/2 (x) 1 and gl2 V (x) V, at a sampled and at the
+    symbolic lambda, at q = 4, 1/4 and classically."""
+    for q in (4, Fraction(1, 4), 1):
+        qp = QParam(q)
+        G = vector_rep_gln(2, qp)
+        for W, V in ((irrep_sl2(Fraction(1, 2), qp), irrep_sl2(1, qp)), (G, G)):
+            for lam in (Lambda.sample(W.spec, 2, 10), Lambda.symbolic(W.spec)):
+                yield W, V, lam
+
+
+def test_tables_give_the_entries_of_the_list_formulas():
+    """The fusion, fusion_inverse and exchange tables hold row forms.  At the
+    dense boundary every entry of J, J^-1 and R has the value and the type
+    that the formulas on lists give: J as its builder makes it, J^-1 as the
+    Neumann series over lists, and R = J^-1 R21 J21 as the row products of
+    the lists J^-1 and flip(J)."""
+    build = {"verma": exchange._fusion_verma, "abrr": exchange.fusion_matrix_abrr}
+    for W, V, lam in boundary_cases():
+        for method in ["verma"] if W.spec.qp.classical else ["verma", "abrr"]:
+            d = W.dim * V.dim
+            for X, Y in ((W, V), (V, W)):
+                J = build[method](X, Y, lam)
+                assert_same_entries(linalg.dense(fusion_matrix(X, Y, lam, method), d), J)
+                assert_same_entries(linalg.dense(fusion_inverse(X, Y, lam, method), d),
+                                    ref_invert_unipotent(J))
+                R21 = linalg.rows(flip(universal_r(Y, X), Y.dim, X.dim))
+                J21 = linalg.rows(flip(build[method](Y, X, lam), Y.dim, X.dim))
+                Jinv = linalg.rows(ref_invert_unipotent(J))
+                want = linalg.dense(linalg.row_mul(Jinv, linalg.row_mul(R21, J21)), d)
+                assert_same_entries(linalg.dense(exchange_matrix(X, Y, lam, method), d), want)
 
 
 def loop_mat_mul(A, B):
@@ -685,3 +719,33 @@ def test_fraction_private_fields_equal_public_ones():
               Fraction(10 ** 20 + 1, 10 ** 13)):
         assert (x._numerator, x._denominator) == (x.numerator, x.denominator)
         assert type(x._numerator) is int and type(x._denominator) is int
+
+
+@pytest.mark.parametrize("na, nb", [(6, 1), (6, 0), (1, 6), (0, 6)])
+def test_operands_of_unequal_row_counts_raise(na, nb):
+    """differences, rows_add, mat_add and mat_sub reject operands whose row
+    counts differ; differences does so when called, before its first item,
+    since the identity checks read only that item."""
+    A, B = linalg.eye(na), linalg.eye(nb)
+    Ar, Br = linalg.rows(A), linalg.rows(B)
+    with pytest.raises(ValueError):
+        linalg.differences(Ar, Br)
+    for sign in (1, -1):
+        with pytest.raises(ValueError):
+            linalg.rows_add(Ar, Br, sign)
+    for fn in (linalg.mat_add, linalg.mat_sub):
+        with pytest.raises(ValueError):
+            fn(A, B)
+
+
+@settings(max_examples=100, deadline=None)
+@given(square_matrix(), st.sets(st.integers(0, 4)))
+def test_mask_and_eye_rows_match_dense(A, cols):
+    """mask keeps the entries in the columns cols and makes every other entry
+    a zero; eye_rows is the row form of eye."""
+    k = len(A)
+    got = linalg.dense(linalg.mask(linalg.rows(A), cols), k)
+    for row, grow in zip(A, got):
+        for c, (x, y) in enumerate(zip(row, grow)):
+            assert (x == y and type(x) is type(y)) if c in cols else not y
+    assert linalg.eye_rows(k) == linalg.rows(linalg.eye(k))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dynrx import memo
+from dynrx import linalg, memo
 from dynrx.exchange import fusion_inverse
 from dynrx.lam import Lambda
 from dynrx.liealg import cg_decompose, irrep_sl2, tensor
@@ -178,7 +178,8 @@ def test_one_normalisation_equals_per_term_sum(qval):
     assert len(reads) > 100
     for b, c, j, ib, ic, m in sorted(reads):
         Vb, Vc, phi = normalized_intertwiner(b, c, j, qp)
-        row = fusion_inverse(Vb, Vc, Lambda.symbolic(Vb.spec))[ib * Vc.dim + ic]
+        Ji = fusion_inverse(Vb, Vc, Lambda.symbolic(Vb.spec))
+        row = linalg.dense(Ji, len(Ji))[ib * Vc.dim + ic]
         col = [r[m] for r in phi]
         assert _combine(row, col) == _combine_ref(row, col), (b, c, j, ib, ic, m)
 
